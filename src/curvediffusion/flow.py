@@ -8,10 +8,11 @@ Written in the parametrization, that velocity splits as
 so the default scheme treats the stiff fourth-derivative term implicitly with
 its coefficient (the arclength spacing) frozen at the current step, and the
 lower-order curvature terms explicitly.  Each step then solves one periodic
-pentadiagonal system per coordinate by a direct banded factorization with a
-rank-4 correction for the wrap-around entries.  Explicit RK4 on the plain
-normal velocity is kept as a cross-validation scheme; it needs dt of order
-(L/n)^4 and is only practical at coarse resolution.
+pentadiagonal system per coordinate.  The system is circulant, so it is
+diagonal in the discrete Fourier basis and one real FFT pair solves it.
+Explicit RK4 on the plain normal velocity is kept as a cross-validation
+scheme; it needs dt of order (L/n)^4 and is only practical at coarse
+resolution.
 
 Vertices carry no tangential dynamics of their own.  The step moves them by
 the computed velocity and then restores the uniform-in-arclength sampling by
@@ -31,7 +32,6 @@ from dataclasses import dataclass
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
 
 from .errors import (
     BlowUpSignal,
@@ -222,49 +222,12 @@ def _frames(pts: np.ndarray, h: float):
 def _solve_cyclic_pentadiagonal(c: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (I + c P) x = rhs with P the periodic [1,-4,6,-4,1] stencil.
 
-    Banded LU on the open-boundary pentadiagonal core, then a rank-4
-    correction restores the four wrap-around corner entries (two per end).
-    rhs may have several columns; all share one factorization.
+    I + c P is circulant with symbol 1 + 16 c sin^4(pi j / n), so the solve
+    is one division in Fourier space.  rhs may have several columns.
     """
     n = rhs.shape[0]
-    ab = np.zeros((5, n))
-    ab[0, 2:] = c
-    ab[1, 1:] = -4.0 * c
-    ab[2, :] = 1.0 + 6.0 * c
-    ab[3, :-1] = -4.0 * c
-    ab[4, :-2] = c
-
-    u = np.zeros((n, 4))
-    v = np.zeros((n, 4))
-    u[0, 0] = u[1, 1] = u[n - 2, 2] = u[n - 1, 3] = 1.0
-    v[n - 2, 0] = c
-    v[n - 1, 0] = -4.0 * c
-    v[n - 1, 1] = c
-    v[0, 2] = c
-    v[0, 3] = -4.0 * c
-    v[1, 3] = c
-
-    stacked = solve_banded((2, 2), ab, np.concatenate([rhs, u], axis=1))
-    y = stacked[:, : rhs.shape[1]]
-    z = stacked[:, rhs.shape[1]:]
-    cap = np.eye(4) + v.T @ z
-
-    def correct(yy):
-        return yy - z @ np.linalg.solve(cap, v.T @ yy)
-
-    x = correct(y)
-    # iterative refinement: the rank-4 correction loses digits when the
-    # open-boundary core is much better conditioned along the seam than
-    # the cyclic operator, which happens at large c; a few passes restore
-    # a backward-stable solution
-    norm_m = 1.0 + 16.0 * c
-    for _ in range(4):
-        gap = rhs - _apply_cyclic_pentadiagonal(c, x)
-        scale = float(np.abs(rhs).max()) + norm_m * float(np.abs(x).max())
-        if float(np.abs(gap).max()) <= 1e-13 * scale:
-            break
-        x = x + correct(solve_banded((2, 2), ab, gap))
-    return x
+    symbol = 1.0 + 16.0 * c * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 4
+    return np.fft.irfft(np.fft.rfft(rhs, axis=0) / symbol[:, None], n=n, axis=0)
 
 
 def _apply_cyclic_pentadiagonal(c: float, x: np.ndarray) -> np.ndarray:
@@ -398,7 +361,10 @@ def _redistribute(raw: np.ndarray, state: FlowState, config: FlowConfig,
     return curve
 
 
-def _advance(state: FlowState, config: FlowConfig) -> Tuple[FlowState, float]:
+def _advance(state: FlowState, config: FlowConfig
+             ) -> Tuple[FlowState, float, np.ndarray]:
+    """One accepted step: the new state, the solve residual, and the
+    curvature of the new curve at h = L/n (reused by _record_for)."""
     pts = state.curve.vertices
     seg = state.curve.segment_lengths()
     h = float(seg.mean())
@@ -434,7 +400,7 @@ def _advance(state: FlowState, config: FlowConfig) -> Tuple[FlowState, float]:
         time=config.dt * (state.step_index + 1),
         step_index=state.step_index + 1,
     )
-    return new_state, residual
+    return new_state, residual, k
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
@@ -452,18 +418,17 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     return _advance(state, config)[0]
 
 
-def _diagnostic_curve(curve: SampledCurve, n: int) -> SampledCurve:
-    if curve.is_uniform():
-        return curve
-    return resample_uniform(curve, n)
-
-
 def _record_for(state: FlowState, config: FlowConfig, residual: float,
-                prev: CurveMetrics, prev_time: float) -> TrajectoryRecord:
-    curve = _diagnostic_curve(state.curve, config.n)
+                prev: CurveMetrics, prev_time: float,
+                k: np.ndarray) -> TrajectoryRecord:
+    """Diagnostics of state.curve; k is its curvature at h = L/n, recomputed
+    only when the curve must first be resampled to a uniform grid."""
+    curve = state.curve
+    if not curve.is_uniform():
+        curve = resample_uniform(curve, config.n)
+        _, _, k = _frames(curve.vertices, curve.length() / curve.n)
     m = metrics(curve)
     h = m.length / curve.n
-    _, _, k = _frames(curve.vertices, h)
     ks = (np.roll(k, -1) - np.roll(k, 1)) / (2.0 * h)
     dev = k - m.average_curvature
     dt = state.time - prev_time
@@ -509,8 +474,8 @@ def run(initial: SampledCurve, config: FlowConfig,
                 and state.time + config.dt > config.max_time + eps):
             return done("max-time")
         try:
-            state, residual = _advance(state, config)
-            record = _record_for(state, config, residual, prev, prev_time)
+            state, residual, k = _advance(state, config)
+            record = _record_for(state, config, residual, prev, prev_time, k)
         except BlowUpSignal as sig:
             if sig.last_state is not None:
                 state = sig.last_state
@@ -663,9 +628,14 @@ def read_trajectory_jsonl(path) -> List[TrajectoryRecord]:
                 raise RejectedInputError(
                     f"trajectory line {line_no} lacks fields {missing}"
                 )
-            parsed.append(obj)
+            if parsed and not float(obj["t"]) > float(parsed[-1][1]["t"]):
+                raise RejectedInputError(
+                    f"trajectory line {line_no}: time {obj['t']!r} does not "
+                    f"increase on line {parsed[-1][0]}"
+                )
+            parsed.append((line_no, obj))
     records = []
-    for j, obj in enumerate(parsed):
+    for j, (_, obj) in enumerate(parsed):
         m = CurveMetrics(
             length=float(obj["L"]),
             signed_area=float(obj["A"]),
@@ -678,8 +648,9 @@ def read_trajectory_jsonl(path) -> List[TrajectoryRecord]:
             min_curvature=float(obj["kmin"]),
         )
         if j > 0:
-            span = float(obj["t"]) - parsed[j - 1]["t"]
-            dkosc = (m.osc_energy - parsed[j - 1]["kosc"]) / span
+            prev_obj = parsed[j - 1][1]
+            span = float(obj["t"]) - prev_obj["t"]
+            dkosc = (m.osc_energy - prev_obj["kosc"]) / span
         else:
             dkosc = 0.0
         records.append(TrajectoryRecord(

@@ -234,6 +234,12 @@ def resample_uniform(curve: SampledCurve, n: Optional[int] = None) -> SampledCur
     until all chords agree to machine-level spread. Vertex 0 stays anchored,
     so an already-uniform curve is a fixed point of the map.
 
+    The iteration stops once the spread is below 1e-12, or once it is within
+    the uniform-in-arclength tolerance and fell by less than half since the
+    previous evaluation: it has then reached rounding level, which at large
+    n lies above 1e-12.  A spread still above half that tolerance after the
+    last iteration raises DegenerateGeometryError.
+
     Interpolating with a spline rather than along the polygon keeps the
     chord-length deficit of the inscribed polygon consistent between input and
     output; resampling then perturbs the measured length at O(h^4), not O(h^2).
@@ -255,6 +261,7 @@ def resample_uniform(curve: SampledCurve, n: Optional[int] = None) -> SampledCur
 
     u = np.interp(np.arange(n) * (total / n), knots, knots)
     out = None
+    prev_spread = math.inf
     for _ in range(_RESAMPLE_MAX_ITERS):
         out = spline(u)
         chords = np.linalg.norm(
@@ -264,15 +271,16 @@ def resample_uniform(curve: SampledCurve, n: Optional[int] = None) -> SampledCur
         if mean <= 0 or not np.isfinite(mean):
             raise DegenerateGeometryError("resampling produced a collapsed polygon")
         spread = (chords.max() - chords.min()) / mean
-        if spread < _RESAMPLE_TARGET_SPREAD:
+        stalled = spread > 0.5 * prev_spread and spread <= 0.5 * SPREAD_TOL
+        if spread < _RESAMPLE_TARGET_SPREAD or stalled:
             break
+        prev_spread = spread
         cum = np.concatenate([[0.0], np.cumsum(chords)])
         u = np.interp(np.arange(n) * (cum[-1] / n), cum, np.append(u, knots[-1]))
-    else:
-        if spread > 0.5 * SPREAD_TOL:
-            raise DegenerateGeometryError(
-                f"uniform resampling did not converge (spread {spread:.3e})"
-            )
+    if spread > 0.5 * SPREAD_TOL:
+        raise DegenerateGeometryError(
+            f"uniform resampling did not converge (spread {spread:.3e})"
+        )
     return SampledCurve(
         np.asarray(out), param=UNIFORM_IN_ARCLENGTH, generation=curve.generation + 1
     )

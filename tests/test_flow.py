@@ -7,7 +7,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from curvediffusion.errors import RejectedInputError
+from curvediffusion.errors import RejectedInputError, SolverError
 from curvediffusion.flow import (
     REDISTRIBUTE_ON_SPREAD,
     SCHEME_EXPLICIT_RK4,
@@ -18,6 +18,8 @@ from curvediffusion.flow import (
     record_to_json,
     run,
     step,
+    _apply_cyclic_pentadiagonal,
+    _solve_cyclic_pentadiagonal,
     write_trajectory_jsonl,
 )
 from curvediffusion.geometry import (
@@ -135,6 +137,37 @@ class TestConservation:
         assert worst <= 1e-6 * A0
 
 
+class TestCyclicSolve:
+    @staticmethod
+    def dense(n, c):
+        matrix = np.eye(n)
+        for offset, weight in ((-2, 1.0), (-1, -4.0), (0, 6.0), (1, -4.0), (2, 1.0)):
+            for i in range(n):
+                matrix[i, (i + offset) % n] += c * weight
+        return matrix
+
+    @pytest.mark.parametrize("n", [16, 17, 255, 256])
+    @pytest.mark.parametrize("c", [1e-2, 1e2, 1e10])
+    @pytest.mark.parametrize("columns", [1, 2])
+    def test_matches_dense_solve(self, n, c, columns):
+        rhs = np.random.default_rng(n).standard_normal((n, columns))
+        x = _solve_cyclic_pentadiagonal(c, rhs)
+        assert x.shape == rhs.shape
+        # normalized backward residual, as the implicit step checks it
+        gap = _apply_cyclic_pentadiagonal(c, x) - rhs
+        scale = float(np.abs(rhs).max()) + (1.0 + 16.0 * c) * float(np.abs(x).max())
+        assert float(np.abs(gap).max()) / scale <= 1e-14
+        if c <= 1e2:
+            want = np.linalg.solve(self.dense(n, c), rhs)
+            assert float(np.abs(x - want).max()) <= 1e-12 * float(np.abs(want).max())
+
+    def test_residual_above_tolerance_raises(self):
+        state = FlowState(uniform(ShapeSpec("circle", radius=1.0), 64))
+        config = FlowConfig(n=64, dt=1e-4, max_steps=1, solve_tolerance=1e-300)
+        with pytest.raises(SolverError, match="residual"):
+            step(state, config)
+
+
 class TestGaugeAndSchemes:
     def test_redistribution_policy_is_gauge(self, perturbed_run,
                                             gauge_alternative_run):
@@ -216,6 +249,17 @@ class TestTrajectorySerialization:
     def test_record_json_is_deterministic(self, perturbed_run):
         record = perturbed_run.result.records[0]
         assert record_to_json(record) == record_to_json(record)
+
+    @pytest.mark.parametrize("later", [1, 0], ids=["repeated", "backwards"])
+    def test_time_must_increase(self, tmp_path, later):
+        result = run(uniform(ShapeSpec("circle", radius=1.0), 64),
+                     FlowConfig(n=64, dt=1e-4, max_steps=3))
+        lines = [record_to_json(r) for r in result.records]
+        lines.insert(2, lines[later])
+        path = tmp_path / "trajectory.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(RejectedInputError, match="line 3"):
+            read_trajectory_jsonl(path)
 
 
 class TestShortRunProperties:

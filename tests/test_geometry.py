@@ -8,12 +8,15 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from scipy.special import ellipe
 
+from curvediffusion import geometry
 from curvediffusion.errors import (
+    DegenerateGeometryError,
     NonUniformParametrizationError,
     RejectedInputError,
 )
 from curvediffusion.flow import FlowConfig, run
 from curvediffusion.geometry import (
+    SPREAD_TOL,
     UNIFORM_IN_ARCLENGTH,
     SampledCurve,
     ShapeSpec,
@@ -246,6 +249,29 @@ class TestResampling:
         once = resample_uniform(generate(ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0), 256))
         again = resample_uniform(once)
         assert float(np.max(np.abs(again.vertices - once.vertices))) <= 1e-9
+
+    def test_stops_at_rounding_level_on_fine_mesh(self, monkeypatch):
+        # at n = 4096 rounding keeps the spread above the 1e-12 target, so
+        # the iteration must stop once the spread stops halving
+        evals = []
+
+        class CountingSpline(geometry.CubicSpline):
+            def __call__(self, *args, **kwargs):
+                evals.append(1)
+                return super().__call__(*args, **kwargs)
+
+        monkeypatch.setattr(geometry, "CubicSpline", CountingSpline)
+        spec = ShapeSpec("fourier-perturbed-circle", r0=1.0, modes=((2, 0.01, 0.0),))
+        curve = resample_uniform(generate(spec, 4096))
+        assert len(evals) <= 3
+        assert curve.chord_spread() <= 0.5 * SPREAD_TOL
+
+    def test_nonconverging_spread_raises(self):
+        # the periodic spline through a random point cloud loops back on
+        # itself, and no placement of 16 vertices on it has equal chords
+        pts = np.random.default_rng(0).standard_normal((16, 2))
+        with pytest.raises(DegenerateGeometryError, match="did not converge"):
+            resample_uniform(SampledCurve(pts))
 
 
 class TestQuadratureAndProfiles:

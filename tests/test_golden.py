@@ -1,0 +1,37 @@
+"""Reference trajectories against records saved from the banded-solve code.
+
+tests/golden_records.json holds L, A, kosc and ks2 at records 10, 100 and
+1000 of the circle, ellipse and lemniscate fixtures, as computed before the
+implicit system was solved by FFT and before resampling stopped at rounding
+level.  Both changes move results at rounding level only, so the records must
+agree to a relative 1e-10; the absolute floor covers quantities that sit at
+rounding level themselves (circle ks2 near 5e-21, lemniscate A near 1e-15).
+"""
+
+import json
+import os
+
+import pytest
+
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                      "golden_records.json")
+REL_TOL = 1e-10
+ABS_TOL = 1e-12
+FIELDS = {"L": "length", "A": "signed_area", "kosc": "osc_energy",
+          "ks2": "ks_norm_sq"}
+
+with open(GOLDEN, encoding="utf-8") as fh:
+    RECORDS = json.load(fh)
+
+
+@pytest.mark.parametrize("scenario", sorted(RECORDS))
+def test_records_match_golden(scenario, request):
+    result = request.getfixturevalue(f"{scenario}_run").result
+    for index, want in RECORDS[scenario].items():
+        record = result.records[int(index)]
+        assert record.time == want["t"]
+        for key, attr in FIELDS.items():
+            got = getattr(record.metrics, attr)
+            assert abs(got - want[key]) <= REL_TOL * abs(want[key]) + ABS_TOL, (
+                f"{scenario} record {index} {key}: {got!r} vs golden {want[key]!r}"
+            )
