@@ -13,10 +13,10 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DegenerateGeometryError, RejectedInputError
+from .errors import RejectedInputError
 from .flow import TrajectoryRecord
-from .geometry import SampledCurve, CurveMetrics, metrics, curvature_profile
-from .geometry import _max_dist_to_polyline, _require_uniform
+from .geometry import SampledCurve, CurveMetrics, metrics
+from .geometry import _frames, _max_dist_to_polyline, _require_uniform
 
 # Decimal expansion of the oscillation smallness threshold, frozen from a
 # 50-digit evaluation of the defining formula before the double-precision
@@ -321,15 +321,6 @@ def embeddedness_certificate(curve: SampledCurve) -> str:
     return EMBEDDED_INCONCLUSIVE
 
 
-def _unit_normals(curve: SampledCurve) -> np.ndarray:
-    pts = curve.vertices
-    d1 = np.roll(pts, -1, axis=0) - np.roll(pts, 1, axis=0)
-    tnorm = np.linalg.norm(d1, axis=1)
-    if (tnorm == 0.0).any():
-        raise DegenerateGeometryError("degenerate tangent (folded polygon)")
-    return np.stack([-d1[:, 1], d1[:, 0]], axis=1) / tnorm[:, None]
-
-
 def density_integral(curve: SampledCurve, point, epsilon: Optional[float] = None) -> float:
     """Multiplicity of a point on the trace, read off a curvature integral.
 
@@ -357,8 +348,7 @@ def density_integral(curve: SampledCurve, point, epsilon: Optional[float] = None
         )
 
     h = L / curve.n
-    k = curvature_profile(curve)
-    nu = _unit_normals(curve)
+    _, nu, k = _frames(curve.vertices, h)
     q = curve.vertices - p[None, :]
     r = np.linalg.norm(q, axis=1)
     proj = np.einsum("ij,ij->i", q, nu)

@@ -44,8 +44,15 @@ from .geometry import (
     UNIFORM_IN_PARAMETER,
     CurveMetrics,
     SampledCurve,
+    _chord_lengths,
+    _frames,
+    _metrics,
+    _resample_points,
+    _shift,
+    curvature_profile,
     metrics,
     resample_uniform,
+    signed_area,
 )
 
 SCHEME_LINEARLY_IMPLICIT = "linearly-implicit"
@@ -204,21 +211,6 @@ class IdentityResiduals:
     record_count: int
 
 
-def _frames(pts: np.ndarray, h: float):
-    """Centered tangent, normal, and curvature of a near-uniform closed polygon."""
-    fwd = np.roll(pts, -1, axis=0)
-    bwd = np.roll(pts, 1, axis=0)
-    d1 = (fwd - bwd) / (2.0 * h)
-    d2 = (fwd - 2.0 * pts + bwd) / (h * h)
-    tnorm = np.linalg.norm(d1, axis=1)
-    if (tnorm == 0.0).any() or not np.isfinite(tnorm).all():
-        raise DegenerateGeometryError("degenerate tangent while stepping")
-    tau = d1 / tnorm[:, None]
-    nu = np.column_stack([-tau[:, 1], tau[:, 0]])
-    k = d2[:, 0] * nu[:, 0] + d2[:, 1] * nu[:, 1]
-    return tau, nu, k
-
-
 def _solve_cyclic_pentadiagonal(c: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (I + c P) x = rhs with P the periodic [1,-4,6,-4,1] stencil.
 
@@ -232,15 +224,15 @@ def _solve_cyclic_pentadiagonal(c: float, rhs: np.ndarray) -> np.ndarray:
 
 def _apply_cyclic_pentadiagonal(c: float, x: np.ndarray) -> np.ndarray:
     return x + c * (
-        np.roll(x, 2, axis=0) - 4.0 * np.roll(x, 1, axis=0) + 6.0 * x
-        - 4.0 * np.roll(x, -1, axis=0) + np.roll(x, -2, axis=0)
+        _shift(x, -2) - 4.0 * _shift(x, -1) + 6.0 * x
+        - 4.0 * _shift(x, 1) + _shift(x, 2)
     )
 
 
 def _implicit_advance(pts: np.ndarray, h: float, dt: float,
                       solve_tolerance: float) -> Tuple[np.ndarray, float]:
     tau, nu, k = _frames(pts, h)
-    ks = (np.roll(k, -1) - np.roll(k, 1)) / (2.0 * h)
+    ks = (_shift(k, 1) - _shift(k, -1)) / (2.0 * h)
     explicit = (k ** 3)[:, None] * nu + (3.0 * k * ks)[:, None] * tau
     b = pts - dt * explicit
     c = dt / h ** 4
@@ -258,12 +250,12 @@ def _implicit_advance(pts: np.ndarray, h: float, dt: float,
 
 
 def _rk4_velocity(pts: np.ndarray) -> np.ndarray:
-    seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+    seg = _chord_lengths(pts)
     h = float(seg.mean())
     if h <= 0 or not math.isfinite(h):
         raise DegenerateGeometryError("collapsed polygon inside RK4 stage")
     _, nu, k = _frames(pts, h)
-    kss = (np.roll(k, -1) - 2.0 * k + np.roll(k, 1)) / (h * h)
+    kss = (_shift(k, 1) - 2.0 * k + _shift(k, -1)) / (h * h)
     return -kss[:, None] * nu
 
 
@@ -283,11 +275,11 @@ def _project_area(pts: np.ndarray, target: float) -> np.ndarray:
     If the quadratic has no real root, or the linear coefficient degenerates,
     the polygon is returned unchanged.
     """
-    seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+    seg = _chord_lengths(pts)
     h = float(seg.mean())
     _, nu, _ = _frames(pts, h)
-    nxt_p = np.roll(pts, -1, axis=0)
-    nxt_n = np.roll(nu, -1, axis=0)
+    nxt_p = _shift(pts, 1)
+    nxt_n = _shift(nu, 1)
     area = 0.5 * float(np.sum(pts[:, 0] * nxt_p[:, 1] - nxt_p[:, 0] * pts[:, 1]))
     delta = target - area
     lin = 0.5 * float(
@@ -306,7 +298,7 @@ def _project_area(pts: np.ndarray, target: float) -> np.ndarray:
 
 
 def _spread_param(pts: np.ndarray) -> str:
-    seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+    seg = _chord_lengths(pts)
     spread = float((seg.max() - seg.min()) / seg.mean())
     return UNIFORM_IN_ARCLENGTH if spread <= 1e-6 else UNIFORM_IN_PARAMETER
 
@@ -329,7 +321,7 @@ def _redistribute(raw: np.ndarray, state: FlowState, config: FlowConfig,
                 f"area projection failed: {exc}", last_state=state,
                 reason="degenerate-geometry",
             ) from exc
-    seg = np.linalg.norm(np.roll(raw, -1, axis=0) - raw, axis=1)
+    seg = _chord_lengths(raw)
     mean = float(seg.mean())
     if float(seg.min()) < config.min_segment_factor * mean:
         raise BlowUpSignal(
@@ -343,16 +335,13 @@ def _redistribute(raw: np.ndarray, state: FlowState, config: FlowConfig,
     )
     try:
         if resample:
-            interim = SampledCurve(raw, param=UNIFORM_IN_PARAMETER,
-                                   generation=state.curve.generation)
-            curve = resample_uniform(interim, config.n)
+            pts = _resample_points(raw, config.n)
             if config.conserve_area:
-                pts = _project_area(curve.vertices, prev_area)
-                curve = SampledCurve(pts, param=_spread_param(pts),
-                                     generation=curve.generation)
+                pts = _project_area(pts, prev_area)
+            generation = state.curve.generation + 1
         else:
-            curve = SampledCurve(raw, param=_spread_param(raw),
-                                 generation=state.curve.generation)
+            pts, generation = raw, state.curve.generation
+        curve = SampledCurve(pts, param=_spread_param(pts), generation=generation)
     except (DegenerateGeometryError, RejectedInputError) as exc:
         raise BlowUpSignal(
             f"redistribution failed: {exc}", last_state=state,
@@ -368,8 +357,7 @@ def _advance(state: FlowState, config: FlowConfig
     pts = state.curve.vertices
     seg = state.curve.segment_lengths()
     h = float(seg.mean())
-    nxt = np.roll(pts, -1, axis=0)
-    prev_area = 0.5 * float(np.sum(pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]))
+    prev_area = signed_area(state.curve)
 
     if config.scheme == SCHEME_LINEARLY_IMPLICIT:
         raw, residual = _implicit_advance(pts, h, config.dt, config.solve_tolerance)
@@ -410,7 +398,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     the last good state) on post-step degeneracy; blow-up is the expected
     exit for singular initial shapes.
     """
-    if not state.curve.is_uniform():
+    if not (state.curve.is_uniform() and state.curve.n == config.n):
         state = FlowState(
             curve=resample_uniform(state.curve, config.n),
             time=state.time, step_index=state.step_index,
@@ -426,10 +414,10 @@ def _record_for(state: FlowState, config: FlowConfig, residual: float,
     curve = state.curve
     if not curve.is_uniform():
         curve = resample_uniform(curve, config.n)
-        _, _, k = _frames(curve.vertices, curve.length() / curve.n)
-    m = metrics(curve)
+        k = curvature_profile(curve)
+    m = _metrics(curve, k)
     h = m.length / curve.n
-    ks = (np.roll(k, -1) - np.roll(k, 1)) / (2.0 * h)
+    ks = (_shift(k, 1) - _shift(k, -1)) / (2.0 * h)
     dev = k - m.average_curvature
     dt = state.time - prev_time
     return TrajectoryRecord(
@@ -623,42 +611,59 @@ def read_trajectory_jsonl(path) -> List[TrajectoryRecord]:
                 raise RejectedInputError(
                     f"malformed trajectory line {line_no}"
                 ) from exc
+            if not isinstance(obj, dict):
+                raise RejectedInputError(
+                    f"trajectory line {line_no} is not a JSON object"
+                )
             missing = [f for f in TRAJECTORY_FIELDS if f not in obj]
             if missing:
                 raise RejectedInputError(
                     f"trajectory line {line_no} lacks fields {missing}"
                 )
-            if parsed and not float(obj["t"]) > float(parsed[-1][1]["t"]):
+            row = {f: _number(obj, f, line_no) for f in TRAJECTORY_FIELDS}
+            if parsed and not row["t"] > parsed[-1][1]["t"]:
                 raise RejectedInputError(
                     f"trajectory line {line_no}: time {obj['t']!r} does not "
                     f"increase on line {parsed[-1][0]}"
                 )
-            parsed.append((line_no, obj))
+            parsed.append((line_no, row))
     records = []
-    for j, (_, obj) in enumerate(parsed):
+    for j, (_, row) in enumerate(parsed):
         m = CurveMetrics(
-            length=float(obj["L"]),
-            signed_area=float(obj["A"]),
-            isoperimetric_ratio=(None if obj["I"] is None else float(obj["I"])),
-            winding_number=int(obj["omega"]),
-            average_curvature=float(obj["kbar"]),
-            osc_energy=float(obj["kosc"]),
-            ks_norm_sq=float(obj["ks2"]),
-            kss_norm_sq=float(obj["kss2"]),
-            min_curvature=float(obj["kmin"]),
+            length=row["L"],
+            signed_area=row["A"],
+            isoperimetric_ratio=row["I"],
+            winding_number=row["omega"],
+            average_curvature=row["kbar"],
+            osc_energy=row["kosc"],
+            ks_norm_sq=row["ks2"],
+            kss_norm_sq=row["kss2"],
+            min_curvature=row["kmin"],
         )
         if j > 0:
-            prev_obj = parsed[j - 1][1]
-            span = float(obj["t"]) - prev_obj["t"]
-            dkosc = (m.osc_energy - prev_obj["kosc"]) / span
+            prev_row = parsed[j - 1][1]
+            dkosc = (m.osc_energy - prev_row["kosc"]) / (row["t"] - prev_row["t"])
         else:
             dkosc = 0.0
         records.append(TrajectoryRecord(
-            time=float(obj["t"]),
+            time=row["t"],
             metrics=m,
-            dL_dt_measured=float(obj["dL_dt"]),
-            dA_dt_measured=float(obj["dA_dt"]),
+            dL_dt_measured=row["dL_dt"],
+            dA_dt_measured=row["dA_dt"],
             dKosc_dt_measured=dkosc,
-            solver_residual=float(obj["residual"]),
+            solver_residual=row["residual"],
         ))
     return records
+
+
+def _number(obj: dict, field: str, line_no: int):
+    """Field of a trajectory line as float (int for omega; I may be null)."""
+    value = obj[field]
+    if field == "I" and value is None:
+        return None
+    try:
+        return int(value) if field == "omega" else float(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise RejectedInputError(
+            f"trajectory line {line_no}: field {field!r} is not a number ({value!r})"
+        ) from exc

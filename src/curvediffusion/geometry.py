@@ -16,11 +16,11 @@ so a counterclockwise circle has curvature +1 and positive signed area.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.linalg import solve_banded
 
 from .errors import (
     DegenerateGeometryError,
@@ -39,6 +39,7 @@ MIN_TOTAL_LENGTH = 1e-9    # below this a curve counts as collapsed
 _RESAMPLE_MAX_ITERS = 10
 _RESAMPLE_TARGET_SPREAD = 1e-12
 _AREA_UNDEFINED_REL = 1e-10  # |A| < this * L^2 leaves the isoperimetric ratio undefined
+_DIST_ROW_BLOCK = 128         # points per block in the point-to-polyline distance
 
 SHAPE_KINDS = (
     "circle",
@@ -47,6 +48,25 @@ SHAPE_KINDS = (
     "limacon",
     "lemniscate",
 )
+
+
+def _shift(a: np.ndarray, k: int) -> np.ndarray:
+    """Periodic shift along axis 0: row i of the result is row i + k of a."""
+    return np.concatenate((a[k:], a[:k]))
+
+
+def _row_norms(v: np.ndarray) -> np.ndarray:
+    """Length of each row of an (n, 2) array.
+
+    The sum of squares is the one np.linalg.norm(v, axis=1) forms, so the
+    result is bitwise equal to it, without its strided two-element reduction.
+    """
+    return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1])
+
+
+def _chord_lengths(pts: np.ndarray) -> np.ndarray:
+    """Length of edge i, from vertex i to vertex i + 1 (periodic)."""
+    return _row_norms(_shift(pts, 1) - pts)
 
 
 @dataclass(frozen=True)
@@ -86,7 +106,7 @@ class SampledCurve:
             raise RejectedInputError(f"unknown parametrization {self.param!r}")
         if self.generation < 0:
             raise RejectedInputError("generation counter must be >= 0")
-        seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+        seg = _chord_lengths(pts)
         if (seg == 0.0).any():
             raise RejectedInputError("consecutive vertices must not coincide")
         if self.param == UNIFORM_IN_ARCLENGTH:
@@ -106,10 +126,10 @@ class SampledCurve:
 
     def segment_vectors(self) -> np.ndarray:
         """Edge vectors, edge i running from vertex i to vertex i+1 (periodic)."""
-        return np.roll(self.vertices, -1, axis=0) - self.vertices
+        return _shift(self.vertices, 1) - self.vertices
 
     def segment_lengths(self) -> np.ndarray:
-        return np.linalg.norm(self.segment_vectors(), axis=1)
+        return _chord_lengths(self.vertices)
 
     def length(self) -> float:
         return float(self.segment_lengths().sum())
@@ -229,10 +249,12 @@ def resample_uniform(curve: SampledCurve, n: Optional[int] = None) -> SampledCur
     """Redistribute vertices to uniform chord spacing on the same trace.
 
     The trace is taken to be the periodic cubic spline through the current
-    vertices (chordal parametrization). New vertices are placed on that spline
-    and nudged, by a fixed-point iteration on the cumulative chord length,
-    until all chords agree to machine-level spread. Vertex 0 stays anchored,
-    so an already-uniform curve is a fixed point of the map.
+    vertices (chordal parametrization), built and evaluated by the private
+    kernel below, which repeats scipy's ``CubicSpline(..., bc_type="periodic")``
+    operation by operation and so matches it bitwise. New vertices are placed
+    on that spline and nudged, by a fixed-point iteration on the cumulative
+    chord length, until all chords agree to machine-level spread. Vertex 0
+    stays anchored, so an already-uniform curve is a fixed point of the map.
 
     The iteration stops once the spread is below 1e-12, or once it is within
     the uniform-in-arclength tolerance and fell by less than half since the
@@ -246,27 +268,28 @@ def resample_uniform(curve: SampledCurve, n: Optional[int] = None) -> SampledCur
     """
     if n is None:
         n = curve.n
+    return SampledCurve(_resample_points(curve.vertices, n),
+                        param=UNIFORM_IN_ARCLENGTH, generation=curve.generation + 1)
+
+
+def _resample_points(pts: np.ndarray, n: int) -> np.ndarray:
+    """The vertex array of :func:`resample_uniform`, taking and returning points."""
     if n < MIN_VERTICES:
         raise RejectedInputError(f"need n >= {MIN_VERTICES}, got {n}")
-    pts = curve.vertices
-    seg = curve.segment_lengths()
+    seg = _chord_lengths(pts)
     total = float(seg.sum())
     if total < MIN_TOTAL_LENGTH:
         raise DegenerateGeometryError(
             f"total length {total:.3e} below threshold {MIN_TOTAL_LENGTH:.0e}"
         )
     knots = np.concatenate([[0.0], np.cumsum(seg)])
-    closed = np.vstack([pts, pts[:1]])
-    spline = CubicSpline(knots, closed, axis=0, bc_type="periodic")
+    coeffs = _periodic_spline(knots, np.vstack([pts, pts[:1]]))
 
     u = np.interp(np.arange(n) * (total / n), knots, knots)
-    out = None
     prev_spread = math.inf
     for _ in range(_RESAMPLE_MAX_ITERS):
-        out = spline(u)
-        chords = np.linalg.norm(
-            np.vstack([out[1:], out[:1]]) - out, axis=1
-        )
+        out = _evaluate_spline(knots, coeffs, u)
+        chords = _chord_lengths(out)
         mean = chords.mean()
         if mean <= 0 or not np.isfinite(mean):
             raise DegenerateGeometryError("resampling produced a collapsed polygon")
@@ -281,9 +304,65 @@ def resample_uniform(curve: SampledCurve, n: Optional[int] = None) -> SampledCur
         raise DegenerateGeometryError(
             f"uniform resampling did not converge (spread {spread:.3e})"
         )
-    return SampledCurve(
-        np.asarray(out), param=UNIFORM_IN_ARCLENGTH, generation=curve.generation + 1
-    )
+    return out
+
+
+def _periodic_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Coefficients of the periodic cubic spline through (x, y), y[-1] == y[0].
+
+    Returns c of shape (4, len(x) - 1, y.shape[1]); on [x[i], x[i+1]] the
+    spline is sum_k c[k, i] (t - x[i])^(3 - k).  The arithmetic is scipy's
+    ``CubicSpline(x, y, axis=0, bc_type="periodic")``, step for step: the
+    slopes s solve a cyclic tridiagonal system, condensed to a tridiagonal
+    one in the first len(x) - 2 unknowns plus a scalar back-substitution for
+    the last; the coefficients follow from the Hermite formulas.  Its two
+    tridiagonal solves are one call here with the right-hand sides stacked,
+    which LAPACK solves column by column, so the result is bitwise scipy's.
+    """
+    dx = np.diff(x)
+    if not (dx > 0.0).all():
+        raise DegenerateGeometryError("spline knots must increase strictly")
+    dxr = dx[:, None]
+    slope = np.diff(y, axis=0) / dxr
+    m = len(x) - 2
+    # row i of the periodic system: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i]
+    # + dx[i-1] s[i+1] = 3 (dx[i] slope[i-1] + dx[i-1] slope[i])
+    rhs = 3 * (dxr * _shift(slope, -1) + _shift(dxr, -1) * slope)
+    band = np.zeros((3, m))
+    band[0, 1] = dx[-1]
+    band[0, 2:] = dx[:m - 2]
+    band[1, 0] = 2 * (dx[-1] + dx[0])
+    band[1, 1:] = 2 * (dx[:m - 1] + dx[1:m])
+    band[2] = dx[1:]
+    # s = s1 + s[-2] s2 on the first m unknowns; s2 carries the corner terms
+    corner = np.zeros_like(rhs[:m])
+    corner[0] = -dx[0]
+    corner[-1] = -dx[-3]
+    both = solve_banded((1, 1), band, np.hstack([rhs[:m], corner]),
+                        overwrite_ab=True, overwrite_b=True, check_finite=False)
+    cols = y.shape[1]
+    s1, s2 = both[:, :cols], both[:, cols:]
+    s_m1 = ((rhs[-1] - dx[-2] * s1[0] - dx[-1] * s1[-1])
+            / (2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]))
+    s = np.empty_like(y)
+    s[:-2] = s1 + s_m1 * s2
+    s[-2] = s_m1
+    s[-1] = s[0]
+    t = (s[:-1] + s[1:] - 2 * slope) / dxr
+    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+
+
+def _evaluate_spline(x: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Values at u in [x[0], x[-1]) of the spline with coefficients c.
+
+    Intervals are closed on the left and the polynomial is summed in the
+    order scipy's ``PPoly`` uses, so the values match it bitwise.
+    """
+    i = np.clip(np.searchsorted(x, u, side="right") - 1, 0, len(x) - 2)
+    s = (u - x[i])[:, None]
+    s2 = s * s
+    c0, c1, c2, c3 = np.take(c, i, axis=1)
+    return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
 
 
 def _require_uniform(curve: SampledCurve, op: str) -> None:
@@ -291,6 +370,26 @@ def _require_uniform(curve: SampledCurve, op: str) -> None:
         raise NonUniformParametrizationError(
             f"{op} needs a uniform-in-arclength curve; call resample_uniform first"
         )
+
+
+def _frames(pts: np.ndarray, h: float):
+    """Unit tangent, unit normal and curvature of a near-uniform closed polygon.
+
+    Centered periodic differences with spacing h: the tangent is the first
+    difference normalized, the normal is the tangent rotated by +90 degrees,
+    and the curvature is the second difference projected on the normal.
+    """
+    fwd = _shift(pts, 1)
+    bwd = _shift(pts, -1)
+    d1 = (fwd - bwd) / (2.0 * h)
+    d2 = (fwd - 2.0 * pts + bwd) / (h * h)
+    tnorm = _row_norms(d1)
+    if (tnorm == 0.0).any() or not np.isfinite(tnorm).all():
+        raise DegenerateGeometryError("degenerate tangent (folded polygon)")
+    tau = d1 / tnorm[:, None]
+    nu = np.column_stack([-tau[:, 1], tau[:, 0]])
+    k = d2[:, 0] * nu[:, 0] + d2[:, 1] * nu[:, 1]
+    return tau, nu, k
 
 
 def curvature_profile(curve: SampledCurve) -> np.ndarray:
@@ -301,19 +400,7 @@ def curvature_profile(curve: SampledCurve) -> np.ndarray:
     sampled circle with the chord spacing used as h.
     """
     _require_uniform(curve, "curvature_profile")
-    pts = curve.vertices
-    h = curve.length() / curve.n
-    fwd = np.roll(pts, -1, axis=0)
-    bwd = np.roll(pts, 1, axis=0)
-    d1 = (fwd - bwd) / (2.0 * h)
-    d2 = (fwd - 2.0 * pts + bwd) / (h * h)
-    tnorm = np.linalg.norm(d1, axis=1)
-    if (tnorm == 0.0).any():
-        raise DegenerateGeometryError("degenerate tangent (folded polygon)")
-    tx = d1[:, 0] / tnorm
-    ty = d1[:, 1] / tnorm
-    # normal = J tangent = (-ty, tx)
-    return d2[:, 0] * (-ty) + d2[:, 1] * tx
+    return _frames(curve.vertices, curve.length() / curve.n)[2]
 
 
 def curvature_derivatives(curve: SampledCurve, order: int) -> np.ndarray:
@@ -324,14 +411,14 @@ def curvature_derivatives(curve: SampledCurve, order: int) -> np.ndarray:
     k = curvature_profile(curve)
     h = curve.length() / curve.n
     if order == 1:
-        return (np.roll(k, -1) - np.roll(k, 1)) / (2.0 * h)
-    return (np.roll(k, -1) - 2.0 * k + np.roll(k, 1)) / (h * h)
+        return (_shift(k, 1) - _shift(k, -1)) / (2.0 * h)
+    return (_shift(k, 1) - 2.0 * k + _shift(k, -1)) / (h * h)
 
 
 def turning_number(curve: SampledCurve) -> int:
     """Winding number from the exterior turning angles, validated as integer."""
     e = curve.segment_vectors()
-    prev = np.roll(e, 1, axis=0)
+    prev = _shift(e, -1)
     cross = prev[:, 0] * e[:, 1] - prev[:, 1] * e[:, 0]
     dot = prev[:, 0] * e[:, 0] + prev[:, 1] * e[:, 1]
     total = float(np.arctan2(cross, dot).sum()) / (2.0 * np.pi)
@@ -346,7 +433,7 @@ def turning_number(curve: SampledCurve) -> int:
 def signed_area(curve: SampledCurve) -> float:
     """Shoelace area of the vertex polygon (exact for polygons)."""
     pts = curve.vertices
-    nxt = np.roll(pts, -1, axis=0)
+    nxt = _shift(pts, 1)
     return 0.5 * float(np.sum(pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]))
 
 
@@ -359,16 +446,20 @@ def metrics(curve: SampledCurve) -> CurveMetrics:
     (figure-eights are legal inputs).
     """
     _require_uniform(curve, "metrics")
+    return _metrics(curve, _frames(curve.vertices, curve.length() / curve.n)[2])
+
+
+def _metrics(curve: SampledCurve, k: np.ndarray) -> CurveMetrics:
+    """:func:`metrics` given the curve's curvature profile k."""
     L = curve.length()
     A = signed_area(curve)
     omega = turning_number(curve)
     h = L / curve.n
-    k = curvature_profile(curve)
     kbar = 2.0 * omega * np.pi / L
     dev = k - kbar
     kosc = L * float(np.sum(dev * dev)) * h
-    ks = (np.roll(k, -1) - np.roll(k, 1)) / (2.0 * h)
-    kss = (np.roll(k, -1) - 2.0 * k + np.roll(k, 1)) / (h * h)
+    ks = (_shift(k, 1) - _shift(k, -1)) / (2.0 * h)
+    kss = (_shift(k, 1) - 2.0 * k + _shift(k, -1)) / (h * h)
     ks2 = float(np.sum(ks * ks)) * h
     kss2 = float(np.sum(kss * kss)) * h
     if abs(A) < _AREA_UNDEFINED_REL * L * L:
@@ -405,17 +496,25 @@ def hausdorff_distance(a: SampledCurve, b: SampledCurve) -> float:
 
 
 def _max_dist_to_polyline(pts: np.ndarray, poly: np.ndarray) -> float:
+    """Largest distance from a point of pts to the closed polyline poly.
+
+    Points are taken in row blocks so the (rows, m, 2) temporaries stay
+    bounded; min and max are exact, so the blocking does not change the result.
+    """
     starts = poly
-    ends = np.roll(poly, -1, axis=0)
-    d = ends - starts  # (m, 2)
+    d = _shift(poly, 1) - starts  # (m, 2)
     len2 = np.einsum("ij,ij->i", d, d)
-    # project every point on every segment, clamp to [0, 1]
-    diff = pts[:, None, :] - starts[None, :, :]          # (p, m, 2)
-    tproj = np.einsum("pmi,mi->pm", diff, d) / len2[None, :]
-    tproj = np.clip(tproj, 0.0, 1.0)
-    closest = starts[None, :, :] + tproj[:, :, None] * d[None, :, :]
-    dist = np.linalg.norm(pts[:, None, :] - closest, axis=2)
-    return float(dist.min(axis=1).max())
+    worst = -math.inf
+    for row0 in range(0, pts.shape[0], _DIST_ROW_BLOCK):
+        block = pts[row0:row0 + _DIST_ROW_BLOCK]
+        # project every point on every segment, clamp to [0, 1]
+        diff = block[:, None, :] - starts[None, :, :]          # (rows, m, 2)
+        tproj = np.einsum("pmi,mi->pm", diff, d) / len2[None, :]
+        tproj = np.clip(tproj, 0.0, 1.0)
+        closest = starts[None, :, :] + tproj[:, :, None] * d[None, :, :]
+        dist = np.linalg.norm(block[:, None, :] - closest, axis=2)
+        worst = max(worst, float(dist.min(axis=1).max()))
+    return worst
 
 
 def read_curve_csv(path) -> SampledCurve:
@@ -445,7 +544,7 @@ def read_curve_csv(path) -> SampledCurve:
         raise RejectedInputError(
             f"curve CSV needs at least {MIN_VERTICES} rows, got {pts.shape[0]}"
         )
-    seg = np.linalg.norm(np.roll(pts, -1, axis=0) - pts, axis=1)
+    seg = _chord_lengths(pts)
     if (seg == 0.0).any():
         raise RejectedInputError("curve CSV has coinciding consecutive vertices")
     spread = (seg.max() - seg.min()) / seg.mean()

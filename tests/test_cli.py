@@ -257,3 +257,13 @@ class TestUsage:
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0
         assert "checks passed" in proc.stdout
+
+    def test_import_leaves_scipy_interpolate_unloaded(self):
+        # the package carries its own spline kernel; importing
+        # scipy.interpolate would add start-up time and memory to every run
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import curvediffusion.cli, sys; "
+             "sys.exit('scipy.interpolate' in sys.modules)"],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr

@@ -1,5 +1,6 @@
 """Stepping, stop conditions, conservation, and scheme cross-validation."""
 
+import json
 import math
 
 import numpy as np
@@ -44,6 +45,16 @@ class TestSingleStep:
         assert abs(after.time - 1e-4) <= 1e-18
         assert after.curve.is_uniform()
         assert state.step_index == 0  # input state untouched
+
+    def test_step_resamples_to_config_n_like_run(self):
+        # a uniform curve at the wrong vertex count is resampled first
+        curve = uniform(ShapeSpec("fourier-perturbed-circle", r0=1.0,
+                                  modes=((2, 0.01, 0.0),)), 128)
+        config = FlowConfig(n=256, dt=1e-4, max_steps=1)
+        after = step(FlowState(curve), config)
+        ran = run(curve, config).final_state
+        assert after.curve.n == 256
+        assert np.array_equal(after.curve.vertices, ran.curve.vertices)
 
     def test_length_rate_matches_dissipation_at_small_dt(self):
         # one backward-difference step reproduces dL/dt = -|k_s|^2;
@@ -259,6 +270,28 @@ class TestTrajectorySerialization:
         path = tmp_path / "trajectory.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(RejectedInputError, match="line 3"):
+            read_trajectory_jsonl(path)
+
+    def test_non_object_line_rejected(self, tmp_path):
+        path = tmp_path / "trajectory.jsonl"
+        path.write_text("5\n", encoding="utf-8")
+        with pytest.raises(RejectedInputError, match="line 1 is not a JSON object"):
+            read_trajectory_jsonl(path)
+
+    @pytest.mark.parametrize("field, value", [
+        ("t", "abc"), ("kosc", None), ("omega", "one"), ("I", [1.0]),
+        ("L", {"v": 1.0}), ("omega", 1e400),
+    ])
+    def test_non_numeric_field_names_line_and_field(self, tmp_path, field, value):
+        result = run(uniform(ShapeSpec("circle", radius=1.0), 64),
+                     FlowConfig(n=64, dt=1e-4, max_steps=2))
+        lines = [record_to_json(r) for r in result.records]
+        obj = json.loads(lines[1])
+        obj[field] = value
+        lines[1] = json.dumps(obj)
+        path = tmp_path / "trajectory.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(RejectedInputError, match=f"line 2: field '{field}'"):
             read_trajectory_jsonl(path)
 
 

@@ -254,13 +254,13 @@ class TestResampling:
         # at n = 4096 rounding keeps the spread above the 1e-12 target, so
         # the iteration must stop once the spread stops halving
         evals = []
+        evaluate = geometry._evaluate_spline
 
-        class CountingSpline(geometry.CubicSpline):
-            def __call__(self, *args, **kwargs):
-                evals.append(1)
-                return super().__call__(*args, **kwargs)
+        def counting(*args):
+            evals.append(1)
+            return evaluate(*args)
 
-        monkeypatch.setattr(geometry, "CubicSpline", CountingSpline)
+        monkeypatch.setattr(geometry, "_evaluate_spline", counting)
         spec = ShapeSpec("fourier-perturbed-circle", r0=1.0, modes=((2, 0.01, 0.0),))
         curve = resample_uniform(generate(spec, 4096))
         assert len(evals) <= 3
@@ -272,6 +272,61 @@ class TestResampling:
         pts = np.random.default_rng(0).standard_normal((16, 2))
         with pytest.raises(DegenerateGeometryError, match="did not converge"):
             resample_uniform(SampledCurve(pts))
+
+
+class TestSplineKernel:
+    """The private periodic spline equals scipy's CubicSpline bitwise."""
+
+    @staticmethod
+    def knots_and_points(n):
+        rng = np.random.default_rng(n)
+        x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, n - 1))])
+        y = rng.standard_normal((n, 2))
+        y[-1] = y[0]
+        return x, y
+
+    @pytest.mark.parametrize("n", [16, 17, 256, 4096])
+    def test_matches_scipy_periodic_cubic_spline(self, n):
+        from scipy.interpolate import CubicSpline
+
+        x, y = self.knots_and_points(n)
+        reference = CubicSpline(x, y, axis=0, bc_type="periodic")
+        coeffs = geometry._periodic_spline(x, y)
+        assert np.array_equal(coeffs, reference.c)
+        u = np.random.default_rng(n + 1).uniform(0.0, x[-1], 3 * n)
+        u = np.concatenate([u, x[:-1], [np.nextafter(x[-1], 0.0)]])
+        assert np.array_equal(geometry._evaluate_spline(x, coeffs, u), reference(u))
+
+    def test_chord_below_knot_rounding_raises(self):
+        # a chord of one ulp vanishes in the cumulative length near pi, so
+        # two spline knots coincide
+        pts = generate(ShapeSpec("circle", radius=1.0), 32).vertices
+        twin = [np.nextafter(pts[16, 0], 0.0), pts[16, 1]]
+        curve = SampledCurve(np.insert(pts, 17, twin, axis=0))
+        with pytest.raises(DegenerateGeometryError, match="increase strictly"):
+            resample_uniform(curve)
+
+
+class TestHausdorff:
+    @staticmethod
+    def direct(pts, poly):
+        # one point at a time, no blocking
+        d = np.roll(poly, -1, axis=0) - poly
+        len2 = np.einsum("ij,ij->i", d, d)
+        best = []
+        for q in pts:
+            t = np.clip(np.einsum("mi,mi->m", q - poly, d) / len2, 0.0, 1.0)
+            best.append(np.linalg.norm(q - (poly + t[:, None] * d), axis=1).min())
+        return max(best)
+
+    @pytest.mark.parametrize("block", [7, 128])
+    def test_row_blocks_match_per_point_loop(self, monkeypatch, block):
+        monkeypatch.setattr(geometry, "_DIST_ROW_BLOCK", block)
+        a = generate(ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0), 300)
+        b = generate(ShapeSpec("limacon", offset=1.3, scale=1.1), 200)
+        expected = max(self.direct(a.vertices, b.vertices),
+                       self.direct(b.vertices, a.vertices))
+        assert hausdorff_distance(a, b) == expected
 
 
 class TestQuadratureAndProfiles:
