@@ -16,7 +16,7 @@ import numpy as np
 from .errors import RejectedInputError
 from .flow import TrajectoryRecord
 from .geometry import SampledCurve, CurveMetrics, metrics
-from .geometry import _frames, _max_dist_to_polyline, _require_uniform
+from .geometry import _frames, _max_dist_to_polyline, _require_uniform, _shift
 
 # Decimal expansion of the oscillation smallness threshold, frozen from a
 # 50-digit evaluation of the defining formula before the double-precision
@@ -438,7 +438,7 @@ def wirtinger_check(samples, period: float, guard: float = _DISCRETE_BIAS_GUARD)
 
     f = f - f.mean()
     h = period / f.size
-    df = (np.roll(f, -1) - f) / h
+    df = (_shift(f, 1) - f) / h
     l2 = float(np.sum(f * f)) * h
     dl2 = float(np.sum(df * df)) * h
     sup2 = float(np.max(np.abs(f))) ** 2

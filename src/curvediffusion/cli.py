@@ -85,7 +85,7 @@ _FLOW_KEYS = (
     "n", "dt", "scheme", "redistribution", "spread_threshold",
     "max_time", "max_steps", "stop_when_kosc_exceeds",
     "curvature_energy_ceiling", "min_segment_factor",
-    "solve_tolerance", "geometry_epsilon", "conserve_area",
+    "solve_tolerance", "conserve_area",
 )
 _OUTPUT_KEYS = ("output_dir", "snapshot_interval", "svg", "reports")
 _MANIFEST_KEYS = _SHAPE_KEYS + _FLOW_KEYS + _OUTPUT_KEYS
@@ -187,7 +187,7 @@ _FLOW_PARSERS: Dict[str, Callable] = {
     "stop_when_kosc_exceeds": _parse_opt_float,
     "curvature_energy_ceiling": _parse_float,
     "min_segment_factor": _parse_float,
-    "solve_tolerance": _parse_float, "geometry_epsilon": _parse_float,
+    "solve_tolerance": _parse_float,
     "conserve_area": _parse_bool,
 }
 _OUTPUT_PARSERS: Dict[str, Callable] = {
@@ -199,26 +199,30 @@ _OUTPUT_PARSERS: Dict[str, Callable] = {
 def read_manifest(path) -> RunManifest:
     """Parse a ``key = value`` manifest file into a RunManifest."""
     entries: Dict[str, str] = {}
-    with open(path, "r") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            key, sep, value = line.partition("=")
-            if not sep:
-                raise RejectedInputError(
-                    f"{path}:{lineno}: expected key = value, got {line!r}"
-                )
-            key = key.strip()
-            if key not in _MANIFEST_KEYS:
-                raise RejectedInputError(
-                    f"{path}:{lineno}: unknown key {key!r}"
-                )
-            if key in entries:
-                raise RejectedInputError(
-                    f"{path}:{lineno}: duplicate key {key!r}"
-                )
-            entries[key] = value.strip()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            raw_lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise RejectedInputError(f"{path}: manifest is not UTF-8 text") from exc
+    for lineno, raw in enumerate(raw_lines, start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        key, sep, value = line.partition("=")
+        if not sep:
+            raise RejectedInputError(
+                f"{path}:{lineno}: expected key = value, got {line!r}"
+            )
+        key = key.strip()
+        if key not in _MANIFEST_KEYS:
+            raise RejectedInputError(
+                f"{path}:{lineno}: unknown key {key!r}"
+            )
+        if key in entries:
+            raise RejectedInputError(
+                f"{path}:{lineno}: duplicate key {key!r}"
+            )
+        entries[key] = value.strip()
     if "shape" not in entries:
         raise RejectedInputError(f"{path}: missing required key 'shape'")
 
@@ -275,7 +279,7 @@ def write_manifest(manifest: RunManifest, path) -> None:
         for key, value in pairs:
             text = value if isinstance(value, str) else _format_value(value)
             lines.append(f"{key} ={' ' + text if text else ''}")
-    with open(path, "w") as fh:
+    with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")
 
 

@@ -93,7 +93,6 @@ class FlowConfig:
     curvature_energy_ceiling: float = 1e5
     min_segment_factor: float = 1e-3
     solve_tolerance: float = 1e-8
-    geometry_epsilon: float = 1e-9
     conserve_area: bool = True
 
     def __post_init__(self):
@@ -128,8 +127,6 @@ class FlowConfig:
             raise RejectedInputError("min_segment_factor must lie in (0, 1)")
         if self.solve_tolerance <= 0:
             raise RejectedInputError("solve_tolerance must be positive")
-        if self.geometry_epsilon <= 0:
-            raise RejectedInputError("geometry_epsilon must be positive")
 
 
 @dataclass(frozen=True)
@@ -272,11 +269,14 @@ def _project_area(pts: np.ndarray, target: float) -> np.ndarray:
     the shoelace area equals target exactly (to rounding).
 
     The area is quadratic in that multiple; the root closer to zero is taken.
-    If the quadratic has no real root, or the linear coefficient degenerates,
-    the polygon is returned unchanged.
+    The linear coefficient is -L for a smooth closed curve, so one that is
+    tiny against the polygon length means the normals cannot move the area.
+    When that happens, or the quadratic has no real root, or the root is not
+    finite, DegenerateGeometryError is raised.
     """
     seg = _chord_lengths(pts)
     h = float(seg.mean())
+    length = float(seg.sum())
     _, nu, _ = _frames(pts, h)
     nxt_p = _shift(pts, 1)
     nxt_n = _shift(nu, 1)
@@ -288,12 +288,22 @@ def _project_area(pts: np.ndarray, target: float) -> np.ndarray:
     )
     quad = 0.5 * float(np.sum(nu[:, 0] * nxt_n[:, 1] - nxt_n[:, 0] * nu[:, 1]))
     disc = lin * lin + 4.0 * quad * delta
-    if abs(lin) < 1e-12 or disc < 0.0:
-        return pts
+    if abs(lin) < 1e-12 * length:
+        raise DegenerateGeometryError(
+            f"area projection: the area's rate along the normals, {lin:.3e}, "
+            f"vanishes against the polygon length {length:.3e}"
+        )
+    if disc < 0.0:
+        raise DegenerateGeometryError(
+            f"area projection: no normal displacement reaches area "
+            f"{target:.6g} from {area:.6g}"
+        )
     # stable small root of quad a^2 + lin a - delta = 0
     alpha = 2.0 * delta / (lin + math.copysign(math.sqrt(disc), lin))
     if not math.isfinite(alpha):
-        return pts
+        raise DegenerateGeometryError(
+            f"area projection: non-finite displacement {alpha!r}"
+        )
     return pts + alpha * nu
 
 
@@ -599,34 +609,38 @@ def read_trajectory_jsonl(path) -> List[TrajectoryRecord]:
     differences and the integrals come back as None, so identity_residuals
     rejects round-tripped trajectories by design.
     """
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise RejectedInputError(f"trajectory {path} is not UTF-8 text") from exc
     parsed = []
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                obj = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise RejectedInputError(
-                    f"malformed trajectory line {line_no}"
-                ) from exc
-            if not isinstance(obj, dict):
-                raise RejectedInputError(
-                    f"trajectory line {line_no} is not a JSON object"
-                )
-            missing = [f for f in TRAJECTORY_FIELDS if f not in obj]
-            if missing:
-                raise RejectedInputError(
-                    f"trajectory line {line_no} lacks fields {missing}"
-                )
-            row = {f: _number(obj, f, line_no) for f in TRAJECTORY_FIELDS}
-            if parsed and not row["t"] > parsed[-1][1]["t"]:
-                raise RejectedInputError(
-                    f"trajectory line {line_no}: time {obj['t']!r} does not "
-                    f"increase on line {parsed[-1][0]}"
-                )
-            parsed.append((line_no, row))
+    for line_no, line in enumerate(lines, start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            obj = json.loads(line)
+        except json.JSONDecodeError as exc:
+            raise RejectedInputError(
+                f"malformed trajectory line {line_no}"
+            ) from exc
+        if not isinstance(obj, dict):
+            raise RejectedInputError(
+                f"trajectory line {line_no} is not a JSON object"
+            )
+        missing = [f for f in TRAJECTORY_FIELDS if f not in obj]
+        if missing:
+            raise RejectedInputError(
+                f"trajectory line {line_no} lacks fields {missing}"
+            )
+        row = {f: _number(obj, f, line_no) for f in TRAJECTORY_FIELDS}
+        if parsed and not row["t"] > parsed[-1][1]["t"]:
+            raise RejectedInputError(
+                f"trajectory line {line_no}: time {obj['t']!r} does not "
+                f"increase on line {parsed[-1][0]}"
+            )
+        parsed.append((line_no, row))
     records = []
     for j, (_, row) in enumerate(parsed):
         m = CurveMetrics(

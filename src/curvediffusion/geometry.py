@@ -88,7 +88,6 @@ class SampledCurve:
     vertices: np.ndarray
     param: str = UNIFORM_IN_PARAMETER
     generation: int = 0
-    closed: bool = True
 
     def __post_init__(self):
         pts = np.asarray(self.vertices, dtype=float)
@@ -100,8 +99,6 @@ class SampledCurve:
             )
         if not np.isfinite(pts).all():
             raise RejectedInputError("vertex coordinates must be finite")
-        if not self.closed:
-            raise RejectedInputError("only closed curves are supported")
         if self.param not in (UNIFORM_IN_PARAMETER, UNIFORM_IN_ARCLENGTH):
             raise RejectedInputError(f"unknown parametrization {self.param!r}")
         if self.generation < 0:
@@ -523,8 +520,11 @@ def read_curve_csv(path) -> SampledCurve:
     The polygon closes implicitly. Rows with non-finite values are rejected.
     The parametrization is classified from the measured chord spread.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = [ln.strip() for ln in fh if ln.strip()]
+    except UnicodeDecodeError as exc:
+        raise RejectedInputError(f"curve CSV {path} is not UTF-8 text") from exc
     if not lines or lines[0].replace(" ", "") != "x,y":
         raise RejectedInputError("curve CSV must start with header 'x,y'")
     rows = []

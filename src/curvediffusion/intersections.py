@@ -1,10 +1,13 @@
 """Self-intersection detection and multiplicity measurement for sampled curves.
 
-All-pairs segment testing with a bounding-box prefilter; no sweep line.  At
-desk scale (a few thousand vertices) the quadratic pair loop is cheap, and
-keeping it exact matters more than asymptotics.  Contacts within the
-tolerance count as crossings even when tangential: for embeddedness
-certification a false alarm is acceptable, a missed crossing is not.
+Candidate segment pairs come from a sort and sweep along x over the
+segments' bounding boxes, inflated by the tolerance; each candidate then
+gets an exact segment-to-segment distance.  The sweep visits only the pairs
+whose boxes overlap in x: a few per segment on a smooth uniform curve
+(2.5 n on a circle, 3.6 n on a limacon at the default eps), up to n^2 / 2
+when every box overlaps every other in x.  Contacts within the tolerance
+count as crossings even when tangential: for embeddedness certification a
+false alarm is acceptable, a missed crossing is not.
 """
 
 import json
@@ -15,9 +18,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import RejectedInputError
-from .geometry import SampledCurve
+from .geometry import SampledCurve, _shift
 
-_ROW_BLOCK = 512   # pair loop walks the candidate matrix in row blocks
+_ROW_BLOCK = 512   # sweep positions per block; a block holds <= _ROW_BLOCK * n pairs
 
 _RESOLUTION_CAVEAT = (
     "contacts within eps count as crossings; touching and crossing are "
@@ -62,29 +65,34 @@ class CrossingSet:
 
 def _segment_endpoints(curve: SampledCurve) -> Tuple[np.ndarray, np.ndarray]:
     pts = curve.vertices
-    return pts, np.roll(pts, -1, axis=0)
+    return pts, _shift(pts, 1)
 
 
 def _candidate_pairs(starts: np.ndarray, ends: np.ndarray, eps: float,
                      excluded_gap: int) -> np.ndarray:
-    """Index pairs (i < j, circular gap > excluded_gap) whose inflated boxes overlap."""
+    """Index pairs (i < j, circular gap > excluded_gap) whose inflated boxes overlap.
+
+    Sort and sweep along x: with the boxes ordered by their left edge, the
+    boxes at sweep positions a+1 .. stop[a]-1 are exactly those that start no
+    earlier than box a and overlap it in x, so each x-overlapping pair is
+    met once, at its first position.  The pairs come out in no fixed order.
+    """
     n = starts.shape[0]
     lo = np.minimum(starts, ends) - eps
     hi = np.maximum(starts, ends) + eps
+    order = np.argsort(lo[:, 0], kind="stable")
+    lo, hi = lo[order], hi[order]
+    stop = np.searchsorted(lo[:, 0], hi[:, 0], side="right")
     out: List[np.ndarray] = []
-    for row0 in range(0, n, _ROW_BLOCK):
-        row1 = min(row0 + _ROW_BLOCK, n)
-        rows = np.arange(row0, row1)
-        overlap = (
-            (lo[rows, None, 0] <= hi[None, :, 0])
-            & (lo[None, :, 0] <= hi[rows, None, 0])
-            & (lo[rows, None, 1] <= hi[None, :, 1])
-            & (lo[None, :, 1] <= hi[rows, None, 1])
-        )
-        ii, jj = np.nonzero(overlap)
-        ii = rows[ii]
-        keep = jj > ii
-        ii, jj = ii[keep], jj[keep]
+    for pos0 in range(0, n, _ROW_BLOCK):
+        pos = np.arange(pos0, min(pos0 + _ROW_BLOCK, n))
+        run = stop[pos] - pos - 1
+        aa = np.repeat(pos, run)
+        run_start = np.repeat(np.cumsum(run) - run, run)
+        bb = aa + 1 + (np.arange(aa.size) - run_start)
+        keep = (lo[bb, 1] <= hi[aa, 1]) & (lo[aa, 1] <= hi[bb, 1])
+        i, j = order[aa[keep]], order[bb[keep]]
+        ii, jj = np.minimum(i, j), np.maximum(i, j)
         gap = jj - ii
         keep = (gap > excluded_gap) & (gap < n - excluded_gap)
         if keep.any():

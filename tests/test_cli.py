@@ -1,11 +1,18 @@
 """Command-line surface: manifests, subcommands, exit codes, artifacts."""
 
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from curvediffusion import cli
 from curvediffusion.cli import (
     REPORT_SECTIONS,
     RunManifest,
@@ -98,6 +105,7 @@ class TestManifest:
         "shape = circle\nmax_steps = 10\nsvg = yes\n",
         "shape = circle\nmax_steps = 10\nmodes = 2:0.01\n",
         "shape = circle\nmax_steps = 10\nreports = hypotheses, bogus\n",
+        "shape = circle\nmax_steps = 10\ngeometry_epsilon = 1e-9\n",
     ])
     def test_malformed_manifests_rejected(self, tmp_path, body):
         path = tmp_path / "m.txt"
@@ -209,6 +217,84 @@ class TestAnalyze:
 
     def test_missing_curve_is_usage_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "absent.csv")]) == 1
+
+
+_MANIFEST_LINES = st.one_of(
+    st.builds("{} = {}".format,
+              st.sampled_from(sorted(cli._MANIFEST_KEYS)), st.text(max_size=12)),
+    st.text(max_size=24),
+)
+_CSV_CELLS = st.one_of(st.floats().map(repr), st.text(max_size=8))
+_CSV_ROWS = st.builds("{},{}".format, _CSV_CELLS, _CSV_CELLS)
+
+
+def _splice(case) -> bytes:
+    text, at, raw = case
+    at %= len(text) + 1
+    return text[:at] + raw + text[at:]
+
+
+def _with_bytes(lines: st.SearchStrategy, header: str = "") -> st.SearchStrategy:
+    """Files of generated text lines, some with raw bytes spliced in, and
+    random bytes."""
+    text = st.lists(lines, max_size=40).map(
+        lambda rows: (header + "\n".join(rows) + "\n").encode("utf-8"))
+    spliced = st.tuples(text, st.integers(min_value=0),
+                        st.binary(min_size=1, max_size=2)).map(_splice)
+    return st.one_of(text, spliced, st.binary(max_size=300))
+
+
+def _main_on_bytes(command: str, name: str, data: bytes):
+    """Run one subcommand on a file holding data; return its code and stderr."""
+    err = io.StringIO()
+    with tempfile.TemporaryDirectory() as root, pytest.MonkeyPatch.context() as mp:
+        path = Path(root) / name
+        path.write_bytes(data)
+        mp.setenv("CURVEDIFFUSION_OUTPUT_ROOT", root)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(err):
+            code = main([command, str(path)])
+    return code, err.getvalue()
+
+
+class TestMalformedInput:
+    def test_non_utf8_manifest_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "m.txt"
+        path.write_bytes(b"shape = circle\xff\nmax_steps = 10\n")
+        assert main(["simulate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and str(path) in err
+
+    def test_non_utf8_curve_exits_one(self, tmp_path, capsys):
+        path = tmp_path / "c.csv"
+        path.write_bytes(b"x,y\n1.0,0.0\xff\n")
+        assert main(["analyze", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert "not UTF-8" in err and str(path) in err
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=_with_bytes(_MANIFEST_LINES))
+    def test_simulate_fuzz_exits_one_with_message(self, data):
+        # stop once the manifest is parsed: the reader is under test, and a
+        # parsed manifest may ask for any output path or resolution
+        def parsed(_path):
+            raise RejectedInputError("manifest parsed")
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(cli, "_resolve_output", parsed)
+            code, err = _main_on_bytes("simulate", "m.txt", data)
+        assert code == 1
+        assert err.strip() != ""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(data=_with_bytes(_CSV_ROWS, header="x,y\n"))
+    def test_analyze_fuzz_exits_zero_or_one_with_message(self, data):
+        code, err = _main_on_bytes("analyze", "c.csv", data)
+        assert code in (0, 1)
+        if code == 1:
+            assert err.strip() != ""
 
 
 class TestVerify:

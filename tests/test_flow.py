@@ -8,7 +8,11 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from curvediffusion.errors import RejectedInputError, SolverError
+from curvediffusion.errors import (
+    DegenerateGeometryError,
+    RejectedInputError,
+    SolverError,
+)
 from curvediffusion.flow import (
     REDISTRIBUTE_ON_SPREAD,
     SCHEME_EXPLICIT_RK4,
@@ -20,6 +24,7 @@ from curvediffusion.flow import (
     run,
     step,
     _apply_cyclic_pentadiagonal,
+    _project_area,
     _solve_cyclic_pentadiagonal,
     write_trajectory_jsonl,
 )
@@ -29,6 +34,7 @@ from curvediffusion.geometry import (
     hausdorff_distance,
     metrics,
     resample_uniform,
+    signed_area,
 )
 
 
@@ -129,6 +135,19 @@ class TestConservation:
         drift = abs(result.records[-1].metrics.signed_area
                     - result.initial_metrics.signed_area)
         assert drift >= 1e-5
+
+    def test_unreachable_area_raises(self):
+        # a circle cannot reach a negative area by a normal translation
+        pts = uniform(ShapeSpec("circle", radius=1.0), 64).vertices
+        with pytest.raises(DegenerateGeometryError, match="area projection"):
+            _project_area(pts, -10.0)
+
+    @pytest.mark.parametrize("radius", [1e-14, 1.0, 1e6])
+    def test_projection_is_scale_invariant(self, radius):
+        curve = generate(ShapeSpec("circle", radius=radius), 64)
+        target = signed_area(curve) * (1.0 + 1e-6)
+        projected = type(curve)(_project_area(curve.vertices, target))
+        assert abs(signed_area(projected) - target) <= 1e-12 * abs(target)
 
     def test_monotonicity_and_winding(self, ellipse_run):
         records = ellipse_run.result.records
@@ -270,6 +289,12 @@ class TestTrajectorySerialization:
         path = tmp_path / "trajectory.jsonl"
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(RejectedInputError, match="line 3"):
+            read_trajectory_jsonl(path)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "trajectory.jsonl"
+        path.write_bytes(b'{"t": 1.0\xff}\n')
+        with pytest.raises(RejectedInputError, match="not UTF-8"):
             read_trajectory_jsonl(path)
 
     def test_non_object_line_rejected(self, tmp_path):

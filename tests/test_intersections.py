@@ -5,7 +5,10 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from curvediffusion import intersections
 from curvediffusion.errors import RejectedInputError
 from curvediffusion.geometry import ShapeSpec, generate, resample_uniform
 from curvediffusion.intersections import (
@@ -52,6 +55,61 @@ def probe_multiplicity(curve, eps: float) -> int:
                      if b - a > gap)
         best = max(best, max(1, breaks))
     return best
+
+
+def all_pairs_candidates(starts: np.ndarray, ends: np.ndarray, eps: float,
+                         excluded_gap: int) -> np.ndarray:
+    """The all-pairs box test the sweep replaced: every row of boxes against
+    every column, in row blocks of 512."""
+    n = starts.shape[0]
+    lo = np.minimum(starts, ends) - eps
+    hi = np.maximum(starts, ends) + eps
+    out = []
+    for row0 in range(0, n, 512):
+        rows = np.arange(row0, min(row0 + 512, n))
+        overlap = (
+            (lo[rows, None, 0] <= hi[None, :, 0])
+            & (lo[None, :, 0] <= hi[rows, None, 0])
+            & (lo[rows, None, 1] <= hi[None, :, 1])
+            & (lo[None, :, 1] <= hi[rows, None, 1])
+        )
+        ii, jj = np.nonzero(overlap)
+        ii = rows[ii]
+        keep = jj > ii
+        ii, jj = ii[keep], jj[keep]
+        gap = jj - ii
+        keep = (gap > excluded_gap) & (gap < n - excluded_gap)
+        out.append(np.stack([ii[keep], jj[keep]], axis=1))
+    return np.concatenate(out, axis=0)
+
+
+def pair_set(pairs: np.ndarray) -> set:
+    found = set(map(tuple, pairs.tolist()))
+    assert len(found) == pairs.shape[0], "a pair was reported twice"
+    return found
+
+
+@st.composite
+def sweep_inputs(draw):
+    """Polygons that stress the sweep: coordinates on a coarse grid (many
+    ties in the boxes' left edges), zigzags whose boxes all overlap in x,
+    and free floats; with eps from tiny to larger than the polygon."""
+    n = draw(st.integers(min_value=16, max_value=70))
+    kind = draw(st.sampled_from(("grid", "zigzag", "free")))
+    if kind == "grid":
+        cells = st.integers(min_value=-4, max_value=4)
+        pts = 0.25 * np.array(draw(st.lists(st.tuples(cells, cells),
+                                            min_size=n, max_size=n)), dtype=float)
+    else:
+        coord = st.floats(min_value=-2.0, max_value=2.0)
+        pts = np.array(draw(st.lists(st.tuples(coord, coord),
+                                     min_size=n, max_size=n)))
+        if kind == "zigzag":
+            pts[:, 0] = np.where(np.arange(n) % 2 == 0, -1.0, 1.0)
+    # 0.125 makes grid boxes touch exactly: one's right edge on the next's left
+    eps = draw(st.sampled_from((1e-12, 1e-3, 0.1, 0.125, 1.0, 5.0)))
+    gap = draw(st.integers(min_value=1, max_value=n // 2 - 1))
+    return pts, np.roll(pts, -1, axis=0), eps, gap
 
 
 def corpus_spec(rng: np.random.Generator, index: int) -> ShapeSpec:
@@ -158,6 +216,32 @@ class TestOracleCorpus:
         cs = find_crossings(uniform(ShapeSpec("lemniscate", scale=1.0), 512))
         seen = sorted(i for cluster in cs.clusters for i in cluster)
         assert seen == list(range(len(cs.crossings)))
+
+
+class TestCandidateSweep:
+    @settings(max_examples=200, deadline=None)
+    @given(sweep_inputs())
+    def test_sweep_finds_the_all_pairs_set(self, case):
+        starts, ends, eps, gap = case
+        expected = pair_set(all_pairs_candidates(starts, ends, eps, gap))
+        # blocks of 7 split every drawn n, mostly with a partial last block
+        for block in (7, intersections._ROW_BLOCK):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(intersections, "_ROW_BLOCK", block)
+                got = intersections._candidate_pairs(starts, ends, eps, gap)
+            assert got.shape[1] == 2
+            assert (got[:, 0] < got[:, 1]).all()
+            assert pair_set(got) == expected
+
+    @pytest.mark.parametrize("spec", [ShapeSpec("lemniscate", scale=1.0),
+                                      ShapeSpec("limacon", offset=0.5)])
+    def test_crossing_json_unchanged_at_4096(self, monkeypatch, spec):
+        curve = uniform(spec, 4096)
+        swept = crossing_set_to_json(find_crossings(curve))
+        monkeypatch.setattr(intersections, "_candidate_pairs",
+                            all_pairs_candidates)
+        assert swept == crossing_set_to_json(find_crossings(curve))
+        assert json.loads(swept)["multiplicity"] == 2
 
 
 class TestValidation:
