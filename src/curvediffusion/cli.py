@@ -82,8 +82,7 @@ _DEFAULT_REPORTS = ("hypotheses", "smallness", "l1-energy", "waiting")
 
 _SHAPE_KEYS = ("shape", "radius", "a", "b", "r0", "modes", "offset", "scale")
 _FLOW_KEYS = (
-    "n", "dt", "scheme", "redistribution", "spread_threshold",
-    "max_time", "max_steps", "stop_when_kosc_exceeds",
+    "n", "dt", "scheme", "max_time", "max_steps", "stop_when_kosc_exceeds",
     "curvature_energy_ceiling", "min_segment_factor",
     "solve_tolerance", "conserve_area",
 )
@@ -181,8 +180,7 @@ _SHAPE_PARSERS: Dict[str, Callable] = {
 }
 _FLOW_PARSERS: Dict[str, Callable] = {
     "n": _parse_int, "dt": _parse_float,
-    "scheme": _parse_str, "redistribution": _parse_str,
-    "spread_threshold": _parse_float,
+    "scheme": _parse_str,
     "max_time": _parse_opt_float, "max_steps": _parse_opt_int,
     "stop_when_kosc_exceeds": _parse_opt_float,
     "curvature_energy_ceiling": _parse_float,
@@ -455,9 +453,8 @@ def cmd_simulate(manifest_path: str) -> int:
     out_dir = _resolve_output(manifest.output_dir)
     os.makedirs(out_dir, exist_ok=True)
 
-    initial = generate(manifest.shape, manifest.flow.n)
-    if not (initial.is_uniform() and initial.n == manifest.flow.n):
-        initial = resample_uniform(initial, manifest.flow.n)
+    initial = resample_uniform(generate(manifest.shape, manifest.flow.n),
+                               manifest.flow.n)
 
     snapshots: List[Tuple[int, float, SampledCurve]] = [(0, 0.0, initial)]
     interval = manifest.snapshot_interval

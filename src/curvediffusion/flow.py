@@ -16,12 +16,11 @@ resolution.
 
 Vertices carry no tangential dynamics of their own.  The step moves them by
 the computed velocity and then restores the uniform-in-arclength sampling by
-resampling, either every step or when the chord spread passes a threshold;
-the choice is a gauge and must not change the evolving shape.  After
-redistribution the vertices are translated a common tiny distance along the
-normals so the enclosed polygon area matches the pre-step value exactly,
-which pins the one conserved quantity of the flow to rounding error instead
-of letting truncation error accumulate over tens of thousands of steps.
+resampling every step.  After the resample the vertices are translated a
+common tiny distance along the normals so the enclosed polygon area matches
+the pre-step value exactly, which pins the one conserved quantity of the flow
+to rounding error instead of letting truncation error accumulate over tens of
+thousands of steps.
 """
 
 from __future__ import annotations
@@ -59,10 +58,6 @@ SCHEME_LINEARLY_IMPLICIT = "linearly-implicit"
 SCHEME_EXPLICIT_RK4 = "explicit-rk4"
 SCHEMES = (SCHEME_LINEARLY_IMPLICIT, SCHEME_EXPLICIT_RK4)
 
-REDISTRIBUTE_EVERY_STEP = "resample-every-step"
-REDISTRIBUTE_ON_SPREAD = "resample-when-spread-exceeds"
-REDISTRIBUTIONS = (REDISTRIBUTE_EVERY_STEP, REDISTRIBUTE_ON_SPREAD)
-
 TRAJECTORY_FIELDS = (
     "t", "L", "A", "I", "omega", "kbar", "kosc",
     "ks2", "kss2", "kmin", "dL_dt", "dA_dt", "residual",
@@ -73,20 +68,16 @@ TRAJECTORY_FIELDS = (
 class FlowConfig:
     """Scheme, resolution, stop conditions, and tolerances for one run.
 
-    ``spread_threshold`` is the chord-spread value that triggers resampling
-    under the resample-when-spread-exceeds policy; it must lie strictly
-    between 0 and 1.  ``curvature_energy_ceiling`` bounds the squared L2 norm
-    of curvature (arclength integral of k^2); crossing it, or any chord
-    falling below ``min_segment_factor`` times the mean spacing, stops the
-    run with a blow-up signal.  ``conserve_area`` toggles the exact area
-    projection; switching it off exposes the raw truncation drift.
+    ``curvature_energy_ceiling`` bounds the squared L2 norm of curvature
+    (arclength integral of k^2); crossing it, or any chord falling below
+    ``min_segment_factor`` times the mean spacing, stops the run with a
+    blow-up signal.  ``conserve_area`` toggles the exact area projection;
+    switching it off exposes the raw truncation drift.
     """
 
     n: int = 256
     dt: float = 1e-4
     scheme: str = SCHEME_LINEARLY_IMPLICIT
-    redistribution: str = REDISTRIBUTE_EVERY_STEP
-    spread_threshold: float = 0.01
     max_time: Optional[float] = None
     max_steps: Optional[int] = None
     stop_when_kosc_exceeds: Optional[float] = None
@@ -104,13 +95,6 @@ class FlowConfig:
             raise RejectedInputError(
                 f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}"
             )
-        if self.redistribution not in REDISTRIBUTIONS:
-            raise RejectedInputError(
-                f"unknown redistribution {self.redistribution!r}; "
-                f"expected one of {REDISTRIBUTIONS}"
-            )
-        if not 0.0 < self.spread_threshold < 1.0:
-            raise RejectedInputError("spread_threshold must lie in (0, 1)")
         if self.max_time is None and self.max_steps is None:
             raise RejectedInputError(
                 "no stop condition: set max_time and/or max_steps"
@@ -308,6 +292,13 @@ def _project_area(pts: np.ndarray, target: float) -> np.ndarray:
 
 
 def _spread_param(pts: np.ndarray) -> str:
+    """Parametrization label for a resampled polygon.
+
+    The projection after the resample moves vertices along their normals by
+    amounts that differ with the curvature, so on curves of strong curvature
+    contrast the chord spread can end above 1e-6; the curve is then carried
+    as uniform-in-parameter and _record_for resamples it for diagnostics.
+    """
     seg = _chord_lengths(pts)
     spread = float((seg.max() - seg.min()) / seg.mean())
     return UNIFORM_IN_ARCLENGTH if spread <= 1e-6 else UNIFORM_IN_PARAMETER
@@ -315,7 +306,7 @@ def _spread_param(pts: np.ndarray) -> str:
 
 def _redistribute(raw: np.ndarray, state: FlowState, config: FlowConfig,
                   prev_area: float) -> SampledCurve:
-    """Apply area projection and the redistribution policy to a raw polygon.
+    """Resample a raw polygon to config.n uniform chords, conserving area.
 
     The projection runs twice: once on the raw polygon, where it absorbs the
     step's truncation leak (a correction large enough to disturb chord
@@ -338,20 +329,11 @@ def _redistribute(raw: np.ndarray, state: FlowState, config: FlowConfig,
             "a segment collapsed below the resolvable scale",
             last_state=state, reason="segment-collapse",
         )
-    spread = float((seg.max() - seg.min()) / mean)
-    resample = (
-        config.redistribution == REDISTRIBUTE_EVERY_STEP
-        or spread > config.spread_threshold
-    )
     try:
-        if resample:
-            pts = _resample_points(raw, config.n)
-            if config.conserve_area:
-                pts = _project_area(pts, prev_area)
-            generation = state.curve.generation + 1
-        else:
-            pts, generation = raw, state.curve.generation
-        curve = SampledCurve(pts, param=_spread_param(pts), generation=generation)
+        pts = _resample_points(raw, config.n)
+        if config.conserve_area:
+            pts = _project_area(pts, prev_area)
+        curve = SampledCurve(pts, param=_spread_param(pts))
     except (DegenerateGeometryError, RejectedInputError) as exc:
         raise BlowUpSignal(
             f"redistribution failed: {exc}", last_state=state,
@@ -402,7 +384,7 @@ def _advance(state: FlowState, config: FlowConfig
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
-    """Advance one time step and apply the redistribution policy.
+    """Advance one time step, then resample to uniform chords.
 
     Raises SolverError on a failed linear solve and BlowUpSignal (carrying
     the last good state) on post-step degeneracy; blow-up is the expected

@@ -81,13 +81,10 @@ class SampledCurve:
     param : str
         Either ``uniform-in-parameter`` (no spacing promise) or
         ``uniform-in-arclength`` (chord lengths within 1e-6 relative spread).
-    generation : int
-        Resample counter, incremented by :func:`resample_uniform`.
     """
 
     vertices: np.ndarray
     param: str = UNIFORM_IN_PARAMETER
-    generation: int = 0
 
     def __post_init__(self):
         pts = np.asarray(self.vertices, dtype=float)
@@ -101,8 +98,6 @@ class SampledCurve:
             raise RejectedInputError("vertex coordinates must be finite")
         if self.param not in (UNIFORM_IN_PARAMETER, UNIFORM_IN_ARCLENGTH):
             raise RejectedInputError(f"unknown parametrization {self.param!r}")
-        if self.generation < 0:
-            raise RejectedInputError("generation counter must be >= 0")
         seg = _chord_lengths(pts)
         if (seg == 0.0).any():
             raise RejectedInputError("consecutive vertices must not coincide")
@@ -232,7 +227,7 @@ def generate(spec: ShapeSpec, n: int) -> SampledCurve:
         )
     else:  # pragma: no cover - kinds validated by ShapeSpec
         raise RejectedInputError(f"unknown shape kind {spec.kind!r}")
-    return SampledCurve(pts, param=UNIFORM_IN_PARAMETER, generation=0)
+    return SampledCurve(pts, param=UNIFORM_IN_PARAMETER)
 
 
 def _fourier_radius(spec: ShapeSpec, t: np.ndarray) -> np.ndarray:
@@ -266,7 +261,7 @@ def resample_uniform(curve: SampledCurve, n: Optional[int] = None) -> SampledCur
     if n is None:
         n = curve.n
     return SampledCurve(_resample_points(curve.vertices, n),
-                        param=UNIFORM_IN_ARCLENGTH, generation=curve.generation + 1)
+                        param=UNIFORM_IN_ARCLENGTH)
 
 
 def _resample_points(pts: np.ndarray, n: int) -> np.ndarray:
@@ -517,8 +512,10 @@ def _max_dist_to_polyline(pts: np.ndarray, poly: np.ndarray) -> float:
 def read_curve_csv(path) -> SampledCurve:
     """Read a curve from CSV with header ``x,y``, one vertex per row.
 
-    The polygon closes implicitly. Rows with non-finite values are rejected.
-    The parametrization is classified from the measured chord spread.
+    The polygon closes implicitly. Rows with non-finite values are rejected,
+    and so is a polygon whose chord lengths overflow or whose total length
+    is below MIN_TOTAL_LENGTH.  The parametrization is classified from the
+    measured chord spread.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -544,12 +541,25 @@ def read_curve_csv(path) -> SampledCurve:
         raise RejectedInputError(
             f"curve CSV needs at least {MIN_VERTICES} rows, got {pts.shape[0]}"
         )
-    seg = _chord_lengths(pts)
+    # squared chords overflow beyond about 1e154 and underflow to 0 below
+    # about 1e-154; either is a wrong scale, not a wrong polygon
+    with np.errstate(over="ignore"):
+        seg = _chord_lengths(pts)
+        total = float(seg.sum())
+    if not math.isfinite(total):
+        raise RejectedInputError(
+            "curve CSV coordinates are too large: the chord lengths overflow"
+        )
+    if total < MIN_TOTAL_LENGTH:
+        raise RejectedInputError(
+            f"curve CSV is collapsed: total length {total:.3e} below "
+            f"{MIN_TOTAL_LENGTH:.0e}"
+        )
     if (seg == 0.0).any():
         raise RejectedInputError("curve CSV has coinciding consecutive vertices")
     spread = (seg.max() - seg.min()) / seg.mean()
     param = UNIFORM_IN_ARCLENGTH if spread <= SPREAD_TOL else UNIFORM_IN_PARAMETER
-    return SampledCurve(pts, param=param, generation=0)
+    return SampledCurve(pts, param=param)
 
 
 def write_curve_csv(curve: SampledCurve, path) -> None:

@@ -1,8 +1,8 @@
 """Session fixtures: the reference runs shared across test modules.
 
-Each run is computed once per session.  The heavier scenarios (the t=5
-perturbed-circle run and its alternative-redistribution twin) dominate the
-suite's runtime; everything downstream reuses their records.
+Each run is computed once per session.  The heaviest scenario (the t=5
+perturbed-circle run) dominates the suite's runtime; everything downstream
+reuses its records.
 """
 
 import math
@@ -10,11 +10,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from curvediffusion.flow import (
-    REDISTRIBUTE_ON_SPREAD,
-    FlowConfig,
-    run,
-)
+from curvediffusion.flow import FlowConfig, run
 from curvediffusion.geometry import ShapeSpec, generate, resample_uniform
 
 
@@ -60,16 +56,6 @@ def perturbed_run():
         ShapeSpec("fourier-perturbed-circle", r0=1.0, modes=((2, 0.01, 0.0),)),
         FlowConfig(n=256, dt=1e-4, max_time=5.0),
         snapshot_every=5000,
-    )
-
-
-@pytest.fixture(scope="session")
-def gauge_alternative_run():
-    """The perturbed-circle scenario under the resample-on-spread policy."""
-    return _scenario(
-        ShapeSpec("fourier-perturbed-circle", r0=1.0, modes=((2, 0.01, 0.0),)),
-        FlowConfig(n=256, dt=1e-4, max_time=5.0,
-                   redistribution=REDISTRIBUTE_ON_SPREAD),
     )
 
 
@@ -121,14 +107,12 @@ def wave_run():
 
 
 @pytest.fixture(scope="session")
-def all_scenarios(circle_run, ellipse_run, perturbed_run, gauge_alternative_run,
-                  wide_perturbed_run, strong_perturbed_run, mode3_run,
-                  lemniscate_run, wave_run):
+def all_scenarios(circle_run, ellipse_run, perturbed_run, wide_perturbed_run,
+                  strong_perturbed_run, mode3_run, lemniscate_run, wave_run):
     return {
         "circle": circle_run,
         "ellipse": ellipse_run,
         "perturbed": perturbed_run,
-        "gauge-alternative": gauge_alternative_run,
         "wide-perturbed": wide_perturbed_run,
         "strong-perturbed": strong_perturbed_run,
         "mode3": mode3_run,

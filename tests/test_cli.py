@@ -3,6 +3,7 @@
 import contextlib
 import io
 import json
+import math
 import subprocess
 import sys
 import tempfile
@@ -106,6 +107,8 @@ class TestManifest:
         "shape = circle\nmax_steps = 10\nmodes = 2:0.01\n",
         "shape = circle\nmax_steps = 10\nreports = hypotheses, bogus\n",
         "shape = circle\nmax_steps = 10\ngeometry_epsilon = 1e-9\n",
+        "shape = circle\nmax_steps = 10\nredistribution = resample-every-step\n",
+        "shape = circle\nmax_steps = 10\nspread_threshold = 0.01\n",
     ])
     def test_malformed_manifests_rejected(self, tmp_path, body):
         path = tmp_path / "m.txt"
@@ -217,6 +220,24 @@ class TestAnalyze:
 
     def test_missing_curve_is_usage_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "absent.csv")]) == 1
+
+    @pytest.mark.parametrize("radius, code, message", [
+        (1.0, 0, ""),
+        (1e150, 0, ""),
+        (1e200, 1, "too large"),   # squared chords overflow
+        (1e-150, 1, "collapsed"),  # below MIN_TOTAL_LENGTH
+        (1e-200, 1, "collapsed"),  # squared chords underflow to 0
+    ])
+    def test_curve_scale(self, tmp_path, monkeypatch, capsys, radius, code,
+                         message):
+        monkeypatch.setenv("CURVEDIFFUSION_OUTPUT_ROOT", str(tmp_path))
+        angles = [2.0 * math.pi * i / 32 for i in range(32)]
+        rows = [f"{radius * math.cos(a)!r},{radius * math.sin(a)!r}"
+                for a in angles]
+        path = tmp_path / "c.csv"
+        path.write_text("x,y\n" + "\n".join(rows) + "\n")
+        assert main(["analyze", str(path)]) == code
+        assert message in capsys.readouterr().err
 
 
 _MANIFEST_LINES = st.one_of(

@@ -238,13 +238,6 @@ class TestResampling:
         assert curve.n == 512
         assert curve.is_uniform()
 
-    def test_increments_generation(self):
-        raw = generate(ShapeSpec("circle", radius=1.0), 64)
-        once = resample_uniform(raw)
-        twice = resample_uniform(once)
-        assert once.generation == raw.generation + 1
-        assert twice.generation == once.generation + 1
-
     def test_idempotent_on_uniform_input(self):
         once = resample_uniform(generate(ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0), 256))
         again = resample_uniform(once)
