@@ -25,6 +25,7 @@ thousands of steps.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass
@@ -39,11 +40,10 @@ from .errors import (
     SolverError,
 )
 from .geometry import (
-    UNIFORM_IN_ARCLENGTH,
-    UNIFORM_IN_PARAMETER,
     CurveMetrics,
     SampledCurve,
     _chord_lengths,
+    _classified,
     _frames,
     _metrics,
     _resample_points,
@@ -192,6 +192,10 @@ class IdentityResiduals:
     record_count: int
 
 
+# unit tangent, unit normal and curvature at each vertex, as _frames returns them
+Frames = Tuple[np.ndarray, np.ndarray, np.ndarray]
+
+
 def _solve_cyclic_pentadiagonal(c: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (I + c P) x = rhs with P the periodic [1,-4,6,-4,1] stencil.
 
@@ -199,8 +203,17 @@ def _solve_cyclic_pentadiagonal(c: float, rhs: np.ndarray) -> np.ndarray:
     is one division in Fourier space.  rhs may have several columns.
     """
     n = rhs.shape[0]
-    symbol = 1.0 + 16.0 * c * np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 4
+    symbol = 1.0 + 16.0 * c * _sin4(n)
     return np.fft.irfft(np.fft.rfft(rhs, axis=0) / symbol[:, None], n=n, axis=0)
+
+
+@functools.lru_cache(maxsize=8)
+def _sin4(n: int) -> np.ndarray:
+    """sin^4(pi j / n) for j = 0 .. n // 2, read-only: the part of the
+    solve's Fourier symbol that depends only on n."""
+    table = np.sin(np.pi * np.arange(n // 2 + 1) / n) ** 4
+    table.setflags(write=False)
+    return table
 
 
 def _apply_cyclic_pentadiagonal(c: float, x: np.ndarray) -> np.ndarray:
@@ -210,9 +223,9 @@ def _apply_cyclic_pentadiagonal(c: float, x: np.ndarray) -> np.ndarray:
     )
 
 
-def _implicit_advance(pts: np.ndarray, h: float, dt: float,
+def _implicit_advance(pts: np.ndarray, h: float, frames: Frames, dt: float,
                       solve_tolerance: float) -> Tuple[np.ndarray, float]:
-    tau, nu, k = _frames(pts, h)
+    tau, nu, k = frames
     ks = (_shift(k, 1) - _shift(k, -1)) / (2.0 * h)
     explicit = (k ** 3)[:, None] * nu + (3.0 * k * ks)[:, None] * tau
     b = pts - dt * explicit
@@ -291,19 +304,6 @@ def _project_area(pts: np.ndarray, target: float) -> np.ndarray:
     return pts + alpha * nu
 
 
-def _spread_param(pts: np.ndarray) -> str:
-    """Parametrization label for a resampled polygon.
-
-    The projection after the resample moves vertices along their normals by
-    amounts that differ with the curvature, so on curves of strong curvature
-    contrast the chord spread can end above 1e-6; the curve is then carried
-    as uniform-in-parameter and _record_for resamples it for diagnostics.
-    """
-    seg = _chord_lengths(pts)
-    spread = float((seg.max() - seg.min()) / seg.mean())
-    return UNIFORM_IN_ARCLENGTH if spread <= 1e-6 else UNIFORM_IN_PARAMETER
-
-
 def _redistribute(raw: np.ndarray, state: FlowState, config: FlowConfig,
                   prev_area: float) -> SampledCurve:
     """Resample a raw polygon to config.n uniform chords, conserving area.
@@ -330,10 +330,14 @@ def _redistribute(raw: np.ndarray, state: FlowState, config: FlowConfig,
             last_state=state, reason="segment-collapse",
         )
     try:
-        pts = _resample_points(raw, config.n)
+        pts = _resample_points(raw, seg, config.n)
         if config.conserve_area:
             pts = _project_area(pts, prev_area)
-        curve = SampledCurve(pts, param=_spread_param(pts))
+        # the projection moves vertices along their normals by amounts that
+        # differ with the curvature, so on curves of strong curvature contrast
+        # the chord spread can end above 1e-6; the curve is then carried as
+        # uniform-in-parameter and _record_for resamples it for diagnostics
+        curve = _classified(pts)
     except (DegenerateGeometryError, RejectedInputError) as exc:
         raise BlowUpSignal(
             f"redistribution failed: {exc}", last_state=state,
@@ -342,17 +346,25 @@ def _redistribute(raw: np.ndarray, state: FlowState, config: FlowConfig,
     return curve
 
 
-def _advance(state: FlowState, config: FlowConfig
-             ) -> Tuple[FlowState, float, np.ndarray]:
-    """One accepted step: the new state, the solve residual, and the
-    curvature of the new curve at h = L/n (reused by _record_for)."""
+def _advance(state: FlowState, config: FlowConfig,
+             frames: Optional[Frames] = None, area: Optional[float] = None
+             ) -> Tuple[FlowState, float, Frames]:
+    """One accepted step: the new state, the solve residual, and the frames
+    of the new curve at h = L/n (reused by _record_for and the next step).
+
+    frames and area, when given, are the current curve's frames at h = L/n
+    and its signed area, carried over from the previous step; they are
+    computed here when not given, with bitwise the same values.
+    """
     pts = state.curve.vertices
-    seg = state.curve.segment_lengths()
-    h = float(seg.mean())
-    prev_area = signed_area(state.curve)
+    h = float(state.curve.segment_lengths().mean())
+    prev_area = signed_area(state.curve) if area is None else area
 
     if config.scheme == SCHEME_LINEARLY_IMPLICIT:
-        raw, residual = _implicit_advance(pts, h, config.dt, config.solve_tolerance)
+        if frames is None:
+            frames = _frames(pts, h)
+        raw, residual = _implicit_advance(pts, h, frames, config.dt,
+                                          config.solve_tolerance)
     else:
         raw = _rk4_advance(pts, config.dt)
         residual = 0.0
@@ -366,7 +378,8 @@ def _advance(state: FlowState, config: FlowConfig
 
     # curvature-energy ceiling, the continuation criterion in reverse
     h_new = curve.length() / curve.n
-    _, _, k = _frames(curve.vertices, h_new)
+    frames = _frames(curve.vertices, h_new)
+    k = frames[2]
     energy = float(np.sum(k * k)) * h_new
     if energy >= config.curvature_energy_ceiling:
         raise BlowUpSignal(
@@ -380,7 +393,7 @@ def _advance(state: FlowState, config: FlowConfig
         time=config.dt * (state.step_index + 1),
         step_index=state.step_index + 1,
     )
-    return new_state, residual, k
+    return new_state, residual, frames
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
@@ -407,9 +420,8 @@ def _record_for(state: FlowState, config: FlowConfig, residual: float,
     if not curve.is_uniform():
         curve = resample_uniform(curve, config.n)
         k = curvature_profile(curve)
-    m = _metrics(curve, k)
+    m, ks = _metrics(curve, k)
     h = m.length / curve.n
-    ks = (_shift(k, 1) - _shift(k, -1)) / (2.0 * h)
     dev = k - m.average_curvature
     dt = state.time - prev_time
     return TrajectoryRecord(
@@ -447,6 +459,7 @@ def run(initial: SampledCurve, config: FlowConfig,
         return RunResult(tuple(records), state, reason, detail, initial_metrics)
 
     eps = 1e-9 * config.dt
+    frames = area = None
     while True:
         if config.max_steps is not None and state.step_index >= config.max_steps:
             return done("max-steps")
@@ -454,12 +467,16 @@ def run(initial: SampledCurve, config: FlowConfig,
                 and state.time + config.dt > config.max_time + eps):
             return done("max-time")
         try:
-            state, residual, k = _advance(state, config)
-            record = _record_for(state, config, residual, prev, prev_time, k)
+            state, residual, frames = _advance(state, config, frames, area)
+            record = _record_for(state, config, residual, prev, prev_time,
+                                 frames[2])
         except BlowUpSignal as sig:
             if sig.last_state is not None:
                 state = sig.last_state
             return done("blow-up", str(sig))
+        # a parameter-uniform curve's record measures a resampled copy, so
+        # its area is not the area of state.curve
+        area = record.metrics.signed_area if state.curve.is_uniform() else None
         records.append(record)
         if on_record is not None:
             on_record(state, record)

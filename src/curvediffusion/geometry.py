@@ -16,11 +16,11 @@ so a counterclockwise circle has curvature +1 and positive signed area.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Optional
+from dataclasses import dataclass, field
+from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 
 from .errors import (
     DegenerateGeometryError,
@@ -81,10 +81,14 @@ class SampledCurve:
     param : str
         Either ``uniform-in-parameter`` (no spacing promise) or
         ``uniform-in-arclength`` (chord lengths within 1e-6 relative spread).
+
+    The chord lengths computed while validating are kept, read-only, and
+    every length query reads them.
     """
 
     vertices: np.ndarray
     param: str = UNIFORM_IN_PARAMETER
+    _chords: np.ndarray = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         pts = np.asarray(self.vertices, dtype=float)
@@ -98,12 +102,22 @@ class SampledCurve:
             raise RejectedInputError("vertex coordinates must be finite")
         if self.param not in (UNIFORM_IN_PARAMETER, UNIFORM_IN_ARCLENGTH):
             raise RejectedInputError(f"unknown parametrization {self.param!r}")
-        seg = _chord_lengths(pts)
+        # squared chords overflow beyond about 1e154: a wrong scale, rejected
+        # before it turns into an infinite length or a NaN spread
+        with np.errstate(over="ignore"):
+            seg = _chord_lengths(pts)
+            total = float(seg.sum())
+        if not math.isfinite(total):
+            raise RejectedInputError(
+                "coordinates are too large: the chord lengths overflow"
+            )
         if (seg == 0.0).any():
             raise RejectedInputError("consecutive vertices must not coincide")
+        seg.setflags(write=False)
+        object.__setattr__(self, "_chords", seg)
         if self.param == UNIFORM_IN_ARCLENGTH:
-            spread = (seg.max() - seg.min()) / seg.mean()
-            if spread > SPREAD_TOL:
+            spread = self.chord_spread()
+            if not spread <= SPREAD_TOL:
                 raise RejectedInputError(
                     f"chord spread {spread:.3e} exceeds the uniform-in-arclength "
                     f"tolerance {SPREAD_TOL:.0e}"
@@ -121,18 +135,30 @@ class SampledCurve:
         return _shift(self.vertices, 1) - self.vertices
 
     def segment_lengths(self) -> np.ndarray:
-        return _chord_lengths(self.vertices)
+        """Chord lengths, edge i from vertex i to vertex i+1 (read-only)."""
+        return self._chords
 
     def length(self) -> float:
-        return float(self.segment_lengths().sum())
+        return float(self._chords.sum())
 
     def chord_spread(self) -> float:
         """Relative spread (max - min)/mean of the chord lengths."""
-        seg = self.segment_lengths()
+        seg = self._chords
         return float((seg.max() - seg.min()) / seg.mean())
 
     def is_uniform(self) -> bool:
         return self.param == UNIFORM_IN_ARCLENGTH
+
+
+def _classified(pts: np.ndarray) -> SampledCurve:
+    """A curve on pts, labelled uniform-in-arclength exactly when its chord
+    spread is within SPREAD_TOL, from the chords its validation computed."""
+    curve = SampledCurve(pts)
+    if curve.chord_spread() <= SPREAD_TOL:
+        # the label the constructor would have accepted, set without
+        # measuring the chords a second time; curve has not escaped yet
+        object.__setattr__(curve, "param", UNIFORM_IN_ARCLENGTH)
+    return curve
 
 
 @dataclass(frozen=True)
@@ -260,15 +286,15 @@ def resample_uniform(curve: SampledCurve, n: Optional[int] = None) -> SampledCur
     """
     if n is None:
         n = curve.n
-    return SampledCurve(_resample_points(curve.vertices, n),
+    return SampledCurve(_resample_points(curve.vertices, curve.segment_lengths(), n),
                         param=UNIFORM_IN_ARCLENGTH)
 
 
-def _resample_points(pts: np.ndarray, n: int) -> np.ndarray:
-    """The vertex array of :func:`resample_uniform`, taking and returning points."""
+def _resample_points(pts: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
+    """The vertex array of :func:`resample_uniform`, taking points and their
+    chord lengths seg and returning points."""
     if n < MIN_VERTICES:
         raise RejectedInputError(f"need n >= {MIN_VERTICES}, got {n}")
-    seg = _chord_lengths(pts)
     total = float(seg.sum())
     if total < MIN_TOTAL_LENGTH:
         raise DegenerateGeometryError(
@@ -307,9 +333,13 @@ def _periodic_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     ``CubicSpline(x, y, axis=0, bc_type="periodic")``, step for step: the
     slopes s solve a cyclic tridiagonal system, condensed to a tridiagonal
     one in the first len(x) - 2 unknowns plus a scalar back-substitution for
-    the last; the coefficients follow from the Hermite formulas.  Its two
-    tridiagonal solves are one call here with the right-hand sides stacked,
-    which LAPACK solves column by column, so the result is bitwise scipy's.
+    the last; the coefficients follow from the Hermite formulas.  scipy
+    solves the tridiagonal system twice through ``solve_banded``, which
+    hands a (1, 1) band to LAPACK ``gtsv``.  Here ``gtsv`` is called once,
+    directly, on the same three diagonals, with the right-hand sides
+    stacked in Fortran order (the corner system, whose columns scipy
+    repeats, as one column).  ``gtsv`` eliminates every column with the
+    same operations, so the result is bitwise scipy's.
     """
     dx = np.diff(x)
     if not (dx > 0.0).all():
@@ -317,22 +347,25 @@ def _periodic_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     dxr = dx[:, None]
     slope = np.diff(y, axis=0) / dxr
     m = len(x) - 2
+    cols = y.shape[1]
     # row i of the periodic system: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i]
     # + dx[i-1] s[i+1] = 3 (dx[i] slope[i-1] + dx[i-1] slope[i])
     rhs = 3 * (dxr * _shift(slope, -1) + _shift(dxr, -1) * slope)
-    band = np.zeros((3, m))
-    band[0, 1] = dx[-1]
-    band[0, 2:] = dx[:m - 2]
-    band[1, 0] = 2 * (dx[-1] + dx[0])
-    band[1, 1:] = 2 * (dx[:m - 1] + dx[1:m])
-    band[2] = dx[1:]
+    diag = np.empty(m)
+    diag[0] = 2 * (dx[-1] + dx[0])
+    diag[1:] = 2 * (dx[:m - 1] + dx[1:m])
+    upper = np.concatenate(([dx[-1]], dx[:m - 2]))
     # s = s1 + s[-2] s2 on the first m unknowns; s2 carries the corner terms
-    corner = np.zeros_like(rhs[:m])
-    corner[0] = -dx[0]
-    corner[-1] = -dx[-3]
-    both = solve_banded((1, 1), band, np.hstack([rhs[:m], corner]),
-                        overwrite_ab=True, overwrite_b=True, check_finite=False)
-    cols = y.shape[1]
+    b = np.zeros((m, cols + 1), order="F")
+    b[:, :cols] = rhs[:m]
+    b[0, cols] = -dx[0]
+    b[-1, cols] = -dx[-3]
+    _, _, _, both, info = dgtsv(dx[1:m], diag, upper, b, overwrite_d=1,
+                                overwrite_du=1, overwrite_b=1)
+    if info != 0:
+        raise DegenerateGeometryError(
+            f"periodic spline system is singular (LAPACK gtsv info {info})"
+        )
     s1, s2 = both[:, :cols], both[:, cols:]
     s_m1 = ((rhs[-1] - dx[-2] * s1[0] - dx[-1] * s1[-1])
             / (2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]))
@@ -438,11 +471,12 @@ def metrics(curve: SampledCurve) -> CurveMetrics:
     (figure-eights are legal inputs).
     """
     _require_uniform(curve, "metrics")
-    return _metrics(curve, _frames(curve.vertices, curve.length() / curve.n)[2])
+    return _metrics(curve, _frames(curve.vertices, curve.length() / curve.n)[2])[0]
 
 
-def _metrics(curve: SampledCurve, k: np.ndarray) -> CurveMetrics:
-    """:func:`metrics` given the curve's curvature profile k."""
+def _metrics(curve: SampledCurve, k: np.ndarray) -> Tuple[CurveMetrics, np.ndarray]:
+    """:func:`metrics` given the curve's curvature profile k, and the
+    arclength derivative k_s it computes on the way."""
     L = curve.length()
     A = signed_area(curve)
     omega = turning_number(curve)
@@ -468,7 +502,7 @@ def _metrics(curve: SampledCurve, k: np.ndarray) -> CurveMetrics:
         ks_norm_sq=ks2,
         kss_norm_sq=kss2,
         min_curvature=float(k.min()),
-    )
+    ), ks
 
 
 def curve_integral(curve: SampledCurve, values: np.ndarray) -> float:
@@ -557,9 +591,7 @@ def read_curve_csv(path) -> SampledCurve:
         )
     if (seg == 0.0).any():
         raise RejectedInputError("curve CSV has coinciding consecutive vertices")
-    spread = (seg.max() - seg.min()) / seg.mean()
-    param = UNIFORM_IN_ARCLENGTH if spread <= SPREAD_TOL else UNIFORM_IN_PARAMETER
-    return SampledCurve(pts, param=param)
+    return _classified(pts)
 
 
 def write_curve_csv(curve: SampledCurve, path) -> None:

@@ -2,12 +2,15 @@
 
 import json
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+import scipy.linalg
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from curvediffusion import flow, geometry
 from curvediffusion.errors import (
     DegenerateGeometryError,
     RejectedInputError,
@@ -22,8 +25,10 @@ from curvediffusion.flow import (
     record_to_json,
     run,
     step,
+    _advance,
     _apply_cyclic_pentadiagonal,
     _project_area,
+    _record_for,
     _solve_cyclic_pentadiagonal,
     write_trajectory_jsonl,
 )
@@ -35,6 +40,9 @@ from curvediffusion.geometry import (
     resample_uniform,
     signed_area,
 )
+
+
+RIPPLE = ShapeSpec("fourier-perturbed-circle", r0=1.0, modes=((2, 0.01, 0.0),))
 
 
 def uniform(spec: ShapeSpec, n: int):
@@ -95,6 +103,72 @@ class TestSingleStep:
         rate = (after.curve.length() - m.length) / 1e-4
         bias = abs(rate + m.ks_norm_sq) / m.ks_norm_sq
         assert 0.2 <= bias <= 0.3
+
+
+class TestCarriedValues:
+    """run() carries the ceiling check's frames and the record's area into
+    the next step; a step that recomputes them must give the same run."""
+
+    @staticmethod
+    def uncarried_run(initial, config):
+        state = FlowState(initial)
+        prev, prev_time, records = metrics(initial), 0.0, []
+        while state.step_index < config.max_steps:
+            state, residual, frames = _advance(state, config)
+            record = _record_for(state, config, residual, prev, prev_time,
+                                 frames[2])
+            records.append(record)
+            prev, prev_time = record.metrics, state.time
+        return records, state
+
+    @pytest.mark.parametrize("spec, config", [
+        (RIPPLE, FlowConfig(n=256, dt=1e-4, max_steps=50)),
+        # parameter-uniform after step 1: its records measure resampled copies
+        (ShapeSpec("limacon", offset=1.2), FlowConfig(n=256, dt=1e-4, max_steps=20)),
+        (ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0),
+         FlowConfig(n=32, dt=1e-6, max_steps=20, scheme=SCHEME_EXPLICIT_RK4)),
+    ], ids=["ripple", "limacon-1.2", "rk4"])
+    def test_run_is_bitwise_the_uncarried_loop(self, spec, config):
+        initial = uniform(spec, config.n)
+        result = run(initial, config)
+        records, state = self.uncarried_run(initial, config)
+        assert result.reason == "max-steps"
+        # every field, the oscillation-balance integrals included
+        assert list(result.records) == records
+        assert np.array_equal(result.final_state.curve.vertices,
+                              state.curve.vertices)
+
+    def test_call_budget_per_step(self, monkeypatch):
+        # the quantities one step needs are computed once; counted between
+        # consecutive records, so the first step (nothing carried yet) and
+        # the set-up are outside the count
+        counts = Counter()
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        budget = {
+            geometry._chord_lengths: 6,
+            geometry._frames: 3,
+            geometry.signed_area: 1,
+            scipy.linalg.solve_banded: 0,
+        }
+        for fn in budget:
+            wrapper = counting(fn.__name__, fn)
+            for module in (flow, geometry, scipy.linalg):
+                for attr, value in list(vars(module).items()):
+                    if value is fn:
+                        monkeypatch.setattr(module, attr, wrapper)
+        seen = []
+        run(uniform(RIPPLE, 256), FlowConfig(n=256, dt=1e-4, max_steps=20),
+            on_record=lambda *args: seen.append(Counter(counts)))
+        assert len(seen) == 20
+        for before, after in zip(seen, seen[1:]):
+            for fn, bound in budget.items():
+                assert after[fn.__name__] - before[fn.__name__] <= bound, fn.__name__
 
 
 class TestStopConditions:

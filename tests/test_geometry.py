@@ -1,6 +1,8 @@
 """Curve construction, metrics, and resampling against closed-form oracles."""
 
+import copy
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -374,6 +376,30 @@ class TestValidation:
         bad[3] = np.nan
         with pytest.raises(RejectedInputError):
             SampledCurve(bad)
+
+    def test_overflowing_chords_rejected(self):
+        # squared chords of a radius-1e200 polygon overflow; the curve must
+        # not be accepted with an infinite length and a NaN chord spread
+        t = 2.0 * np.pi * np.arange(64) / 64
+        pts = 1e200 * np.column_stack([np.cos(t), np.sin(t)])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RejectedInputError, match="chord lengths overflow"):
+                SampledCurve(pts, param=UNIFORM_IN_ARCLENGTH)
+            with pytest.raises(RejectedInputError, match="chord lengths overflow"):
+                generate(ShapeSpec("circle", radius=1e200), 64)
+
+    def test_chord_cache(self):
+        curve = uniform(ShapeSpec("ellipse", a=1.5, b=0.5), 64)
+        seg = curve.segment_lengths()
+        assert np.array_equal(seg, geometry._chord_lengths(curve.vertices))
+        with pytest.raises(ValueError):
+            seg[0] = 1.0
+        # same vertices and label, another cache array: still equal
+        twin = copy.copy(curve)
+        object.__setattr__(twin, "_chords", seg.copy())
+        assert twin == curve
+        assert "_chords" not in repr(curve)
 
 
 class TestSerialization:
