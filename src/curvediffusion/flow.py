@@ -42,13 +42,13 @@ from .errors import (
 from .geometry import (
     CurveMetrics,
     SampledCurve,
+    SPREAD_TOL,
     _chord_lengths,
     _classified,
     _frames,
     _metrics,
     _resample_points,
     _shift,
-    curvature_profile,
     metrics,
     resample_uniform,
     signed_area,
@@ -57,6 +57,8 @@ from .geometry import (
 SCHEME_LINEARLY_IMPLICIT = "linearly-implicit"
 SCHEME_EXPLICIT_RK4 = "explicit-rk4"
 SCHEMES = (SCHEME_LINEARLY_IMPLICIT, SCHEME_EXPLICIT_RK4)
+
+_MAX_EXTRA_PASSES = 3  # resample-project passes after the first; fixtures need <= 2
 
 TRAJECTORY_FIELDS = (
     "t", "L", "A", "I", "omega", "kbar", "kosc",
@@ -261,9 +263,10 @@ def _rk4_advance(pts: np.ndarray, dt: float) -> np.ndarray:
     return pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _project_area(pts: np.ndarray, target: float) -> np.ndarray:
+def _project_area(pts: np.ndarray, seg: np.ndarray, target: float) -> np.ndarray:
     """Translate all vertices by a common multiple of the vertex normals so
-    the shoelace area equals target exactly (to rounding).
+    the shoelace area equals target exactly (to rounding); seg holds the
+    chord lengths of pts.
 
     The area is quadratic in that multiple; the root closer to zero is taken.
     The linear coefficient is -L for a smooth closed curve, so one that is
@@ -271,7 +274,6 @@ def _project_area(pts: np.ndarray, target: float) -> np.ndarray:
     When that happens, or the quadratic has no real root, or the root is not
     finite, DegenerateGeometryError is raised.
     """
-    seg = _chord_lengths(pts)
     h = float(seg.mean())
     length = float(seg.sum())
     _, nu, _ = _frames(pts, h)
@@ -308,42 +310,45 @@ def _redistribute(raw: np.ndarray, state: FlowState, config: FlowConfig,
                   prev_area: float) -> SampledCurve:
     """Resample a raw polygon to config.n uniform chords, conserving area.
 
-    The projection runs twice: once on the raw polygon, where it absorbs the
-    step's truncation leak (a correction large enough to disturb chord
-    uniformity, which the resample then restores), and once after the
-    resample to cancel the much smaller area perturbation the resample
-    itself introduces.
+    The area projection runs on the raw polygon, absorbing the step's
+    truncation leak, and after every resample, cancelling the resample's own
+    small area change.  On curves of strong curvature contrast that last
+    projection can leave the chord spread above SPREAD_TOL; resample and
+    projection then repeat, at most _MAX_EXTRA_PASSES more times.
     """
     if config.conserve_area:
         try:
-            raw = _project_area(raw, prev_area)
+            raw = _project_area(raw, _chord_lengths(raw), prev_area)
         except DegenerateGeometryError as exc:
             raise BlowUpSignal(
                 f"area projection failed: {exc}", last_state=state,
                 reason="degenerate-geometry",
             ) from exc
     seg = _chord_lengths(raw)
-    mean = float(seg.mean())
-    if float(seg.min()) < config.min_segment_factor * mean:
+    if float(seg.min()) < config.min_segment_factor * float(seg.mean()):
         raise BlowUpSignal(
             "a segment collapsed below the resolvable scale",
             last_state=state, reason="segment-collapse",
         )
     try:
-        pts = _resample_points(raw, seg, config.n)
-        if config.conserve_area:
-            pts = _project_area(pts, prev_area)
-        # the projection moves vertices along their normals by amounts that
-        # differ with the curvature, so on curves of strong curvature contrast
-        # the chord spread can end above 1e-6; the curve is then carried as
-        # uniform-in-parameter and _record_for resamples it for diagnostics
-        curve = _classified(pts)
+        for _ in range(_MAX_EXTRA_PASSES + 1):
+            pts, seg = _resample_points(raw, seg, config.n)
+            if config.conserve_area:
+                pts = _project_area(pts, seg, prev_area)
+            curve = _classified(pts)
+            spread = curve.chord_spread()
+            if spread <= SPREAD_TOL:
+                return curve
+            raw, seg = curve.vertices, curve.segment_lengths()
+        raise DegenerateGeometryError(
+            f"chord spread {spread:.3e} still above {SPREAD_TOL:.0e} after "
+            f"{_MAX_EXTRA_PASSES} extra resample-project passes"
+        )
     except (DegenerateGeometryError, RejectedInputError) as exc:
         raise BlowUpSignal(
             f"redistribution failed: {exc}", last_state=state,
             reason="degenerate-geometry",
         ) from exc
-    return curve
 
 
 def _advance(state: FlowState, config: FlowConfig,
@@ -411,17 +416,12 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     return _advance(state, config)[0]
 
 
-def _record_for(state: FlowState, config: FlowConfig, residual: float,
-                prev: CurveMetrics, prev_time: float,
-                k: np.ndarray) -> TrajectoryRecord:
-    """Diagnostics of state.curve; k is its curvature at h = L/n, recomputed
-    only when the curve must first be resampled to a uniform grid."""
-    curve = state.curve
-    if not curve.is_uniform():
-        curve = resample_uniform(curve, config.n)
-        k = curvature_profile(curve)
-    m, ks = _metrics(curve, k)
-    h = m.length / curve.n
+def _record_for(state: FlowState, residual: float, prev: CurveMetrics,
+                prev_time: float, k: np.ndarray) -> TrajectoryRecord:
+    """Diagnostics of state.curve, which is uniform in arclength; k is its
+    curvature at h = L/n."""
+    m, ks = _metrics(state.curve, k)
+    h = m.length / state.curve.n
     dev = k - m.average_curvature
     dt = state.time - prev_time
     return TrajectoryRecord(
@@ -468,15 +468,12 @@ def run(initial: SampledCurve, config: FlowConfig,
             return done("max-time")
         try:
             state, residual, frames = _advance(state, config, frames, area)
-            record = _record_for(state, config, residual, prev, prev_time,
-                                 frames[2])
+            record = _record_for(state, residual, prev, prev_time, frames[2])
         except BlowUpSignal as sig:
             if sig.last_state is not None:
                 state = sig.last_state
             return done("blow-up", str(sig))
-        # a parameter-uniform curve's record measures a resampled copy, so
-        # its area is not the area of state.curve
-        area = record.metrics.signed_area if state.curve.is_uniform() else None
+        area = record.metrics.signed_area
         records.append(record)
         if on_record is not None:
             on_record(state, record)

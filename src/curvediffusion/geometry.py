@@ -286,13 +286,14 @@ def resample_uniform(curve: SampledCurve, n: Optional[int] = None) -> SampledCur
     """
     if n is None:
         n = curve.n
-    return SampledCurve(_resample_points(curve.vertices, curve.segment_lengths(), n),
-                        param=UNIFORM_IN_ARCLENGTH)
+    pts, _ = _resample_points(curve.vertices, curve.segment_lengths(), n)
+    return SampledCurve(pts, param=UNIFORM_IN_ARCLENGTH)
 
 
-def _resample_points(pts: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
+def _resample_points(pts: np.ndarray, seg: np.ndarray,
+                     n: int) -> Tuple[np.ndarray, np.ndarray]:
     """The vertex array of :func:`resample_uniform`, taking points and their
-    chord lengths seg and returning points."""
+    chord lengths seg, and returning the new points and their chord lengths."""
     if n < MIN_VERTICES:
         raise RejectedInputError(f"need n >= {MIN_VERTICES}, got {n}")
     total = float(seg.sum())
@@ -322,7 +323,7 @@ def _resample_points(pts: np.ndarray, seg: np.ndarray, n: int) -> np.ndarray:
         raise DegenerateGeometryError(
             f"uniform resampling did not converge (spread {spread:.3e})"
         )
-    return out
+    return out, chords
 
 
 def _periodic_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:

@@ -33,6 +33,7 @@ from curvediffusion.flow import (
     write_trajectory_jsonl,
 )
 from curvediffusion.geometry import (
+    SPREAD_TOL,
     ShapeSpec,
     generate,
     hausdorff_distance,
@@ -69,20 +70,55 @@ class TestSingleStep:
         assert after.curve.n == 256
         assert np.array_equal(after.curve.vertices, ran.curve.vertices)
 
-    def test_projection_spread_is_carried_as_parameter_uniform(self):
+    @pytest.mark.parametrize("offset, config, reason", [
+        (1.2, FlowConfig(n=256, dt=1e-4, max_steps=20), "max-steps"),
+        (0.5, FlowConfig(n=256, dt=1e-4, max_steps=3000), "blow-up"),
+    ], ids=["limacon-1.2", "limacon-0.5"])
+    def test_every_carried_state_is_uniform_in_arclength(self, offset, config,
+                                                         reason):
         # the area projection after the resample shifts every vertex along
         # its normal by the same amount, which stretches chords in proportion
-        # to the curvature; on this dimpled limacon the chord spread ends
-        # above 1e-6, the step must carry the curve on, and its record must
-        # measure the resampled curve
-        initial = uniform(ShapeSpec("limacon", offset=1.2), 256)
+        # to the curvature; on these limacons the chord spread can end above
+        # 1e-6, and the step must resample and project again until it is not
         seen = []
-        result = run(initial, FlowConfig(n=256, dt=1e-4, max_steps=20),
+        result = run(uniform(ShapeSpec("limacon", offset=offset), 256), config,
                      on_record=lambda *args: seen.append(args))
-        assert result.reason == "max-steps"
+        assert result.reason == reason
+        assert len(seen) == len(result.records) > 0
+        for state, _ in seen:
+            assert state.curve.is_uniform()
+            assert state.curve.chord_spread() <= SPREAD_TOL
         state, record = seen[0]
-        assert not state.curve.is_uniform()
-        assert record.metrics == metrics(resample_uniform(state.curve, 256))
+        assert record.metrics == metrics(state.curve)
+
+    def test_pass_cap_ends_the_run_with_the_last_good_state(self, monkeypatch):
+        # a projection that leaves one chord stretched on every pass never
+        # reaches a uniform curve: the step must give up after the capped
+        # number of passes instead of carrying that curve on
+        project = flow._project_area
+        armed = []
+
+        def stretching(pts, *args):
+            out = project(pts, *args)
+            if armed:
+                out[0] += 1e-4 * (out[1] - out[0])
+            return out
+
+        monkeypatch.setattr(flow, "_project_area", stretching)
+        seen = []
+
+        def hook(state, record):
+            seen.append(state)
+            if state.step_index == 3:
+                armed.append(True)
+
+        result = run(uniform(RIPPLE, 256),
+                     FlowConfig(n=256, dt=1e-4, max_steps=20), on_record=hook)
+        assert result.reason == "blow-up"
+        assert result.detail.startswith("redistribution failed")
+        assert "extra resample-project passes" in result.detail
+        assert len(result.records) == 3
+        assert result.final_state is seen[-1]
 
     def test_length_rate_matches_dissipation_at_small_dt(self):
         # one backward-difference step reproduces dL/dt = -|k_s|^2;
@@ -115,15 +151,14 @@ class TestCarriedValues:
         prev, prev_time, records = metrics(initial), 0.0, []
         while state.step_index < config.max_steps:
             state, residual, frames = _advance(state, config)
-            record = _record_for(state, config, residual, prev, prev_time,
-                                 frames[2])
+            record = _record_for(state, residual, prev, prev_time, frames[2])
             records.append(record)
             prev, prev_time = record.metrics, state.time
         return records, state
 
     @pytest.mark.parametrize("spec, config", [
         (RIPPLE, FlowConfig(n=256, dt=1e-4, max_steps=50)),
-        # parameter-uniform after step 1: its records measure resampled copies
+        # step 1 needs an extra resample-project pass to reach a uniform grid
         (ShapeSpec("limacon", offset=1.2), FlowConfig(n=256, dt=1e-4, max_steps=20)),
         (ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0),
          FlowConfig(n=32, dt=1e-6, max_steps=20, scheme=SCHEME_EXPLICIT_RK4)),
@@ -151,7 +186,7 @@ class TestCarriedValues:
             return wrapper
 
         budget = {
-            geometry._chord_lengths: 6,
+            geometry._chord_lengths: 5,
             geometry._frames: 3,
             geometry.signed_area: 1,
             scipy.linalg.solve_banded: 0,
@@ -226,15 +261,16 @@ class TestConservation:
 
     def test_unreachable_area_raises(self):
         # a circle cannot reach a negative area by a normal translation
-        pts = uniform(ShapeSpec("circle", radius=1.0), 64).vertices
+        curve = uniform(ShapeSpec("circle", radius=1.0), 64)
         with pytest.raises(DegenerateGeometryError, match="area projection"):
-            _project_area(pts, -10.0)
+            _project_area(curve.vertices, curve.segment_lengths(), -10.0)
 
     @pytest.mark.parametrize("radius", [1e-14, 1.0, 1e6])
     def test_projection_is_scale_invariant(self, radius):
         curve = generate(ShapeSpec("circle", radius=radius), 64)
         target = signed_area(curve) * (1.0 + 1e-6)
-        projected = type(curve)(_project_area(curve.vertices, target))
+        projected = type(curve)(_project_area(curve.vertices,
+                                              curve.segment_lengths(), target))
         assert abs(signed_area(projected) - target) <= 1e-12 * abs(target)
 
     def test_monotonicity_and_winding(self, ellipse_run):
