@@ -49,6 +49,7 @@ from .geometry import (
     _metrics,
     _resample_points,
     _shift,
+    _tangents,
     metrics,
     resample_uniform,
     signed_area,
@@ -219,16 +220,19 @@ def _sin4(n: int) -> np.ndarray:
 
 
 def _apply_cyclic_pentadiagonal(c: float, x: np.ndarray) -> np.ndarray:
+    p = np.concatenate((x[-2:], x, x[:2]))
     return x + c * (
-        _shift(x, -2) - 4.0 * _shift(x, -1) + 6.0 * x
-        - 4.0 * _shift(x, 1) + _shift(x, 2)
+        p[:-4] - 4.0 * p[1:-3] + 6.0 * x - 4.0 * p[3:-1] + p[4:]
     )
 
 
 def _implicit_advance(pts: np.ndarray, h: float, frames: Frames, dt: float,
-                      solve_tolerance: float) -> Tuple[np.ndarray, float]:
+                      solve_tolerance: float, ks: Optional[np.ndarray] = None
+                      ) -> Tuple[np.ndarray, float]:
     tau, nu, k = frames
-    ks = (_shift(k, 1) - _shift(k, -1)) / (2.0 * h)
+    if ks is None:
+        kp = np.concatenate((k[-1:], k, k[:1]))
+        ks = (kp[2:] - kp[:-2]) / (2.0 * h)
     explicit = (k ** 3)[:, None] * nu + (3.0 * k * ks)[:, None] * tau
     b = pts - dt * explicit
     c = dt / h ** 4
@@ -246,12 +250,12 @@ def _implicit_advance(pts: np.ndarray, h: float, frames: Frames, dt: float,
 
 
 def _rk4_velocity(pts: np.ndarray) -> np.ndarray:
-    seg = _chord_lengths(pts)
-    h = float(seg.mean())
+    h = float(_chord_lengths(pts).sum()) / len(pts)
     if h <= 0 or not math.isfinite(h):
         raise DegenerateGeometryError("collapsed polygon inside RK4 stage")
     _, nu, k = _frames(pts, h)
-    kss = (_shift(k, 1) - 2.0 * k + _shift(k, -1)) / (h * h)
+    kp = np.concatenate((k[-1:], k, k[:1]))
+    kss = (kp[2:] - 2.0 * k + kp[:-2]) / (h * h)
     return -kss[:, None] * nu
 
 
@@ -274,18 +278,18 @@ def _project_area(pts: np.ndarray, seg: np.ndarray, target: float) -> np.ndarray
     When that happens, or the quadratic has no real root, or the root is not
     finite, DegenerateGeometryError is raised.
     """
-    h = float(seg.mean())
     length = float(seg.sum())
-    _, nu, _ = _frames(pts, h)
-    nxt_p = _shift(pts, 1)
+    p = np.concatenate((pts[-1:], pts, pts[:1]))
+    _, nu = _tangents(p, length / len(seg))
+    nxt_p = p[2:]
     nxt_n = _shift(nu, 1)
-    area = 0.5 * float(np.sum(pts[:, 0] * nxt_p[:, 1] - nxt_p[:, 0] * pts[:, 1]))
+    area = 0.5 * float((pts[:, 0] * nxt_p[:, 1] - nxt_p[:, 0] * pts[:, 1]).sum())
     delta = target - area
     lin = 0.5 * float(
-        np.sum(pts[:, 0] * nxt_n[:, 1] - nxt_n[:, 0] * pts[:, 1])
-        + np.sum(nu[:, 0] * nxt_p[:, 1] - nxt_p[:, 0] * nu[:, 1])
+        (pts[:, 0] * nxt_n[:, 1] - nxt_n[:, 0] * pts[:, 1]).sum()
+        + (nu[:, 0] * nxt_p[:, 1] - nxt_p[:, 0] * nu[:, 1]).sum()
     )
-    quad = 0.5 * float(np.sum(nu[:, 0] * nxt_n[:, 1] - nxt_n[:, 0] * nu[:, 1]))
+    quad = 0.5 * float((nu[:, 0] * nxt_n[:, 1] - nxt_n[:, 0] * nu[:, 1]).sum())
     disc = lin * lin + 4.0 * quad * delta
     if abs(lin) < 1e-12 * length:
         raise DegenerateGeometryError(
@@ -325,7 +329,7 @@ def _redistribute(raw: np.ndarray, state: FlowState, config: FlowConfig,
                 reason="degenerate-geometry",
             ) from exc
     seg = _chord_lengths(raw)
-    if float(seg.min()) < config.min_segment_factor * float(seg.mean()):
+    if float(seg.min()) < config.min_segment_factor * float(seg.sum() / len(seg)):
         raise BlowUpSignal(
             "a segment collapsed below the resolvable scale",
             last_state=state, reason="segment-collapse",
@@ -336,13 +340,12 @@ def _redistribute(raw: np.ndarray, state: FlowState, config: FlowConfig,
             if config.conserve_area:
                 pts = _project_area(pts, seg, prev_area)
             curve = _classified(pts)
-            spread = curve.chord_spread()
-            if spread <= SPREAD_TOL:
+            if curve.is_uniform():
                 return curve
             raw, seg = curve.vertices, curve.segment_lengths()
         raise DegenerateGeometryError(
-            f"chord spread {spread:.3e} still above {SPREAD_TOL:.0e} after "
-            f"{_MAX_EXTRA_PASSES} extra resample-project passes"
+            f"chord spread {curve.chord_spread():.3e} still above {SPREAD_TOL:.0e} "
+            f"after {_MAX_EXTRA_PASSES} extra resample-project passes"
         )
     except (DegenerateGeometryError, RejectedInputError) as exc:
         raise BlowUpSignal(
@@ -352,24 +355,24 @@ def _redistribute(raw: np.ndarray, state: FlowState, config: FlowConfig,
 
 
 def _advance(state: FlowState, config: FlowConfig,
-             frames: Optional[Frames] = None, area: Optional[float] = None
-             ) -> Tuple[FlowState, float, Frames]:
+             frames: Optional[Frames] = None, area: Optional[float] = None,
+             ks: Optional[np.ndarray] = None) -> Tuple[FlowState, float, Frames]:
     """One accepted step: the new state, the solve residual, and the frames
     of the new curve at h = L/n (reused by _record_for and the next step).
 
-    frames and area, when given, are the current curve's frames at h = L/n
-    and its signed area, carried over from the previous step; they are
+    frames, area and ks, when given, are the current curve's frames at h = L/n,
+    signed area and k_s, carried over from the previous step; they are
     computed here when not given, with bitwise the same values.
     """
     pts = state.curve.vertices
-    h = float(state.curve.segment_lengths().mean())
+    h = state.curve.length() / state.curve.n
     prev_area = signed_area(state.curve) if area is None else area
 
     if config.scheme == SCHEME_LINEARLY_IMPLICIT:
         if frames is None:
             frames = _frames(pts, h)
         raw, residual = _implicit_advance(pts, h, frames, config.dt,
-                                          config.solve_tolerance)
+                                          config.solve_tolerance, ks)
     else:
         raw = _rk4_advance(pts, config.dt)
         residual = 0.0
@@ -385,7 +388,7 @@ def _advance(state: FlowState, config: FlowConfig,
     h_new = curve.length() / curve.n
     frames = _frames(curve.vertices, h_new)
     k = frames[2]
-    energy = float(np.sum(k * k)) * h_new
+    energy = float((k * k).sum()) * h_new
     if energy >= config.curvature_energy_ceiling:
         raise BlowUpSignal(
             f"curvature energy {energy:.3e} reached the ceiling "
@@ -417,9 +420,9 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
 
 
 def _record_for(state: FlowState, residual: float, prev: CurveMetrics,
-                prev_time: float, k: np.ndarray) -> TrajectoryRecord:
-    """Diagnostics of state.curve, which is uniform in arclength; k is its
-    curvature at h = L/n."""
+                prev_time: float, k: np.ndarray) -> Tuple[TrajectoryRecord, np.ndarray]:
+    """Diagnostics of state.curve, which is uniform in arclength, and the
+    arclength derivative k_s they use; k is its curvature at h = L/n."""
     m, ks = _metrics(state.curve, k)
     h = m.length / state.curve.n
     dev = k - m.average_curvature
@@ -431,9 +434,9 @@ def _record_for(state: FlowState, residual: float, prev: CurveMetrics,
         dA_dt_measured=(m.signed_area - prev.signed_area) / dt,
         dKosc_dt_measured=(m.osc_energy - prev.osc_energy) / dt,
         solver_residual=residual,
-        int_dev_ks2=float(np.sum(dev * ks * ks)) * h,
-        int_dev2_ks2=float(np.sum(dev * dev * ks * ks)) * h,
-    )
+        int_dev_ks2=float((dev * ks * ks).sum()) * h,
+        int_dev2_ks2=float((dev * dev * ks * ks).sum()) * h,
+    ), ks
 
 
 def run(initial: SampledCurve, config: FlowConfig,
@@ -459,7 +462,7 @@ def run(initial: SampledCurve, config: FlowConfig,
         return RunResult(tuple(records), state, reason, detail, initial_metrics)
 
     eps = 1e-9 * config.dt
-    frames = area = None
+    frames = area = ks = None
     while True:
         if config.max_steps is not None and state.step_index >= config.max_steps:
             return done("max-steps")
@@ -467,8 +470,8 @@ def run(initial: SampledCurve, config: FlowConfig,
                 and state.time + config.dt > config.max_time + eps):
             return done("max-time")
         try:
-            state, residual, frames = _advance(state, config, frames, area)
-            record = _record_for(state, residual, prev, prev_time, frames[2])
+            state, residual, frames = _advance(state, config, frames, area, ks)
+            record, ks = _record_for(state, residual, prev, prev_time, frames[2])
         except BlowUpSignal as sig:
             if sig.last_state is not None:
                 state = sig.last_state

@@ -16,7 +16,7 @@ so a counterclockwise circle has curvature +1 and positive signed area.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -82,15 +82,16 @@ class SampledCurve:
         Either ``uniform-in-parameter`` (no spacing promise) or
         ``uniform-in-arclength`` (chord lengths within 1e-6 relative spread).
 
-    The chord lengths computed while validating are kept, read-only, and
-    every length query reads them.
+    The validated chord lengths, measured here or passed as ``chords``, are
+    kept, read-only, and every length query reads them.
     """
 
     vertices: np.ndarray
     param: str = UNIFORM_IN_PARAMETER
     _chords: np.ndarray = field(init=False, compare=False, repr=False)
+    chords: InitVar[Optional[np.ndarray]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, chords):
         pts = np.asarray(self.vertices, dtype=float)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise RejectedInputError("vertices must be an (n, 2) array")
@@ -105,7 +106,7 @@ class SampledCurve:
         # squared chords overflow beyond about 1e154: a wrong scale, rejected
         # before it turns into an infinite length or a NaN spread
         with np.errstate(over="ignore"):
-            seg = _chord_lengths(pts)
+            seg = _chord_lengths(pts) if chords is None else chords
             total = float(seg.sum())
         if not math.isfinite(total):
             raise RejectedInputError(
@@ -130,10 +131,6 @@ class SampledCurve:
     def n(self) -> int:
         return self.vertices.shape[0]
 
-    def segment_vectors(self) -> np.ndarray:
-        """Edge vectors, edge i running from vertex i to vertex i+1 (periodic)."""
-        return _shift(self.vertices, 1) - self.vertices
-
     def segment_lengths(self) -> np.ndarray:
         """Chord lengths, edge i from vertex i to vertex i+1 (read-only)."""
         return self._chords
@@ -144,7 +141,7 @@ class SampledCurve:
     def chord_spread(self) -> float:
         """Relative spread (max - min)/mean of the chord lengths."""
         seg = self._chords
-        return float((seg.max() - seg.min()) / seg.mean())
+        return float((seg.max() - seg.min()) / (seg.sum() / len(seg)))
 
     def is_uniform(self) -> bool:
         return self.param == UNIFORM_IN_ARCLENGTH
@@ -286,8 +283,8 @@ def resample_uniform(curve: SampledCurve, n: Optional[int] = None) -> SampledCur
     """
     if n is None:
         n = curve.n
-    pts, _ = _resample_points(curve.vertices, curve.segment_lengths(), n)
-    return SampledCurve(pts, param=UNIFORM_IN_ARCLENGTH)
+    pts, seg = _resample_points(curve.vertices, curve.segment_lengths(), n)
+    return SampledCurve(pts, param=UNIFORM_IN_ARCLENGTH, chords=seg)
 
 
 def _resample_points(pts: np.ndarray, seg: np.ndarray,
@@ -309,7 +306,7 @@ def _resample_points(pts: np.ndarray, seg: np.ndarray,
     for _ in range(_RESAMPLE_MAX_ITERS):
         out = _evaluate_spline(knots, coeffs, u)
         chords = _chord_lengths(out)
-        mean = chords.mean()
+        mean = chords.sum() / n
         if mean <= 0 or not np.isfinite(mean):
             raise DegenerateGeometryError("resampling produced a collapsed polygon")
         spread = (chords.max() - chords.min()) / mean
@@ -351,11 +348,12 @@ def _periodic_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     cols = y.shape[1]
     # row i of the periodic system: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i]
     # + dx[i-1] s[i+1] = 3 (dx[i] slope[i-1] + dx[i-1] slope[i])
-    rhs = 3 * (dxr * _shift(slope, -1) + _shift(dxr, -1) * slope)
+    dx_prev = np.concatenate((dx[-1:], dx))  # row i is dx[i - 1]
+    rhs = 3 * (dxr * _shift(slope, -1) + dx_prev[:-1, None] * slope)
     diag = np.empty(m)
     diag[0] = 2 * (dx[-1] + dx[0])
     diag[1:] = 2 * (dx[:m - 1] + dx[1:m])
-    upper = np.concatenate(([dx[-1]], dx[:m - 2]))
+    upper = dx_prev[:m - 1]
     # s = s1 + s[-2] s2 on the first m unknowns; s2 carries the corner terms
     b = np.zeros((m, cols + 1), order="F")
     b[:, :cols] = rhs[:m]
@@ -384,7 +382,8 @@ def _evaluate_spline(x: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndarray:
     Intervals are closed on the left and the polynomial is summed in the
     order scipy's ``PPoly`` uses, so the values match it bitwise.
     """
-    i = np.clip(np.searchsorted(x, u, side="right") - 1, 0, len(x) - 2)
+    i = np.searchsorted(x, u, side="right") - 1
+    np.minimum(np.maximum(i, 0, out=i), len(x) - 2, out=i)
     s = (u - x[i])[:, None]
     s2 = s * s
     c0, c1, c2, c3 = np.take(c, i, axis=1)
@@ -398,6 +397,16 @@ def _require_uniform(curve: SampledCurve, op: str) -> None:
         )
 
 
+def _tangents(p: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
+    """Unit tangent and normal of :func:`_frames`, from points padded by a row."""
+    d1 = (p[2:] - p[:-2]) / (2.0 * h)
+    tnorm = _row_norms(d1)
+    if (tnorm == 0.0).any() or not np.isfinite(tnorm).all():
+        raise DegenerateGeometryError("degenerate tangent (folded polygon)")
+    tau = d1 / tnorm[:, None]
+    return tau, np.column_stack([-tau[:, 1], tau[:, 0]])
+
+
 def _frames(pts: np.ndarray, h: float):
     """Unit tangent, unit normal and curvature of a near-uniform closed polygon.
 
@@ -405,15 +414,9 @@ def _frames(pts: np.ndarray, h: float):
     difference normalized, the normal is the tangent rotated by +90 degrees,
     and the curvature is the second difference projected on the normal.
     """
-    fwd = _shift(pts, 1)
-    bwd = _shift(pts, -1)
-    d1 = (fwd - bwd) / (2.0 * h)
-    d2 = (fwd - 2.0 * pts + bwd) / (h * h)
-    tnorm = _row_norms(d1)
-    if (tnorm == 0.0).any() or not np.isfinite(tnorm).all():
-        raise DegenerateGeometryError("degenerate tangent (folded polygon)")
-    tau = d1 / tnorm[:, None]
-    nu = np.column_stack([-tau[:, 1], tau[:, 0]])
+    p = np.concatenate((pts[-1:], pts, pts[:1]))
+    tau, nu = _tangents(p, h)
+    d2 = (p[2:] - 2.0 * pts + p[:-2]) / (h * h)
     k = d2[:, 0] * nu[:, 0] + d2[:, 1] * nu[:, 1]
     return tau, nu, k
 
@@ -436,15 +439,17 @@ def curvature_derivatives(curve: SampledCurve, order: int) -> np.ndarray:
     _require_uniform(curve, "curvature_derivatives")
     k = curvature_profile(curve)
     h = curve.length() / curve.n
+    kp = np.concatenate((k[-1:], k, k[:1]))
     if order == 1:
-        return (_shift(k, 1) - _shift(k, -1)) / (2.0 * h)
-    return (_shift(k, 1) - 2.0 * k + _shift(k, -1)) / (h * h)
+        return (kp[2:] - kp[:-2]) / (2.0 * h)
+    return (kp[2:] - 2.0 * k + kp[:-2]) / (h * h)
 
 
 def turning_number(curve: SampledCurve) -> int:
     """Winding number from the exterior turning angles, validated as integer."""
-    e = curve.segment_vectors()
-    prev = _shift(e, -1)
+    p = np.concatenate((curve.vertices[-1:], curve.vertices, curve.vertices[:1]))
+    d = p[1:] - p[:-1]  # row i + 1 is edge i, row 0 is edge n - 1
+    e, prev = d[1:], d[:-1]
     cross = prev[:, 0] * e[:, 1] - prev[:, 1] * e[:, 0]
     dot = prev[:, 0] * e[:, 0] + prev[:, 1] * e[:, 1]
     total = float(np.arctan2(cross, dot).sum()) / (2.0 * np.pi)
@@ -460,7 +465,7 @@ def signed_area(curve: SampledCurve) -> float:
     """Shoelace area of the vertex polygon (exact for polygons)."""
     pts = curve.vertices
     nxt = _shift(pts, 1)
-    return 0.5 * float(np.sum(pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]))
+    return 0.5 * float((pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]).sum())
 
 
 def metrics(curve: SampledCurve) -> CurveMetrics:
@@ -484,11 +489,12 @@ def _metrics(curve: SampledCurve, k: np.ndarray) -> Tuple[CurveMetrics, np.ndarr
     h = L / curve.n
     kbar = 2.0 * omega * np.pi / L
     dev = k - kbar
-    kosc = L * float(np.sum(dev * dev)) * h
-    ks = (_shift(k, 1) - _shift(k, -1)) / (2.0 * h)
-    kss = (_shift(k, 1) - 2.0 * k + _shift(k, -1)) / (h * h)
-    ks2 = float(np.sum(ks * ks)) * h
-    kss2 = float(np.sum(kss * kss)) * h
+    kosc = L * float((dev * dev).sum()) * h
+    kp = np.concatenate((k[-1:], k, k[:1]))
+    ks = (kp[2:] - kp[:-2]) / (2.0 * h)
+    kss = (kp[2:] - 2.0 * k + kp[:-2]) / (h * h)
+    ks2 = float((ks * ks).sum()) * h
+    kss2 = float((kss * kss).sum()) * h
     if abs(A) < _AREA_UNDEFINED_REL * L * L:
         iso = None
     else:

@@ -302,6 +302,88 @@ class TestSplineKernel:
             resample_uniform(curve)
 
 
+def _shift(a, k):
+    """Row i of the result is row i + k of a (periodic)."""
+    return np.concatenate((a[k:], a[:k]))
+
+
+class TestPaddedStencils:
+    """The stencils that read one padded copy of their array are bitwise the
+    two-sided shifted formulas they replace, kept here as the oracle."""
+
+    @staticmethod
+    def oracle_frames(pts, h):
+        fwd, bwd = _shift(pts, 1), _shift(pts, -1)
+        d1 = (fwd - bwd) / (2.0 * h)
+        d2 = (fwd - 2.0 * pts + bwd) / (h * h)
+        tau = d1 / np.linalg.norm(d1, axis=1)[:, None]
+        nu = np.column_stack([-tau[:, 1], tau[:, 0]])
+        return tau, nu, d2[:, 0] * nu[:, 0] + d2[:, 1] * nu[:, 1]
+
+    @staticmethod
+    def polygon(kind, n):
+        t = 2.0 * np.pi * np.arange(n) / n
+        r = 1.5
+        if kind == "jittered":
+            r = r + 0.05 * np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        return np.column_stack([r * np.cos(t), r * np.sin(t)])
+
+    @pytest.mark.parametrize("kind", ["circle", "jittered"])
+    @pytest.mark.parametrize("n", [16, 17, 256, 4096])
+    def test_stencils_match_shifted_formulas(self, kind, n, monkeypatch):
+        from curvediffusion.flow import _apply_cyclic_pentadiagonal
+
+        pts = self.polygon(kind, n)
+        seg = geometry._chord_lengths(pts)
+        # numpy's float64 mean is the same add.reduce and one division
+        assert seg.sum() / n == seg.mean()
+        h = float(seg.mean())
+        tau, nu, k = self.oracle_frames(pts, h)
+        for got, want in zip(geometry._frames(pts, h), (tau, nu, k)):
+            assert np.array_equal(got, want)
+        padded = np.concatenate((pts[-1:], pts, pts[:1]))
+        normals_only = geometry._tangents(padded, h)
+        for got, want in zip(normals_only, (tau, nu)):
+            assert np.array_equal(got, want)
+
+        curve = SampledCurve(pts)
+        L = curve.length()
+        hk = L / n
+        m, ks = geometry._metrics(curve, k)
+        want_ks = (_shift(k, 1) - _shift(k, -1)) / (2.0 * hk)
+        want_kss = (_shift(k, 1) - 2.0 * k + _shift(k, -1)) / (hk * hk)
+        assert np.array_equal(ks, want_ks)
+        assert m.ks_norm_sq == float(np.sum(want_ks * want_ks)) * hk
+        assert m.kss_norm_sq == float(np.sum(want_kss * want_kss)) * hk
+        if kind == "circle":
+            uniform_curve = SampledCurve(pts, param=UNIFORM_IN_ARCLENGTH)
+            k_u = curvature_profile(uniform_curve)
+            hu = uniform_curve.length() / n
+            assert np.array_equal(curvature_derivatives(uniform_curve, 1),
+                                  (_shift(k_u, 1) - _shift(k_u, -1)) / (2.0 * hu))
+            assert np.array_equal(curvature_derivatives(uniform_curve, 2),
+                                  (_shift(k_u, 1) - 2.0 * k_u + _shift(k_u, -1))
+                                  / (hu * hu))
+
+        # the turning angles reach arctan2 bitwise as the shifted edges give them
+        seen = []
+        arctan2 = np.arctan2
+        monkeypatch.setattr(
+            np, "arctan2", lambda y, x: seen.append((y, x)) or arctan2(y, x))
+        assert turning_number(curve) == 1
+        e = _shift(pts, 1) - pts
+        prev = _shift(e, -1)
+        (cross, dot), = seen
+        assert np.array_equal(cross, prev[:, 0] * e[:, 1] - prev[:, 1] * e[:, 0])
+        assert np.array_equal(dot, prev[:, 0] * e[:, 0] + prev[:, 1] * e[:, 1])
+
+        x = np.random.default_rng(n + 1).standard_normal((n, 2))
+        for c in (0.0, 0.3, 1e6 * n ** 4):
+            want = x + c * (_shift(x, -2) - 4.0 * _shift(x, -1) + 6.0 * x
+                            - 4.0 * _shift(x, 1) + _shift(x, 2))
+            assert np.array_equal(_apply_cyclic_pentadiagonal(c, x), want)
+
+
 class TestHausdorff:
     @staticmethod
     def direct(pts, poly):
@@ -400,6 +482,19 @@ class TestValidation:
         object.__setattr__(twin, "_chords", seg.copy())
         assert twin == curve
         assert "_chords" not in repr(curve)
+
+    def test_handed_over_chords_are_validated(self):
+        # resample_uniform builds its curve from the chords it measured; they
+        # go through the checks that measured chords go through
+        curve = uniform(ShapeSpec("ellipse", a=1.5, b=0.5), 64)
+        seg = curve.segment_lengths()
+        for bad, match in ((0.0, "must not coincide"), (np.inf, "overflow"),
+                           (2.0 * seg[0], "chord spread")):
+            chords = seg.copy()
+            chords[3] = bad
+            with pytest.raises(RejectedInputError, match=match):
+                SampledCurve(curve.vertices, param=UNIFORM_IN_ARCLENGTH,
+                             chords=chords)
 
 
 class TestSerialization:
