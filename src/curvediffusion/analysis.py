@@ -16,7 +16,7 @@ import numpy as np
 from .errors import RejectedInputError
 from .flow import TrajectoryRecord
 from .geometry import SampledCurve, CurveMetrics, metrics
-from .geometry import _frames, _max_dist_to_polyline, _require_uniform, _shift
+from .geometry import _max_dist_to_polyline, _require_uniform, _shift
 
 # Decimal expansion of the oscillation smallness threshold, frozen from a
 # 50-digit evaluation of the defining formula before the double-precision
@@ -348,7 +348,7 @@ def density_integral(curve: SampledCurve, point, epsilon: Optional[float] = None
         )
 
     h = L / curve.n
-    _, nu, k = _frames(curve.vertices, h)
+    _, nu, k = curve._frames_h
     q = curve.vertices - p[None, :]
     r = np.linalg.norm(q, axis=1)
     proj = np.einsum("ij,ij->i", q, nu)

@@ -46,13 +46,11 @@ from .geometry import (
     _chord_lengths,
     _classified,
     _frames,
-    _metrics,
     _resample_points,
     _shift,
     _tangents,
     metrics,
     resample_uniform,
-    signed_area,
 )
 
 SCHEME_LINEARLY_IMPLICIT = "linearly-implicit"
@@ -195,10 +193,6 @@ class IdentityResiduals:
     record_count: int
 
 
-# unit tangent, unit normal and curvature at each vertex, as _frames returns them
-Frames = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
 def _solve_cyclic_pentadiagonal(c: float, rhs: np.ndarray) -> np.ndarray:
     """Solve (I + c P) x = rhs with P the periodic [1,-4,6,-4,1] stencil.
 
@@ -226,13 +220,12 @@ def _apply_cyclic_pentadiagonal(c: float, x: np.ndarray) -> np.ndarray:
     )
 
 
-def _implicit_advance(pts: np.ndarray, h: float, frames: Frames, dt: float,
-                      solve_tolerance: float, ks: Optional[np.ndarray] = None
-                      ) -> Tuple[np.ndarray, float]:
-    tau, nu, k = frames
-    if ks is None:
-        kp = np.concatenate((k[-1:], k, k[:1]))
-        ks = (kp[2:] - kp[:-2]) / (2.0 * h)
+def _implicit_advance(curve: SampledCurve, dt: float,
+                      solve_tolerance: float) -> Tuple[np.ndarray, float]:
+    pts = curve.vertices
+    h = curve.length() / curve.n
+    tau, nu, k = curve._frames_h
+    ks = curve._measured[1]
     explicit = (k ** 3)[:, None] * nu + (3.0 * k * ks)[:, None] * tau
     b = pts - dt * explicit
     c = dt / h ** 4
@@ -339,7 +332,8 @@ def _redistribute(raw: np.ndarray, state: FlowState, config: FlowConfig,
             pts, seg = _resample_points(raw, seg, config.n)
             if config.conserve_area:
                 pts = _project_area(pts, seg, prev_area)
-            curve = _classified(pts)
+                seg = None  # the projection moved the points: measure again
+            curve = _classified(pts, seg)
             if curve.is_uniform():
                 return curve
             raw, seg = curve.vertices, curve.segment_lengths()
@@ -354,27 +348,18 @@ def _redistribute(raw: np.ndarray, state: FlowState, config: FlowConfig,
         ) from exc
 
 
-def _advance(state: FlowState, config: FlowConfig,
-             frames: Optional[Frames] = None, area: Optional[float] = None,
-             ks: Optional[np.ndarray] = None) -> Tuple[FlowState, float, Frames]:
-    """One accepted step: the new state, the solve residual, and the frames
-    of the new curve at h = L/n (reused by _record_for and the next step).
+def _advance(state: FlowState, config: FlowConfig) -> Tuple[FlowState, float]:
+    """One accepted step: the new state and the solve residual.
 
-    frames, area and ks, when given, are the current curve's frames at h = L/n,
-    signed area and k_s, carried over from the previous step; they are
-    computed here when not given, with bitwise the same values.
+    Every quantity of a curve is read from the curve, which computes it on
+    first use and keeps it, so a quantity the ceiling check or a record
+    computes is not computed again by the next step.
     """
-    pts = state.curve.vertices
-    h = state.curve.length() / state.curve.n
-    prev_area = signed_area(state.curve) if area is None else area
-
     if config.scheme == SCHEME_LINEARLY_IMPLICIT:
-        if frames is None:
-            frames = _frames(pts, h)
-        raw, residual = _implicit_advance(pts, h, frames, config.dt,
-                                          config.solve_tolerance, ks)
+        raw, residual = _implicit_advance(state.curve, config.dt,
+                                          config.solve_tolerance)
     else:
-        raw = _rk4_advance(pts, config.dt)
+        raw = _rk4_advance(state.curve.vertices, config.dt)
         residual = 0.0
 
     if not np.isfinite(raw).all():
@@ -382,13 +367,11 @@ def _advance(state: FlowState, config: FlowConfig,
             "non-finite coordinates after the step",
             last_state=state, reason="non-finite",
         )
-    curve = _redistribute(raw, state, config, prev_area)
+    curve = _redistribute(raw, state, config, state.curve._area)
 
     # curvature-energy ceiling, the continuation criterion in reverse
-    h_new = curve.length() / curve.n
-    frames = _frames(curve.vertices, h_new)
-    k = frames[2]
-    energy = float((k * k).sum()) * h_new
+    k = curve._frames_h[2]
+    energy = float((k * k).sum()) * (curve.length() / curve.n)
     if energy >= config.curvature_energy_ceiling:
         raise BlowUpSignal(
             f"curvature energy {energy:.3e} reached the ceiling "
@@ -401,7 +384,7 @@ def _advance(state: FlowState, config: FlowConfig,
         time=config.dt * (state.step_index + 1),
         step_index=state.step_index + 1,
     )
-    return new_state, residual, frames
+    return new_state, residual
 
 
 def step(state: FlowState, config: FlowConfig) -> FlowState:
@@ -420,12 +403,11 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
 
 
 def _record_for(state: FlowState, residual: float, prev: CurveMetrics,
-                prev_time: float, k: np.ndarray) -> Tuple[TrajectoryRecord, np.ndarray]:
-    """Diagnostics of state.curve, which is uniform in arclength, and the
-    arclength derivative k_s they use; k is its curvature at h = L/n."""
-    m, ks = _metrics(state.curve, k)
+                prev_time: float) -> TrajectoryRecord:
+    """Diagnostics of state.curve, which is uniform in arclength."""
+    m, ks = state.curve._measured
     h = m.length / state.curve.n
-    dev = k - m.average_curvature
+    dev = state.curve._frames_h[2] - m.average_curvature
     dt = state.time - prev_time
     return TrajectoryRecord(
         time=state.time,
@@ -436,7 +418,7 @@ def _record_for(state: FlowState, residual: float, prev: CurveMetrics,
         solver_residual=residual,
         int_dev_ks2=float((dev * ks * ks).sum()) * h,
         int_dev2_ks2=float((dev * dev * ks * ks).sum()) * h,
-    ), ks
+    )
 
 
 def run(initial: SampledCurve, config: FlowConfig,
@@ -462,7 +444,6 @@ def run(initial: SampledCurve, config: FlowConfig,
         return RunResult(tuple(records), state, reason, detail, initial_metrics)
 
     eps = 1e-9 * config.dt
-    frames = area = ks = None
     while True:
         if config.max_steps is not None and state.step_index >= config.max_steps:
             return done("max-steps")
@@ -470,13 +451,12 @@ def run(initial: SampledCurve, config: FlowConfig,
                 and state.time + config.dt > config.max_time + eps):
             return done("max-time")
         try:
-            state, residual, frames = _advance(state, config, frames, area, ks)
-            record, ks = _record_for(state, residual, prev, prev_time, frames[2])
+            state, residual = _advance(state, config)
+            record = _record_for(state, residual, prev, prev_time)
         except BlowUpSignal as sig:
             if sig.last_state is not None:
                 state = sig.last_state
             return done("blow-up", str(sig))
-        area = record.metrics.signed_area
         records.append(record)
         if on_record is not None:
             on_record(state, record)

@@ -15,6 +15,7 @@ so a counterclockwise circle has curvature +1 and positive signed area.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import InitVar, dataclass, field
 from typing import Optional, Tuple
@@ -38,6 +39,7 @@ MIN_TOTAL_LENGTH = 1e-9    # below this a curve counts as collapsed
 
 _RESAMPLE_MAX_ITERS = 10
 _RESAMPLE_TARGET_SPREAD = 1e-12
+_FLOAT_EPS = 2.220446049250313e-16  # float64 machine epsilon, 2**-52
 _AREA_UNDEFINED_REL = 1e-10  # |A| < this * L^2 leaves the isoperimetric ratio undefined
 _DIST_ROW_BLOCK = 128         # points per block in the point-to-polyline distance
 
@@ -83,12 +85,17 @@ class SampledCurve:
         ``uniform-in-arclength`` (chord lengths within 1e-6 relative spread).
 
     The validated chord lengths, measured here or passed as ``chords``, are
-    kept, read-only, and every length query reads them.
+    kept, read-only, with their sum, and every length query reads them.  The
+    quantities the flow and the analysis read of a curve are computed on
+    first use and kept the same way, outside the constructor, ``repr`` and
+    ``==``: the frames at h = L/n (``_frames_h``), the signed area
+    (``_area``) and the metrics with the k_s they compute (``_measured``).
     """
 
     vertices: np.ndarray
     param: str = UNIFORM_IN_PARAMETER
     _chords: np.ndarray = field(init=False, compare=False, repr=False)
+    _length: float = field(init=False, compare=False, repr=False)
     chords: InitVar[Optional[np.ndarray]] = None
 
     def __post_init__(self, chords):
@@ -116,6 +123,7 @@ class SampledCurve:
             raise RejectedInputError("consecutive vertices must not coincide")
         seg.setflags(write=False)
         object.__setattr__(self, "_chords", seg)
+        object.__setattr__(self, "_length", total)
         if self.param == UNIFORM_IN_ARCLENGTH:
             spread = self.chord_spread()
             if not spread <= SPREAD_TOL:
@@ -136,21 +144,42 @@ class SampledCurve:
         return self._chords
 
     def length(self) -> float:
-        return float(self._chords.sum())
+        return self._length
 
     def chord_spread(self) -> float:
         """Relative spread (max - min)/mean of the chord lengths."""
         seg = self._chords
-        return float((seg.max() - seg.min()) / (seg.sum() / len(seg)))
+        return float((seg.max() - seg.min()) / (self._length / len(seg)))
 
     def is_uniform(self) -> bool:
         return self.param == UNIFORM_IN_ARCLENGTH
 
+    @functools.cached_property
+    def _frames_h(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only unit tangent, unit normal and curvature of :func:`_frames`
+        at h = L/n."""
+        frames = _frames(self.vertices, self.length() / self.n)
+        for a in frames:
+            a.setflags(write=False)
+        return frames
 
-def _classified(pts: np.ndarray) -> SampledCurve:
+    @functools.cached_property
+    def _area(self) -> float:
+        return signed_area(self)
+
+    @functools.cached_property
+    def _measured(self) -> Tuple["CurveMetrics", np.ndarray]:
+        """:func:`_metrics` of the curve, with its k_s read-only."""
+        m, ks = _metrics(self, self._frames_h[2])
+        ks.setflags(write=False)
+        return m, ks
+
+
+def _classified(pts: np.ndarray, chords: Optional[np.ndarray] = None) -> SampledCurve:
     """A curve on pts, labelled uniform-in-arclength exactly when its chord
-    spread is within SPREAD_TOL, from the chords its validation computed."""
-    curve = SampledCurve(pts)
+    spread is within SPREAD_TOL, from the chords its validation computed or
+    from chords, when given, which must be those of pts."""
+    curve = SampledCurve(pts, chords=chords)
     if curve.chord_spread() <= SPREAD_TOL:
         # the label the constructor would have accepted, set without
         # measuring the chords a second time; curve has not escaped yet
@@ -271,11 +300,14 @@ def resample_uniform(curve: SampledCurve, n: Optional[int] = None) -> SampledCur
     chord length, until all chords agree to machine-level spread. Vertex 0
     stays anchored, so an already-uniform curve is a fixed point of the map.
 
-    The iteration stops once the spread is below 1e-12, or once it is within
-    the uniform-in-arclength tolerance and fell by less than half since the
-    previous evaluation: it has then reached rounding level, which at large
-    n lies above 1e-12.  A spread still above half that tolerance after the
-    last iteration raises DegenerateGeometryError.
+    The iteration stops once the spread is below max(1e-12, 4 n eps), with
+    eps the float64 machine epsilon, or once it is within the
+    uniform-in-arclength tolerance and fell by less than half since the
+    previous evaluation.  Rounding in the chord lengths grows with n, and
+    4 n eps lies above the spread the iteration reaches at large n (above
+    1e-12 from n = 1126 on), so the second rule is only a backstop.  A
+    spread still above half that tolerance after the last iteration raises
+    DegenerateGeometryError.
 
     Interpolating with a spline rather than along the polygon keeps the
     chord-length deficit of the inscribed polygon consistent between input and
@@ -302,6 +334,7 @@ def _resample_points(pts: np.ndarray, seg: np.ndarray,
     coeffs = _periodic_spline(knots, np.vstack([pts, pts[:1]]))
 
     u = np.interp(np.arange(n) * (total / n), knots, knots)
+    target = max(_RESAMPLE_TARGET_SPREAD, 4 * n * _FLOAT_EPS)
     prev_spread = math.inf
     for _ in range(_RESAMPLE_MAX_ITERS):
         out = _evaluate_spline(knots, coeffs, u)
@@ -311,7 +344,7 @@ def _resample_points(pts: np.ndarray, seg: np.ndarray,
             raise DegenerateGeometryError("resampling produced a collapsed polygon")
         spread = (chords.max() - chords.min()) / mean
         stalled = spread > 0.5 * prev_spread and spread <= 0.5 * SPREAD_TOL
-        if spread < _RESAMPLE_TARGET_SPREAD or stalled:
+        if spread < target or stalled:
             break
         prev_spread = spread
         cum = np.concatenate([[0.0], np.cumsum(chords)])
@@ -429,19 +462,20 @@ def curvature_profile(curve: SampledCurve) -> np.ndarray:
     sampled circle with the chord spacing used as h.
     """
     _require_uniform(curve, "curvature_profile")
-    return _frames(curve.vertices, curve.length() / curve.n)[2]
+    return curve._frames_h[2]
 
 
 def curvature_derivatives(curve: SampledCurve, order: int) -> np.ndarray:
-    """First or second arclength derivative of the curvature profile."""
+    """First or second arclength derivative of the curvature profile; the
+    first is the curve's k_s, read-only."""
     if order not in (1, 2):
         raise RejectedInputError("order must be 1 or 2")
     _require_uniform(curve, "curvature_derivatives")
-    k = curvature_profile(curve)
+    if order == 1:
+        return curve._measured[1]
+    k = curve._frames_h[2]
     h = curve.length() / curve.n
     kp = np.concatenate((k[-1:], k, k[:1]))
-    if order == 1:
-        return (kp[2:] - kp[:-2]) / (2.0 * h)
     return (kp[2:] - 2.0 * k + kp[:-2]) / (h * h)
 
 
@@ -477,14 +511,14 @@ def metrics(curve: SampledCurve) -> CurveMetrics:
     (figure-eights are legal inputs).
     """
     _require_uniform(curve, "metrics")
-    return _metrics(curve, _frames(curve.vertices, curve.length() / curve.n)[2])[0]
+    return curve._measured[0]
 
 
 def _metrics(curve: SampledCurve, k: np.ndarray) -> Tuple[CurveMetrics, np.ndarray]:
     """:func:`metrics` given the curve's curvature profile k, and the
     arclength derivative k_s it computes on the way."""
     L = curve.length()
-    A = signed_area(curve)
+    A = curve._area
     omega = turning_number(curve)
     h = L / curve.n
     kbar = 2.0 * omega * np.pi / L

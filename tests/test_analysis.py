@@ -324,6 +324,34 @@ class TestEmbeddednessCertificate:
             multiplicity_bound(2.5, 1)
 
 
+class TestOneComputationPerCurve:
+    def test_corpus_curve_runs_frames_and_turning_number_once(self, monkeypatch):
+        # the per-curve work of verify multiplicity-corpus and of the
+        # corpus benchmark, on one curve of each of the four families
+        from curvediffusion import geometry
+        from curvediffusion.cli import _corpus_spec
+
+        counts = {"_frames": 0, "turning_number": 0}
+        for name in counts:
+            fn = getattr(geometry, name)
+
+            def counting(*args, _fn=fn, _name=name):
+                counts[_name] += 1
+                return _fn(*args)
+
+            monkeypatch.setattr(geometry, name, counting)
+        rng = np.random.default_rng(0)
+        for index in range(4):
+            curve = uniform(_corpus_spec(rng, index), 512)
+            counts.update({name: 0 for name in counts})
+            met = metrics(curve)
+            embeddedness_certificate(curve)
+            density_integral(curve, curve.vertices[0])
+            check_hypotheses(curve)
+            assert met is metrics(curve)
+            assert counts == {"_frames": 1, "turning_number": 1}, index
+
+
 class TestTrajectoryChecks:
     def test_smallness_propagates_on_admissible_run(self, perturbed_run):
         report = smallness_propagation_check(perturbed_run.result.records)

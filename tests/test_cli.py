@@ -218,6 +218,21 @@ class TestAnalyze:
         assert not payload["hypotheses"]["verdicts"]["admissible"]
         assert payload["multiplicity_bound"]["verdicts"]["osc_energy_at_least_bound"]
 
+    def test_metrics_computed_once(self, tmp_path, monkeypatch):
+        # metrics, hypotheses and the certificate all read the curve's kept
+        # metrics
+        from curvediffusion import geometry
+
+        calls = []
+        measure = geometry._metrics
+        monkeypatch.setattr(geometry, "_metrics",
+                            lambda *args: calls.append(1) or measure(*args))
+        monkeypatch.setenv("CURVEDIFFUSION_OUTPUT_ROOT", str(tmp_path))
+        path = tmp_path / "ellipse.csv"
+        write_curve_csv(generate(ShapeSpec("ellipse", a=1.5, b=1.0), 128), path)
+        assert main(["analyze", str(path)]) == 0
+        assert len(calls) == 1
+
     def test_missing_curve_is_usage_error(self, tmp_path):
         assert main(["analyze", str(tmp_path / "absent.csv")]) == 1
 

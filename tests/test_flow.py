@@ -35,6 +35,7 @@ from curvediffusion.flow import (
 )
 from curvediffusion.geometry import (
     SPREAD_TOL,
+    SampledCurve,
     ShapeSpec,
     generate,
     hausdorff_distance,
@@ -143,17 +144,24 @@ class TestSingleStep:
 
 
 class TestCarriedValues:
-    """run() carries the ceiling check's frames, the record's area and its
-    k_s into the next step; a step that recomputes them must give the same
-    run."""
+    """Each quantity a step or a record reads of a curve is computed once,
+    by the curve, and kept; a loop that rebuilds every curve without its
+    kept values, and a loop of step(), must give the same run."""
 
     @staticmethod
-    def uncarried_run(initial, config):
+    def rebuilt(state):
+        # the same vertices in a new curve, which has computed nothing yet
+        curve = SampledCurve(state.curve.vertices, param=state.curve.param)
+        return FlowState(curve, time=state.time, step_index=state.step_index)
+
+    @classmethod
+    def uncached_run(cls, initial, config):
         state = FlowState(initial)
-        prev, prev_time, records = metrics(initial), 0.0, []
+        prev, prev_time, records = metrics(cls.rebuilt(state).curve), 0.0, []
         while state.step_index < config.max_steps:
-            state, residual, frames = _advance(state, config)
-            record, _ = _record_for(state, residual, prev, prev_time, frames[2])
+            state, residual = _advance(cls.rebuilt(state), config)
+            state = cls.rebuilt(state)
+            record = _record_for(state, residual, prev, prev_time)
             records.append(record)
             prev, prev_time = record.metrics, state.time
         return records, state
@@ -169,17 +177,38 @@ class TestCarriedValues:
     def test_run_is_bitwise_the_uncarried_loop(self, spec, config):
         initial = uniform(spec, config.n)
         result = run(initial, config)
-        records, state = self.uncarried_run(initial, config)
+        records, state = self.uncached_run(initial, config)
         assert result.reason == "max-steps"
         # every field, the oscillation-balance integrals included
         assert list(result.records) == records
         assert np.array_equal(result.final_state.curve.vertices,
                               state.curve.vertices)
 
+    @pytest.mark.parametrize("spec, config", [
+        (RIPPLE, FlowConfig(n=256, dt=1e-4, max_steps=30)),
+        (ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0),
+         FlowConfig(n=32, dt=1e-6, max_steps=10, scheme=SCHEME_EXPLICIT_RK4)),
+    ], ids=["ripple", "rk4"])
+    def test_step_loop_is_bitwise_run(self, spec, config):
+        initial = uniform(spec, config.n)
+        ran = []
+        result = run(initial, config, on_record=lambda *args: ran.append(args))
+        state, prev, prev_time = FlowState(initial), metrics(initial), 0.0
+        for ran_state, ran_record in ran:
+            state = step(state, config)
+            assert np.array_equal(state.curve.vertices, ran_state.curve.vertices)
+            # step() does not return the solve residual; every other field
+            # of the record is built from the stepped curve
+            record = _record_for(state, ran_record.solver_residual, prev, prev_time)
+            assert record == ran_record
+            prev, prev_time = record.metrics, state.time
+        assert state.step_index == config.max_steps == len(result.records)
+        assert np.array_equal(state.curve.vertices,
+                              result.final_state.curve.vertices)
+
     def test_call_budget_per_step(self, monkeypatch):
         # the quantities one step needs are computed once; counted between
-        # consecutive records, so the first step (nothing carried yet) and
-        # the set-up are outside the count
+        # consecutive records, so the set-up is outside the count
         counts = Counter()
 
         def counting(name, fn):
@@ -191,13 +220,18 @@ class TestCarriedValues:
         budget = {
             geometry._chord_lengths: 5,
             geometry._frames: 1,
+            geometry._metrics: 1,
             geometry.signed_area: 1,
+            geometry.turning_number: 1,
             scipy.linalg.solve_banded: 0,
             # every caller, numpy's own stacking functions included
             np.concatenate: 24,
             np.sum: 0,
             np.clip: 0,
         }
+        # without the area projection the resampled chords go to the curve
+        # as they are, and no projection measures them
+        unprojected = {geometry._chord_lengths: 3}
         numpy_modules = [module for name, module in list(sys.modules.items())
                          if name == "numpy" or name.startswith("numpy.")]
         for fn in budget:
@@ -206,13 +240,42 @@ class TestCarriedValues:
                 for attr, value in list(vars(module).items()):
                     if value is fn:
                         monkeypatch.setattr(module, attr, wrapper)
-        seen = []
-        run(uniform(RIPPLE, 256), FlowConfig(n=256, dt=1e-4, max_steps=20),
-            on_record=lambda *args: seen.append(Counter(counts)))
-        assert len(seen) == 20
-        for before, after in zip(seen, seen[1:]):
-            for fn, bound in budget.items():
-                assert after[fn.__name__] - before[fn.__name__] <= bound, fn.__name__
+        for conserve_area, bounds in ((True, budget), (False, {**budget, **unprojected})):
+            counts.clear()
+            seen = []
+            run(uniform(RIPPLE, 256),
+                FlowConfig(n=256, dt=1e-4, max_steps=20, conserve_area=conserve_area),
+                on_record=lambda *args: seen.append(Counter(counts)))
+            assert len(seen) == 20
+            for before, after in zip(seen, seen[1:]):
+                for fn, bound in bounds.items():
+                    assert after[fn.__name__] - before[fn.__name__] <= bound, (
+                        fn.__name__, conserve_area)
+
+    def test_flow_resample_takes_two_spline_evaluations_at_4096(self, monkeypatch):
+        # at n = 4096 the second evaluation reaches a spread of about 1.5e-12,
+        # under the rounding-aware target 4 n eps = 3.6e-12, so no third
+        # evaluation is spent detecting the stall
+        evaluate, resample = geometry._evaluate_spline, flow._resample_points
+        evals, per_call = Counter(), []
+
+        def counting_evaluate(*args):
+            evals["spline"] += 1
+            return evaluate(*args)
+
+        def counting_resample(*args):
+            before = evals["spline"]
+            out = resample(*args)
+            per_call.append(evals["spline"] - before)
+            return out
+
+        initial = uniform(RIPPLE, 4096)
+        monkeypatch.setattr(geometry, "_evaluate_spline", counting_evaluate)
+        monkeypatch.setattr(flow, "_resample_points", counting_resample)
+        result = run(initial, FlowConfig(n=4096, dt=1e-4, max_steps=5))
+        assert result.reason == "max-steps"
+        assert len(per_call) >= 5
+        assert max(per_call) <= 2
 
 
 class TestStopConditions:

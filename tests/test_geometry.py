@@ -1,6 +1,7 @@
 """Curve construction, metrics, and resampling against closed-form oracles."""
 
 import copy
+import dataclasses
 import math
 import warnings
 
@@ -382,6 +383,47 @@ class TestPaddedStencils:
             want = x + c * (_shift(x, -2) - 4.0 * _shift(x, -1) + 6.0 * x
                             - 4.0 * _shift(x, 1) + _shift(x, 2))
             assert np.array_equal(_apply_cyclic_pentadiagonal(c, x), want)
+
+
+class TestCurveCache:
+    """A curve computes its frames, area, metrics and k_s on first use and
+    keeps them read-only, outside the constructor, repr and ==."""
+
+    def test_kept_values_equal_a_fresh_computation_and_are_read_only(self):
+        curve = uniform(ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0), 128)
+        h = curve.length() / curve.n
+        fresh = geometry._frames(curve.vertices, h)
+        m, ks = geometry._metrics(curve, fresh[2])
+        assert metrics(curve) == m
+        assert np.array_equal(curvature_derivatives(curve, 1), ks)
+        assert np.array_equal(curvature_profile(curve), fresh[2])
+        assert curve._area == geometry.signed_area(curve)
+        assert curve.length() == float(geometry._chord_lengths(curve.vertices).sum())
+        kept = (*curve._frames_h, curve._measured[1], curvature_profile(curve),
+                curvature_derivatives(curve, 1))
+        for got, want in zip(curve._frames_h, fresh):
+            assert np.array_equal(got, want)
+        for array in kept:
+            assert not array.flags.writeable
+            with pytest.raises(ValueError):
+                array[0] = 0.0
+        # repeated queries return the kept objects themselves
+        assert metrics(curve) is metrics(curve)
+        assert curvature_profile(curve) is curve._frames_h[2]
+
+    def test_cache_stays_out_of_repr_and_equality(self):
+        curve = uniform(ShapeSpec("circle", radius=1.0), 32)
+        twin = SampledCurve(curve.vertices, param=curve.param)
+        before = repr(curve)
+        metrics(curve)
+        assert repr(curve) == before == repr(twin)
+        assert "_measured" in vars(curve) and "_measured" not in vars(twin)
+        # == and repr read only these fields, and the constructor takes
+        # only them and the chords
+        fields = dataclasses.fields(SampledCurve)
+        assert [f.name for f in fields if f.compare] == ["vertices", "param"]
+        assert [f.name for f in fields if f.repr] == ["vertices", "param"]
+        assert [f.name for f in fields if f.init] == ["vertices", "param"]
 
 
 class TestHausdorff:
