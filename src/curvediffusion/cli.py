@@ -80,16 +80,6 @@ _OUTPUT_ROOT_VAR = "CURVEDIFFUSION_OUTPUT_ROOT"
 REPORT_SECTIONS = ("hypotheses", "smallness", "l1-energy", "waiting", "decay")
 _DEFAULT_REPORTS = ("hypotheses", "smallness", "l1-energy", "waiting")
 
-_SHAPE_KEYS = ("shape", "radius", "a", "b", "r0", "modes", "offset", "scale")
-_FLOW_KEYS = (
-    "n", "dt", "scheme", "max_time", "max_steps", "stop_when_kosc_exceeds",
-    "curvature_energy_ceiling", "min_segment_factor",
-    "solve_tolerance", "conserve_area",
-)
-_OUTPUT_KEYS = ("output_dir", "snapshot_interval", "svg", "reports")
-_MANIFEST_KEYS = _SHAPE_KEYS + _FLOW_KEYS + _OUTPUT_KEYS
-
-
 @dataclass(frozen=True)
 class RunManifest:
     """Everything one simulation run needs: shape, stepping, outputs."""
@@ -184,14 +174,14 @@ _FLOW_PARSERS: Dict[str, Callable] = {
     "max_time": _parse_opt_float, "max_steps": _parse_opt_int,
     "stop_when_kosc_exceeds": _parse_opt_float,
     "curvature_energy_ceiling": _parse_float,
-    "min_segment_factor": _parse_float,
-    "solve_tolerance": _parse_float,
     "conserve_area": _parse_bool,
 }
 _OUTPUT_PARSERS: Dict[str, Callable] = {
     "output_dir": _parse_str, "snapshot_interval": _parse_int,
     "svg": _parse_bool, "reports": _parse_reports,
 }
+# every key a manifest may set; each is listed once, in its parser table
+_MANIFEST_KEYS = ("shape", *_SHAPE_PARSERS, *_FLOW_PARSERS, *_OUTPUT_PARSERS)
 
 
 def read_manifest(path) -> RunManifest:
@@ -242,40 +232,32 @@ def _format_value(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return repr(value)
+    if isinstance(value, tuple):  # report names or mode triples
+        return ",".join(
+            _format_mode(*item) if isinstance(item, tuple) else item
+            for item in value
+        )
     return str(value)
 
 
-def _format_modes(modes) -> str:
-    return ",".join(
-        f"{int(m)}:{_format_value(float(amp))}:{_format_value(float(phase))}"
-        for m, amp, phase in modes
-    )
+def _format_mode(m, amp, phase) -> str:
+    return f"{int(m)}:{_format_value(float(amp))}:{_format_value(float(phase))}"
 
 
 def write_manifest(manifest: RunManifest, path) -> None:
     """Write a manifest that read_manifest parses back to an equal value."""
-    spec, config = manifest.shape, manifest.flow
     groups = [
-        ("shape", [
-            ("shape", spec.kind), ("radius", spec.radius),
-            ("a", spec.a), ("b", spec.b), ("r0", spec.r0),
-            ("modes", _format_modes(spec.modes)),
-            ("offset", spec.offset), ("scale", spec.scale),
-        ]),
-        ("stepping", [(key, getattr(config, key)) for key in _FLOW_KEYS]),
-        ("outputs", [
-            ("output_dir", manifest.output_dir),
-            ("snapshot_interval", manifest.snapshot_interval),
-            ("svg", manifest.svg),
-            ("reports", ",".join(manifest.reports)),
-        ]),
+        ("shape", [("shape", manifest.shape.kind)]
+         + [(key, getattr(manifest.shape, key)) for key in _SHAPE_PARSERS]),
+        ("stepping", [(key, getattr(manifest.flow, key)) for key in _FLOW_PARSERS]),
+        ("outputs", [(key, getattr(manifest, key)) for key in _OUTPUT_PARSERS]),
     ]
     lines = ["# flow run manifest: key = value per line, '#' starts a comment"]
     for title, pairs in groups:
         lines.append("")
         lines.append(f"# {title}")
         for key, value in pairs:
-            text = value if isinstance(value, str) else _format_value(value)
+            text = _format_value(value)
             lines.append(f"{key} ={' ' + text if text else ''}")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("\n".join(lines) + "\n")

@@ -37,7 +37,6 @@ class BlowUpSignal(CurveDiffusionError, RuntimeError):
     branch, not an error.
     """
 
-    def __init__(self, message: str, last_state=None, reason: str = "blow-up"):
+    def __init__(self, message: str, last_state=None):
         super().__init__(message)
         self.last_state = last_state
-        self.reason = reason

@@ -44,7 +44,6 @@ from .geometry import (
     SampledCurve,
     SPREAD_TOL,
     _chord_lengths,
-    _classified,
     _frames,
     _resample_points,
     _shift,
@@ -58,6 +57,8 @@ SCHEME_EXPLICIT_RK4 = "explicit-rk4"
 SCHEMES = (SCHEME_LINEARLY_IMPLICIT, SCHEME_EXPLICIT_RK4)
 
 _MAX_EXTRA_PASSES = 3  # resample-project passes after the first; fixtures need <= 2
+RESIDUAL_TOL = 1e-8     # largest backward error accepted from the implicit solve
+MIN_CHORD_RATIO = 1e-3  # a raw chord below this times the mean chord is a collapse
 
 TRAJECTORY_FIELDS = (
     "t", "L", "A", "I", "omega", "kbar", "kosc",
@@ -67,11 +68,11 @@ TRAJECTORY_FIELDS = (
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Scheme, resolution, stop conditions, and tolerances for one run.
+    """Scheme, resolution and stop conditions for one run.
 
     ``curvature_energy_ceiling`` bounds the squared L2 norm of curvature
     (arclength integral of k^2); crossing it, or any chord falling below
-    ``min_segment_factor`` times the mean spacing, stops the run with a
+    MIN_CHORD_RATIO times the mean spacing, stops the run with a
     blow-up signal.  ``conserve_area`` toggles the exact area projection;
     switching it off exposes the raw truncation drift.
     """
@@ -83,8 +84,6 @@ class FlowConfig:
     max_steps: Optional[int] = None
     stop_when_kosc_exceeds: Optional[float] = None
     curvature_energy_ceiling: float = 1e5
-    min_segment_factor: float = 1e-3
-    solve_tolerance: float = 1e-8
     conserve_area: bool = True
 
     def __post_init__(self):
@@ -108,10 +107,6 @@ class FlowConfig:
             raise RejectedInputError("stop_when_kosc_exceeds must be positive")
         if self.curvature_energy_ceiling <= 0:
             raise RejectedInputError("curvature_energy_ceiling must be positive")
-        if not 0.0 < self.min_segment_factor < 1.0:
-            raise RejectedInputError("min_segment_factor must lie in (0, 1)")
-        if self.solve_tolerance <= 0:
-            raise RejectedInputError("solve_tolerance must be positive")
 
 
 @dataclass(frozen=True)
@@ -220,8 +215,7 @@ def _apply_cyclic_pentadiagonal(c: float, x: np.ndarray) -> np.ndarray:
     )
 
 
-def _implicit_advance(curve: SampledCurve, dt: float,
-                      solve_tolerance: float) -> Tuple[np.ndarray, float]:
+def _implicit_advance(curve: SampledCurve, dt: float) -> Tuple[np.ndarray, float]:
     pts = curve.vertices
     h = curve.length() / curve.n
     tau, nu, k = curve._frames_h
@@ -234,10 +228,10 @@ def _implicit_advance(curve: SampledCurve, dt: float,
     # backward error: residual relative to what rounding alone must produce
     scale = float(np.abs(b).max()) + (1.0 + 16.0 * c) * float(np.abs(x).max())
     residual = float(np.abs(gap).max()) / max(scale, 1e-30)
-    if not np.isfinite(residual) or residual > solve_tolerance:
+    if not np.isfinite(residual) or residual > RESIDUAL_TOL:
         raise SolverError(
             f"implicit step residual {residual:.3e} exceeds tolerance "
-            f"{solve_tolerance:.1e}"
+            f"{RESIDUAL_TOL:.1e}"
         )
     return x, residual
 
@@ -319,13 +313,11 @@ def _redistribute(raw: np.ndarray, state: FlowState, config: FlowConfig,
         except DegenerateGeometryError as exc:
             raise BlowUpSignal(
                 f"area projection failed: {exc}", last_state=state,
-                reason="degenerate-geometry",
             ) from exc
     seg = _chord_lengths(raw)
-    if float(seg.min()) < config.min_segment_factor * float(seg.sum() / len(seg)):
+    if float(seg.min()) < MIN_CHORD_RATIO * float(seg.sum() / len(seg)):
         raise BlowUpSignal(
-            "a segment collapsed below the resolvable scale",
-            last_state=state, reason="segment-collapse",
+            "a segment collapsed below the resolvable scale", last_state=state,
         )
     try:
         for _ in range(_MAX_EXTRA_PASSES + 1):
@@ -333,7 +325,7 @@ def _redistribute(raw: np.ndarray, state: FlowState, config: FlowConfig,
             if config.conserve_area:
                 pts = _project_area(pts, seg, prev_area)
                 seg = None  # the projection moved the points: measure again
-            curve = _classified(pts, seg)
+            curve = SampledCurve(pts, chords=seg)
             if curve.is_uniform():
                 return curve
             raw, seg = curve.vertices, curve.segment_lengths()
@@ -344,7 +336,6 @@ def _redistribute(raw: np.ndarray, state: FlowState, config: FlowConfig,
     except (DegenerateGeometryError, RejectedInputError) as exc:
         raise BlowUpSignal(
             f"redistribution failed: {exc}", last_state=state,
-            reason="degenerate-geometry",
         ) from exc
 
 
@@ -356,16 +347,14 @@ def _advance(state: FlowState, config: FlowConfig) -> Tuple[FlowState, float]:
     computes is not computed again by the next step.
     """
     if config.scheme == SCHEME_LINEARLY_IMPLICIT:
-        raw, residual = _implicit_advance(state.curve, config.dt,
-                                          config.solve_tolerance)
+        raw, residual = _implicit_advance(state.curve, config.dt)
     else:
         raw = _rk4_advance(state.curve.vertices, config.dt)
         residual = 0.0
 
     if not np.isfinite(raw).all():
         raise BlowUpSignal(
-            "non-finite coordinates after the step",
-            last_state=state, reason="non-finite",
+            "non-finite coordinates after the step", last_state=state,
         )
     curve = _redistribute(raw, state, config, state.curve._area)
 
@@ -375,8 +364,7 @@ def _advance(state: FlowState, config: FlowConfig) -> Tuple[FlowState, float]:
     if energy >= config.curvature_energy_ceiling:
         raise BlowUpSignal(
             f"curvature energy {energy:.3e} reached the ceiling "
-            f"{config.curvature_energy_ceiling:.3e}",
-            last_state=state, reason="curvature-energy-ceiling",
+            f"{config.curvature_energy_ceiling:.3e}", last_state=state,
         )
 
     new_state = FlowState(

@@ -1,13 +1,13 @@
 """Discrete closed plane curves: sampling, resampling, curvature, scalar metrics.
 
-A curve is a closed polygon with N >= 16 vertices and periodic indexing.  The
-working parametrization is uniform-in-arclength, meaning all chord lengths
-agree to a relative spread of 1e-6; every differential operator in this
-package assumes that grid.  Curvature and its arclength derivatives come from
-second-order centered periodic differences, the signed area from the shoelace
-formula, the winding number from the exterior turning angles, and all curve
-integrals from the composite midpoint rule on the uniform grid (identical to
-the periodic trapezoid rule up to a half-cell shift).
+A curve is a closed polygon with N >= 16 vertices and periodic indexing.  It
+measures its chord lengths when it is built, and it is uniform in arclength
+when they agree to a relative spread of 1e-6; every differential operator in
+this package needs such a curve.  Curvature and its arclength derivatives
+come from second-order centered periodic differences, the signed area from
+the shoelace formula, the winding number from the exterior turning angles,
+and all curve integrals from the composite midpoint rule on the uniform grid
+(identical to the periodic trapezoid rule up to a half-cell shift).
 
 Orientation convention: the unit normal is the tangent rotated by +90 degrees,
 so a counterclockwise circle has curvature +1 and positive signed area.
@@ -28,9 +28,6 @@ from .errors import (
     NonUniformParametrizationError,
     RejectedInputError,
 )
-
-UNIFORM_IN_PARAMETER = "uniform-in-parameter"
-UNIFORM_IN_ARCLENGTH = "uniform-in-arclength"
 
 MIN_VERTICES = 16
 SPREAD_TOL = 1e-6          # relative chord spread defining uniform-in-arclength
@@ -71,31 +68,33 @@ def _chord_lengths(pts: np.ndarray) -> np.ndarray:
     return _row_norms(_shift(pts, 1) - pts)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SampledCurve:
-    """Closed polygon in the plane with a declared parametrization quality.
+    """Closed polygon in the plane.
 
     Parameters
     ----------
     vertices : (n, 2) array
         Vertex coordinates, traversed once; the edge from the last vertex back
         to the first closes the polygon.
-    param : str
-        Either ``uniform-in-parameter`` (no spacing promise) or
-        ``uniform-in-arclength`` (chord lengths within 1e-6 relative spread).
+    chords : (n,) array, optional
+        The chord lengths of vertices, when the caller has measured them.
 
     The validated chord lengths, measured here or passed as ``chords``, are
     kept, read-only, with their sum, and every length query reads them.  The
-    quantities the flow and the analysis read of a curve are computed on
-    first use and kept the same way, outside the constructor, ``repr`` and
-    ``==``: the frames at h = L/n (``_frames_h``), the signed area
-    (``_area``) and the metrics with the k_s they compute (``_measured``).
+    curve is uniform in arclength, and ``is_uniform()`` says so, exactly when
+    their relative spread is within SPREAD_TOL.  The quantities the flow and
+    the analysis read of a curve are computed on first use and kept the same
+    way, outside the constructor and ``repr``: the frames at h = L/n
+    (``_frames_h``), the signed area (``_area``) and the metrics with the k_s
+    they compute (``_measured``).  Two curves are equal when their vertices
+    are; a curve is not hashable.
     """
 
     vertices: np.ndarray
-    param: str = UNIFORM_IN_PARAMETER
-    _chords: np.ndarray = field(init=False, compare=False, repr=False)
-    _length: float = field(init=False, compare=False, repr=False)
+    _chords: np.ndarray = field(init=False, repr=False)
+    _length: float = field(init=False, repr=False)
+    _uniform: bool = field(init=False, repr=False)
     chords: InitVar[Optional[np.ndarray]] = None
 
     def __post_init__(self, chords):
@@ -108,8 +107,6 @@ class SampledCurve:
             )
         if not np.isfinite(pts).all():
             raise RejectedInputError("vertex coordinates must be finite")
-        if self.param not in (UNIFORM_IN_PARAMETER, UNIFORM_IN_ARCLENGTH):
-            raise RejectedInputError(f"unknown parametrization {self.param!r}")
         # squared chords overflow beyond about 1e154: a wrong scale, rejected
         # before it turns into an infinite length or a NaN spread
         with np.errstate(over="ignore"):
@@ -124,16 +121,15 @@ class SampledCurve:
         seg.setflags(write=False)
         object.__setattr__(self, "_chords", seg)
         object.__setattr__(self, "_length", total)
-        if self.param == UNIFORM_IN_ARCLENGTH:
-            spread = self.chord_spread()
-            if not spread <= SPREAD_TOL:
-                raise RejectedInputError(
-                    f"chord spread {spread:.3e} exceeds the uniform-in-arclength "
-                    f"tolerance {SPREAD_TOL:.0e}"
-                )
+        object.__setattr__(self, "_uniform", self.chord_spread() <= SPREAD_TOL)
         pts = pts.copy()
         pts.setflags(write=False)
         object.__setattr__(self, "vertices", pts)
+
+    def __eq__(self, other):
+        if not isinstance(other, SampledCurve):
+            return NotImplemented
+        return np.array_equal(self.vertices, other.vertices)
 
     @property
     def n(self) -> int:
@@ -152,7 +148,8 @@ class SampledCurve:
         return float((seg.max() - seg.min()) / (self._length / len(seg)))
 
     def is_uniform(self) -> bool:
-        return self.param == UNIFORM_IN_ARCLENGTH
+        """Whether the chord spread is within SPREAD_TOL."""
+        return self._uniform
 
     @functools.cached_property
     def _frames_h(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -173,18 +170,6 @@ class SampledCurve:
         m, ks = _metrics(self, self._frames_h[2])
         ks.setflags(write=False)
         return m, ks
-
-
-def _classified(pts: np.ndarray, chords: Optional[np.ndarray] = None) -> SampledCurve:
-    """A curve on pts, labelled uniform-in-arclength exactly when its chord
-    spread is within SPREAD_TOL, from the chords its validation computed or
-    from chords, when given, which must be those of pts."""
-    curve = SampledCurve(pts, chords=chords)
-    if curve.chord_spread() <= SPREAD_TOL:
-        # the label the constructor would have accepted, set without
-        # measuring the chords a second time; curve has not escaped yet
-        object.__setattr__(curve, "param", UNIFORM_IN_ARCLENGTH)
-    return curve
 
 
 @dataclass(frozen=True)
@@ -251,8 +236,9 @@ def generate(spec: ShapeSpec, n: int) -> SampledCurve:
     """Sample a parametric shape at n parameter-uniform points.
 
     The curve is traced once, counterclockwise for the radial graphs, so the
-    circle encloses positive area. The result has param = uniform-in-parameter;
-    resample before calling any curvature operation.
+    circle encloses positive area. Only where the parameter is proportional
+    to arclength, as on the circle, are the chords uniform; resample any
+    other shape before calling a curvature operation.
     """
     if n < MIN_VERTICES:
         raise RejectedInputError(f"need n >= {MIN_VERTICES}, got {n}")
@@ -279,7 +265,7 @@ def generate(spec: ShapeSpec, n: int) -> SampledCurve:
         )
     else:  # pragma: no cover - kinds validated by ShapeSpec
         raise RejectedInputError(f"unknown shape kind {spec.kind!r}")
-    return SampledCurve(pts, param=UNIFORM_IN_PARAMETER)
+    return SampledCurve(pts)
 
 
 def _fourier_radius(spec: ShapeSpec, t: np.ndarray) -> np.ndarray:
@@ -316,7 +302,7 @@ def resample_uniform(curve: SampledCurve, n: Optional[int] = None) -> SampledCur
     if n is None:
         n = curve.n
     pts, seg = _resample_points(curve.vertices, curve.segment_lengths(), n)
-    return SampledCurve(pts, param=UNIFORM_IN_ARCLENGTH, chords=seg)
+    return SampledCurve(pts, chords=seg)
 
 
 def _resample_points(pts: np.ndarray, seg: np.ndarray,
@@ -589,8 +575,7 @@ def read_curve_csv(path) -> SampledCurve:
 
     The polygon closes implicitly. Rows with non-finite values are rejected,
     and so is a polygon whose chord lengths overflow or whose total length
-    is below MIN_TOTAL_LENGTH.  The parametrization is classified from the
-    measured chord spread.
+    is below MIN_TOTAL_LENGTH.  The curve is uniform when its chords are.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -616,23 +601,17 @@ def read_curve_csv(path) -> SampledCurve:
         raise RejectedInputError(
             f"curve CSV needs at least {MIN_VERTICES} rows, got {pts.shape[0]}"
         )
-    # squared chords overflow beyond about 1e154 and underflow to 0 below
-    # about 1e-154; either is a wrong scale, not a wrong polygon
+    # squared chords underflow to 0 below about 1e-154: a wrong scale, not a
+    # wrong polygon; the curve rejects chords that overflow or vanish
     with np.errstate(over="ignore"):
         seg = _chord_lengths(pts)
         total = float(seg.sum())
-    if not math.isfinite(total):
-        raise RejectedInputError(
-            "curve CSV coordinates are too large: the chord lengths overflow"
-        )
     if total < MIN_TOTAL_LENGTH:
         raise RejectedInputError(
             f"curve CSV is collapsed: total length {total:.3e} below "
             f"{MIN_TOTAL_LENGTH:.0e}"
         )
-    if (seg == 0.0).any():
-        raise RejectedInputError("curve CSV has coinciding consecutive vertices")
-    return _classified(pts)
+    return SampledCurve(pts, chords=seg)
 
 
 def write_curve_csv(curve: SampledCurve, path) -> None:

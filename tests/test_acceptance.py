@@ -224,8 +224,7 @@ def test_criterion_09_relaxing_run_stays_embedded(perturbed_run):
 
 def test_criterion_10_point_multiplicity_from_curvature():
     circle = _uniform(ShapeSpec("circle", radius=1.0), 1024)
-    through_origin = SampledCurve(circle.vertices + np.array([1.0, 0.0]),
-                                  param=circle.param)
+    through_origin = SampledCurve(circle.vertices + np.array([1.0, 0.0]))
     single = density_integral(through_origin, (0.0, 0.0))
     eight = density_integral(_uniform(ShapeSpec("lemniscate", scale=1.0), 1024),
                              (0.0, 0.0))

@@ -1,6 +1,7 @@
 """Command-line surface: manifests, subcommands, exit codes, artifacts."""
 
 import contextlib
+import dataclasses
 import io
 import json
 import math
@@ -109,12 +110,18 @@ class TestManifest:
         "shape = circle\nmax_steps = 10\ngeometry_epsilon = 1e-9\n",
         "shape = circle\nmax_steps = 10\nredistribution = resample-every-step\n",
         "shape = circle\nmax_steps = 10\nspread_threshold = 0.01\n",
+        "shape = circle\nmax_steps = 10\nsolve_tolerance = 1e-8\n",
+        "shape = circle\nmax_steps = 10\nmin_segment_factor = 1e-3\n",
     ])
     def test_malformed_manifests_rejected(self, tmp_path, body):
         path = tmp_path / "m.txt"
         path.write_text(body)
         with pytest.raises(RejectedInputError):
             read_manifest(path)
+
+    def test_flow_keys_are_the_config_fields(self):
+        fields = [f.name for f in dataclasses.fields(FlowConfig)]
+        assert fields == list(cli._FLOW_PARSERS)
 
 
 @pytest.fixture(scope="module")

@@ -151,7 +151,7 @@ class TestCarriedValues:
     @staticmethod
     def rebuilt(state):
         # the same vertices in a new curve, which has computed nothing yet
-        curve = SampledCurve(state.curve.vertices, param=state.curve.param)
+        curve = SampledCurve(state.curve.vertices)
         return FlowState(curve, time=state.time, step_index=state.step_index)
 
     @classmethod
@@ -387,9 +387,10 @@ class TestCyclicSolve:
             want = np.linalg.solve(self.dense(n, c), rhs)
             assert float(np.abs(x - want).max()) <= 1e-12 * float(np.abs(want).max())
 
-    def test_residual_above_tolerance_raises(self):
+    def test_residual_above_tolerance_raises(self, monkeypatch):
+        monkeypatch.setattr(flow, "RESIDUAL_TOL", 1e-300)
         state = FlowState(uniform(ShapeSpec("circle", radius=1.0), 64))
-        config = FlowConfig(n=64, dt=1e-4, max_steps=1, solve_tolerance=1e-300)
+        config = FlowConfig(n=64, dt=1e-4, max_steps=1)
         with pytest.raises(SolverError, match="residual"):
             step(state, config)
 

@@ -20,7 +20,6 @@ from curvediffusion.errors import (
 from curvediffusion.flow import FlowConfig, run
 from curvediffusion.geometry import (
     SPREAD_TOL,
-    UNIFORM_IN_ARCLENGTH,
     SampledCurve,
     ShapeSpec,
     curvature_derivatives,
@@ -95,7 +94,7 @@ class TestGeneratedShapes:
         j = np.arange(512)
         pts = np.column_stack([np.cos(4.0 * math.pi * j / 512),
                                np.sin(4.0 * math.pi * j / 512)])
-        m = metrics(SampledCurve(pts, param=UNIFORM_IN_ARCLENGTH))
+        m = metrics(SampledCurve(pts))
         assert m.winding_number == 2
         assert abs(m.length - 4.0 * math.pi) <= 2e-3
         assert abs(m.average_curvature - 1.0) <= 1e-3
@@ -107,7 +106,7 @@ class TestGeneratedShapes:
         j = np.arange(256)
         pts = np.column_stack([np.cos(4.0 * math.pi * j / 256),
                                np.sin(4.0 * math.pi * j / 256)])
-        m = metrics(SampledCurve(pts, param=UNIFORM_IN_ARCLENGTH))
+        m = metrics(SampledCurve(pts))
         assert m.winding_number == 2
         assert abs(m.average_curvature - 1.0) <= 1e-3
         assert m.osc_energy <= 4e-6
@@ -126,7 +125,7 @@ class TestInvariances:
         spec = ShapeSpec("fourier-perturbed-circle", r0=1.0,
                          modes=((freq, amplitude, phase),))
         curve = uniform(spec, 128)
-        scaled = SampledCurve(scale * curve.vertices, param=curve.param)
+        scaled = SampledCurve(scale * curve.vertices)
         m0, m1 = metrics(curve), metrics(scaled)
 
         def rel(x, y):
@@ -140,8 +139,7 @@ class TestInvariances:
 
     def test_orientation_reversal(self):
         curve = uniform(ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0), 256)
-        reversed_curve = SampledCurve(curve.vertices[::-1].copy(),
-                                      param=curve.param)
+        reversed_curve = SampledCurve(curve.vertices[::-1].copy())
         m, mr = metrics(curve), metrics(reversed_curve)
         assert mr.winding_number == -m.winding_number
         assert abs(mr.signed_area + m.signed_area) <= 1e-12
@@ -357,12 +355,11 @@ class TestPaddedStencils:
         assert m.ks_norm_sq == float(np.sum(want_ks * want_ks)) * hk
         assert m.kss_norm_sq == float(np.sum(want_kss * want_kss)) * hk
         if kind == "circle":
-            uniform_curve = SampledCurve(pts, param=UNIFORM_IN_ARCLENGTH)
-            k_u = curvature_profile(uniform_curve)
-            hu = uniform_curve.length() / n
-            assert np.array_equal(curvature_derivatives(uniform_curve, 1),
+            k_u = curvature_profile(curve)
+            hu = curve.length() / n
+            assert np.array_equal(curvature_derivatives(curve, 1),
                                   (_shift(k_u, 1) - _shift(k_u, -1)) / (2.0 * hu))
-            assert np.array_equal(curvature_derivatives(uniform_curve, 2),
+            assert np.array_equal(curvature_derivatives(curve, 2),
                                   (_shift(k_u, 1) - 2.0 * k_u + _shift(k_u, -1))
                                   / (hu * hu))
 
@@ -413,17 +410,17 @@ class TestCurveCache:
 
     def test_cache_stays_out_of_repr_and_equality(self):
         curve = uniform(ShapeSpec("circle", radius=1.0), 32)
-        twin = SampledCurve(curve.vertices, param=curve.param)
+        twin = SampledCurve(curve.vertices)
         before = repr(curve)
         metrics(curve)
         assert repr(curve) == before == repr(twin)
         assert "_measured" in vars(curve) and "_measured" not in vars(twin)
-        # == and repr read only these fields, and the constructor takes
-        # only them and the chords
+        assert curve == twin
+        # repr reads only the vertices, and the constructor takes only them
+        # and the chords
         fields = dataclasses.fields(SampledCurve)
-        assert [f.name for f in fields if f.compare] == ["vertices", "param"]
-        assert [f.name for f in fields if f.repr] == ["vertices", "param"]
-        assert [f.name for f in fields if f.init] == ["vertices", "param"]
+        assert [f.name for f in fields if f.repr] == ["vertices"]
+        assert [f.name for f in fields if f.init] == ["vertices"]
 
 
 class TestHausdorff:
@@ -509,7 +506,7 @@ class TestValidation:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(RejectedInputError, match="chord lengths overflow"):
-                SampledCurve(pts, param=UNIFORM_IN_ARCLENGTH)
+                SampledCurve(pts)
             with pytest.raises(RejectedInputError, match="chord lengths overflow"):
                 generate(ShapeSpec("circle", radius=1e200), 64)
 
@@ -519,7 +516,7 @@ class TestValidation:
         assert np.array_equal(seg, geometry._chord_lengths(curve.vertices))
         with pytest.raises(ValueError):
             seg[0] = 1.0
-        # same vertices and label, another cache array: still equal
+        # same vertices, another cache array: still equal
         twin = copy.copy(curve)
         object.__setattr__(twin, "_chords", seg.copy())
         assert twin == curve
@@ -530,13 +527,40 @@ class TestValidation:
         # go through the checks that measured chords go through
         curve = uniform(ShapeSpec("ellipse", a=1.5, b=0.5), 64)
         seg = curve.segment_lengths()
-        for bad, match in ((0.0, "must not coincide"), (np.inf, "overflow"),
-                           (2.0 * seg[0], "chord spread")):
+        for bad, match in ((0.0, "must not coincide"), (np.inf, "overflow")):
             chords = seg.copy()
             chords[3] = bad
             with pytest.raises(RejectedInputError, match=match):
-                SampledCurve(curve.vertices, param=UNIFORM_IN_ARCLENGTH,
-                             chords=chords)
+                SampledCurve(curve.vertices, chords=chords)
+
+    def test_uniformity_is_measured(self):
+        t = 2.0 * np.pi * np.arange(64) / 64
+        pts = np.column_stack([np.cos(t), np.sin(t)])
+        assert SampledCurve(pts).is_uniform()
+        theta = 0.7
+        rot = np.array([[math.cos(theta), -math.sin(theta)],
+                        [math.sin(theta), math.cos(theta)]])
+        moved = SampledCurve(pts @ rot.T + np.array([1e3, -2.0]))
+        assert moved.is_uniform()
+        assert SampledCurve(np.roll(pts, 17, axis=0)).is_uniform()
+        assert not generate(ShapeSpec("ellipse", a=1.5, b=0.5), 64).is_uniform()
+        # handed-over chords are taken as measured: one doubled chord is a
+        # spread of about 1, far above SPREAD_TOL
+        curve = uniform(ShapeSpec("ellipse", a=1.5, b=0.5), 64)
+        assert curve.is_uniform()
+        chords = curve.segment_lengths().copy()
+        chords[3] *= 2.0
+        assert not SampledCurve(curve.vertices, chords=chords).is_uniform()
+
+    def test_equality_compares_vertices(self):
+        curve = uniform(ShapeSpec("circle", radius=1.0), 32)
+        assert curve == SampledCurve(curve.vertices.copy())
+        moved = curve.vertices.copy()
+        moved[5, 0] += 1e-3
+        assert curve != SampledCurve(moved)
+        assert curve != SampledCurve(curve.vertices[:16].copy())
+        with pytest.raises(TypeError):
+            hash(curve)
 
 
 class TestSerialization:
@@ -546,8 +570,8 @@ class TestSerialization:
         path = tmp_path / "curve.csv"
         write_curve_csv(curve, path)
         back = read_curve_csv(path)
-        assert np.array_equal(back.vertices, curve.vertices)
-        assert back.param == curve.param
+        assert back == curve
+        assert back.is_uniform() and curve.is_uniform()
 
     def test_csv_rejects_malformed_rows(self, tmp_path):
         path = tmp_path / "bad.csv"

@@ -167,8 +167,7 @@ class TestGaugeInvariance:
         base = find_crossings(curve)
         for shift in (1, 17, 128):
             rolled = type(curve)(
-                vertices=np.roll(curve.vertices, shift, axis=0).copy(),
-                param=curve.param)
+                vertices=np.roll(curve.vertices, shift, axis=0).copy())
             cs = find_crossings(rolled)
             assert cs.multiplicity == base.multiplicity
             assert len(cs.crossings) == len(base.crossings)
@@ -182,8 +181,7 @@ class TestGaugeInvariance:
         theta = 0.7
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
-        turned = type(curve)(vertices=curve.vertices @ rot.T,
-                             param=curve.param)
+        turned = type(curve)(vertices=curve.vertices @ rot.T)
         assert find_crossings(turned).multiplicity == 2
 
     def test_repeated_calls_are_identical(self):
