@@ -86,9 +86,9 @@ class SampledCurve:
     their relative spread is within SPREAD_TOL.  The quantities the flow and
     the analysis read of a curve are computed on first use and kept the same
     way, outside the constructor and ``repr``: the frames at h = L/n
-    (``_frames_h``), the signed area (``_area``) and the metrics with the k_s
-    they compute (``_measured``).  Two curves are equal when their vertices
-    are; a curve is not hashable.
+    (``_frames_h``), the arclength derivative k_s of the curvature (``_ks``),
+    the signed area (``_area``) and the metrics (``_measured``).  Two curves
+    are equal when their vertices are; a curve is not hashable.
     """
 
     vertices: np.ndarray
@@ -161,15 +161,21 @@ class SampledCurve:
         return frames
 
     @functools.cached_property
+    def _ks(self) -> np.ndarray:
+        """Read-only centred difference of the curvature at h = L/n: k_s."""
+        k = self._frames_h[2]
+        kp = np.concatenate((k[-1:], k, k[:1]))
+        ks = (kp[2:] - kp[:-2]) / (2.0 * (self.length() / self.n))
+        ks.setflags(write=False)
+        return ks
+
+    @functools.cached_property
     def _area(self) -> float:
         return signed_area(self)
 
     @functools.cached_property
-    def _measured(self) -> Tuple["CurveMetrics", np.ndarray]:
-        """:func:`_metrics` of the curve, with its k_s read-only."""
-        m, ks = _metrics(self, self._frames_h[2])
-        ks.setflags(write=False)
-        return m, ks
+    def _measured(self) -> "CurveMetrics":
+        return _metrics(self)
 
 
 @dataclass(frozen=True)
@@ -458,7 +464,7 @@ def curvature_derivatives(curve: SampledCurve, order: int) -> np.ndarray:
         raise RejectedInputError("order must be 1 or 2")
     _require_uniform(curve, "curvature_derivatives")
     if order == 1:
-        return curve._measured[1]
+        return curve._ks
     k = curve._frames_h[2]
     h = curve.length() / curve.n
     kp = np.concatenate((k[-1:], k, k[:1]))
@@ -497,12 +503,12 @@ def metrics(curve: SampledCurve) -> CurveMetrics:
     (figure-eights are legal inputs).
     """
     _require_uniform(curve, "metrics")
-    return curve._measured[0]
+    return curve._measured
 
 
-def _metrics(curve: SampledCurve, k: np.ndarray) -> Tuple[CurveMetrics, np.ndarray]:
-    """:func:`metrics` given the curve's curvature profile k, and the
-    arclength derivative k_s it computes on the way."""
+def _metrics(curve: SampledCurve) -> CurveMetrics:
+    """:func:`metrics` from the curve's kept curvature profile and k_s."""
+    k, ks = curve._frames_h[2], curve._ks
     L = curve.length()
     A = curve._area
     omega = turning_number(curve)
@@ -511,7 +517,6 @@ def _metrics(curve: SampledCurve, k: np.ndarray) -> Tuple[CurveMetrics, np.ndarr
     dev = k - kbar
     kosc = L * float((dev * dev).sum()) * h
     kp = np.concatenate((k[-1:], k, k[:1]))
-    ks = (kp[2:] - kp[:-2]) / (2.0 * h)
     kss = (kp[2:] - 2.0 * k + kp[:-2]) / (h * h)
     ks2 = float((ks * ks).sum()) * h
     kss2 = float((kss * kss).sum()) * h
@@ -529,7 +534,7 @@ def _metrics(curve: SampledCurve, k: np.ndarray) -> Tuple[CurveMetrics, np.ndarr
         ks_norm_sq=ks2,
         kss_norm_sq=kss2,
         min_curvature=float(k.min()),
-    ), ks
+    )
 
 
 def curve_integral(curve: SampledCurve, values: np.ndarray) -> float:

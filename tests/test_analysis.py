@@ -397,6 +397,13 @@ class TestDecayFits:
         assert 18.0 <= fit.rate <= 30.0
         assert fit.rms_log_residual < 1.0
 
+    def test_perturbed_circle_rate_is_the_linearised_rate(self, perturbed_run):
+        # a mode-m ripple of the radius-r circle decays at 2 m^2 (m^2 - 1) / r^4,
+        # 24 for m = 2, r = 1; before t = 0.25 the oscillation energy is still
+        # far above its quadrature floor, so the fit reads that rate closely
+        fit = decay_fit(perturbed_run.result.records, DECAY_KOSC, (0.0, 0.25))
+        assert abs(fit.rate - 24.0) <= 0.2
+
     def test_wide_circle_rate_scales_with_radius(self, wide_perturbed_run):
         # radius 3 slows the same mode by 3^4
         fit = decay_fit(wide_perturbed_run.result.records, DECAY_KOSC, (1.0, 5.0))

@@ -122,6 +122,34 @@ class TestSingleStep:
         assert len(result.records) == 3
         assert result.final_state is seen[-1]
 
+    def test_failed_projection_ends_the_run_with_the_last_good_state(self,
+                                                                    monkeypatch):
+        # the step's one area projection runs inside the redistribution, so a
+        # projection that cannot reach the area fails the redistribution
+        project = flow._project_area
+        armed = []
+
+        def failing(*args):
+            if armed:
+                raise DegenerateGeometryError("area projection: unreachable")
+            return project(*args)
+
+        monkeypatch.setattr(flow, "_project_area", failing)
+        seen = []
+
+        def hook(state, record):
+            seen.append(state)
+            if state.step_index == 4:
+                armed.append(True)
+
+        result = run(uniform(RIPPLE, 256),
+                     FlowConfig(n=256, dt=1e-4, max_steps=20), on_record=hook)
+        assert result.reason == "blow-up"
+        assert result.detail.startswith("redistribution failed: area projection:")
+        assert len(result.records) == 4
+        assert result.final_state.step_index == 4
+        assert result.final_state is seen[-1]
+
     def test_length_rate_matches_dissipation_at_small_dt(self):
         # one backward-difference step reproduces dL/dt = -|k_s|^2;
         # the mismatch shrinks with dt and is well under 2% at dt=1e-6
@@ -206,6 +234,20 @@ class TestCarriedValues:
         assert np.array_equal(state.curve.vertices,
                               result.final_state.curve.vertices)
 
+    def test_step_loop_makes_no_metrics_calls(self, monkeypatch):
+        # the solve reads the curve's k_s, which does not go through the
+        # metrics; step() discards the metrics a record of run() needs
+        calls = []
+        measure = geometry._metrics
+        monkeypatch.setattr(geometry, "_metrics",
+                            lambda *args: calls.append(1) or measure(*args))
+        state = FlowState(uniform(ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0), 256))
+        config = FlowConfig(n=256, dt=1e-4, max_steps=10)
+        for _ in range(10):
+            state = step(state, config)
+        assert state.step_index == 10
+        assert calls == []
+
     def test_call_budget_per_step(self, monkeypatch):
         # the quantities one step needs are computed once; counted between
         # consecutive records, so the set-up is outside the count
@@ -218,20 +260,20 @@ class TestCarriedValues:
             return wrapper
 
         budget = {
-            geometry._chord_lengths: 5,
+            geometry._chord_lengths: 4,
             geometry._frames: 1,
             geometry._metrics: 1,
             geometry.signed_area: 1,
             geometry.turning_number: 1,
             scipy.linalg.solve_banded: 0,
             # every caller, numpy's own stacking functions included
-            np.concatenate: 24,
+            np.concatenate: 21,
             np.sum: 0,
             np.clip: 0,
         }
         # without the area projection the resampled chords go to the curve
         # as they are, and no projection measures them
-        unprojected = {geometry._chord_lengths: 3}
+        unprojected = {geometry._chord_lengths: 3, np.concatenate: 17}
         numpy_modules = [module for name, module in list(sys.modules.items())
                          if name == "numpy" or name.startswith("numpy.")]
         for fn in budget:
@@ -309,6 +351,14 @@ class TestStopConditions:
         final = result.final_state.curve.vertices
         assert np.isfinite(final).all()
         assert result.final_state.step_index == len(result.records)
+
+    def test_lemniscate_stops_at_the_curvature_ceiling(self, lemniscate_run):
+        # the figure-eight's blow-up is its curvature energy reaching the
+        # ceiling; a failed step would also end the run as a blow-up
+        result = lemniscate_run.result
+        assert result.reason == "blow-up"
+        assert result.detail.startswith("curvature energy")
+        assert abs(result.final_state.time - 0.04135) <= 0.01 * 0.04135
 
     def test_config_requires_a_stop_condition(self):
         with pytest.raises(RejectedInputError):

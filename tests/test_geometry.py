@@ -348,7 +348,8 @@ class TestPaddedStencils:
         curve = SampledCurve(pts)
         L = curve.length()
         hk = L / n
-        m, ks = geometry._metrics(curve, k)
+        ks = curve._ks
+        m = geometry._metrics(curve)
         want_ks = (_shift(k, 1) - _shift(k, -1)) / (2.0 * hk)
         want_kss = (_shift(k, 1) - 2.0 * k + _shift(k, -1)) / (hk * hk)
         assert np.array_equal(ks, want_ks)
@@ -390,13 +391,14 @@ class TestCurveCache:
         curve = uniform(ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0), 128)
         h = curve.length() / curve.n
         fresh = geometry._frames(curve.vertices, h)
-        m, ks = geometry._metrics(curve, fresh[2])
+        ks = (_shift(fresh[2], 1) - _shift(fresh[2], -1)) / (2.0 * h)
+        m = geometry._metrics(curve)
         assert metrics(curve) == m
         assert np.array_equal(curvature_derivatives(curve, 1), ks)
         assert np.array_equal(curvature_profile(curve), fresh[2])
         assert curve._area == geometry.signed_area(curve)
         assert curve.length() == float(geometry._chord_lengths(curve.vertices).sum())
-        kept = (*curve._frames_h, curve._measured[1], curvature_profile(curve),
+        kept = (*curve._frames_h, curve._ks, curvature_profile(curve),
                 curvature_derivatives(curve, 1))
         for got, want in zip(curve._frames_h, fresh):
             assert np.array_equal(got, want)

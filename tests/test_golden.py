@@ -1,11 +1,17 @@
-"""Reference trajectories against records saved from the banded-solve code.
+"""Reference trajectories against saved records.
 
 tests/golden_records.json holds L, A, kosc and ks2 at records 10, 100 and
-1000 of the circle, ellipse and lemniscate fixtures, as computed before the
-implicit system was solved by FFT and before resampling stopped at rounding
-level.  Both changes move results at rounding level only, so the records must
-agree to a relative 1e-10; the absolute floor covers quantities that sit at
-rounding level themselves (circle ks2 near 5e-21, lemniscate A near 1e-15).
+1000 of the circle, ellipse and lemniscate fixtures.  The circle and
+lemniscate blocks were saved from the banded-solve code, before the implicit
+system was solved by FFT and before resampling stopped at rounding level.
+Both changes move results at rounding level only.  The ellipse block was
+rewritten by tests/make_golden.py when the step stopped projecting the area
+of the raw polygon and kept only the projection after the resample: that
+moved its early transient by up to 2.6e-9 relative in L, at errors against
+an n = 1024, dt = 1e-5 reference no larger than before (CHANGES.md).  The
+records must agree to a relative 1e-10; the absolute floor covers
+quantities that sit at rounding level themselves (circle ks2 near 5e-21,
+lemniscate A near 1e-15).
 """
 
 import json
