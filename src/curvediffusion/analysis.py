@@ -8,7 +8,7 @@ numbers they were decided on, so callers can serialize or render either.
 import json
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
@@ -45,11 +45,7 @@ class Report:
 
 
 def report_to_json(report: Report) -> str:
-    payload = {
-        "verdicts": {k: bool(v) for k, v in report.verdicts.items()},
-        "values": {k: float(v) for k, v in report.values.items()},
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(asdict(report), sort_keys=True, separators=(",", ":"))
 
 
 @dataclass(frozen=True)

@@ -31,7 +31,7 @@ import math
 import os
 import sys
 import tempfile
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -73,7 +73,7 @@ from .geometry import (
     resample_uniform,
     write_curve_csv,
 )
-from .intersections import crossing_set_to_json, find_crossings
+from .intersections import crossing_set_dict, find_crossings
 
 _OUTPUT_ROOT_VAR = "CURVEDIFFUSION_OUTPUT_ROOT"
 
@@ -321,10 +321,6 @@ def _svg_frame(curve: SampledCurve, viewbox: Tuple[float, float, float, float],
 
 # --- simulate -----------------------------------------------------------
 
-def _report_dict(report: Report) -> Dict[str, object]:
-    return {"verdicts": dict(report.verdicts), "values": dict(report.values)}
-
-
 def _summary_report(result: RunResult) -> Report:
     first = result.initial_metrics
     last = result.records[-1].metrics if result.records else first
@@ -406,12 +402,10 @@ _SECTION_BUILDERS: Dict[str, Callable] = {
 def _simulation_report(manifest: RunManifest, result: RunResult,
                        initial: SampledCurve) -> Dict[str, object]:
     records = list(result.records)
-    sections: Dict[str, object] = {"summary": _report_dict(_summary_report(result))}
+    sections: Dict[str, object] = {"summary": asdict(_summary_report(result))}
     for name in manifest.reports:
         try:
-            sections[name] = _report_dict(
-                _SECTION_BUILDERS[name](initial, records, result)
-            )
+            sections[name] = asdict(_SECTION_BUILDERS[name](initial, records, result))
         except RejectedInputError as exc:
             sections[name] = {
                 "verdicts": {"applicable": False},
@@ -521,10 +515,10 @@ def cmd_analyze(curve_path: str) -> int:
             "uniform": bool(curve.is_uniform()),
         },
         "metrics": metric_values,
-        "hypotheses": _report_dict(hypotheses),
-        "crossings": json.loads(crossing_set_to_json(crossings)),
+        "hypotheses": asdict(hypotheses),
+        "crossings": crossing_set_dict(crossings),
         "embeddedness": {"certificate": certificate},
-        "multiplicity_bound": _report_dict(bound_report),
+        "multiplicity_bound": asdict(bound_report),
     }
     stem = os.path.splitext(os.path.basename(str(curve_path)))[0]
     report_path = _resolve_output(f"{stem}_report.json")
@@ -783,7 +777,7 @@ def _suite_density(seed: int) -> List[Row]:
     ))
 
     coarse = abs(circle_density(512) - 8.0)
-    fine = abs(circle_density(1024) - 8.0)
+    fine = abs(at_1024 - 8.0)
     rows.append((
         "error shrinks under refinement",
         fine < coarse and coarse / max(fine, 1e-300) >= 2.5,

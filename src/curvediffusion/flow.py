@@ -29,6 +29,7 @@ import functools
 import json
 import math
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -62,10 +63,30 @@ _MAX_EXTRA_PASSES = 3
 RESIDUAL_TOL = 1e-8     # largest backward error accepted from the implicit solve
 MIN_CHORD_RATIO = 1e-3  # a raw chord below this times the mean chord is a collapse
 
-TRAJECTORY_FIELDS = (
-    "t", "L", "A", "I", "omega", "kbar", "kosc",
-    "ks2", "kss2", "kmin", "dL_dt", "dA_dt", "residual",
+
+def _optional_float(value) -> Optional[float]:
+    return None if value is None else float(value)
+
+
+# trajectory.jsonl schema, in file order: each key, the attribute it holds
+# (of the TrajectoryRecord, or of its CurveMetrics after "metrics."), and the
+# conversion that reads it back
+_TRAJECTORY_SCHEMA = (
+    ("t", "time", float),
+    ("L", "metrics.length", float),
+    ("A", "metrics.signed_area", float),
+    ("I", "metrics.isoperimetric_ratio", _optional_float),
+    ("omega", "metrics.winding_number", int),
+    ("kbar", "metrics.average_curvature", float),
+    ("kosc", "metrics.osc_energy", float),
+    ("ks2", "metrics.ks_norm_sq", float),
+    ("kss2", "metrics.kss_norm_sq", float),
+    ("kmin", "metrics.min_curvature", float),
+    ("dL_dt", "dL_dt_measured", float),
+    ("dA_dt", "dA_dt_measured", float),
+    ("residual", "solver_residual", float),
 )
+TRAJECTORY_FIELDS = tuple(key for key, _, _ in _TRAJECTORY_SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -101,14 +122,14 @@ class FlowConfig:
             raise RejectedInputError(
                 "no stop condition: set max_time and/or max_steps"
             )
-        if self.max_time is not None and self.max_time <= 0:
-            raise RejectedInputError("max_time must be positive")
         if self.max_steps is not None and self.max_steps < 0:
             raise RejectedInputError("max_steps must be >= 0")
-        if self.stop_when_kosc_exceeds is not None and self.stop_when_kosc_exceeds <= 0:
-            raise RejectedInputError("stop_when_kosc_exceeds must be positive")
-        if self.curvature_energy_ceiling <= 0:
-            raise RejectedInputError("curvature_energy_ceiling must be positive")
+        # a NaN limit never compares true, so it would never stop the run
+        for name in ("max_time", "stop_when_kosc_exceeds",
+                     "curvature_energy_ceiling"):
+            value = getattr(self, name)
+            if value is not None and not (value > 0 and math.isfinite(value)):
+                raise RejectedInputError(f"{name} must be a positive finite number")
 
 
 @dataclass(frozen=True)
@@ -128,8 +149,9 @@ class FlowState:
 class TrajectoryRecord:
     """Diagnostics for one accepted step.
 
-    The rate fields are backward differences across the step that produced
-    this record.  ``int_dev_ks2`` and ``int_dev2_ks2`` are the arclength
+    The rate fields are backward differences of L and A across the step
+    that produced this record, and are serialized with it; a record keeps no
+    rate of the oscillation energy.  ``int_dev_ks2`` and ``int_dev2_ks2`` are the arclength
     integrals of (k - kbar) k_s^2 and (k - kbar)^2 k_s^2 on the record's
     curve; they feed the oscillation-energy balance in identity_residuals
     and are not part of the serialized schema (deserialized records carry
@@ -140,14 +162,13 @@ class TrajectoryRecord:
     metrics: CurveMetrics
     dL_dt_measured: float
     dA_dt_measured: float
-    dKosc_dt_measured: float
     solver_residual: float
     int_dev_ks2: Optional[float] = None
     int_dev2_ks2: Optional[float] = None
 
     def __post_init__(self):
         for name in ("time", "dL_dt_measured", "dA_dt_measured",
-                     "dKosc_dt_measured", "solver_residual"):
+                     "solver_residual"):
             if not math.isfinite(getattr(self, name)):
                 raise RejectedInputError(f"non-finite {name} in trajectory record")
         for name in ("int_dev_ks2", "int_dev2_ks2"):
@@ -221,7 +242,7 @@ def _implicit_advance(curve: SampledCurve, dt: float) -> Tuple[np.ndarray, float
     pts = curve.vertices
     h = curve.length() / curve.n
     tau, nu, k = curve._frames_h
-    ks = curve._ks
+    ks = curve._ks_kss[0]
     explicit = (k ** 3)[:, None] * nu + (3.0 * k * ks)[:, None] * tau
     b = pts - dt * explicit
     c = dt / h ** 4
@@ -387,7 +408,7 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
 def _record_for(state: FlowState, residual: float, prev: CurveMetrics,
                 prev_time: float) -> TrajectoryRecord:
     """Diagnostics of state.curve, which is uniform in arclength."""
-    m, ks = state.curve._measured, state.curve._ks
+    m, ks = state.curve._measured, state.curve._ks_kss[0]
     h = m.length / state.curve.n
     dev = state.curve._frames_h[2] - m.average_curvature
     dt = state.time - prev_time
@@ -396,7 +417,6 @@ def _record_for(state: FlowState, residual: float, prev: CurveMetrics,
         metrics=m,
         dL_dt_measured=(m.length - prev.length) / dt,
         dA_dt_measured=(m.signed_area - prev.signed_area) / dt,
-        dKosc_dt_measured=(m.osc_energy - prev.osc_energy) / dt,
         solver_residual=residual,
         int_dev_ks2=float((dev * ks * ks).sum()) * h,
         int_dev2_ks2=float((dev * dev * ks * ks).sum()) * h,
@@ -537,22 +557,7 @@ def identity_residuals(trajectory: Sequence[TrajectoryRecord]) -> IdentityResidu
 
 
 def record_to_json(record: TrajectoryRecord) -> str:
-    m = record.metrics
-    obj = {
-        "t": record.time,
-        "L": m.length,
-        "A": m.signed_area,
-        "I": m.isoperimetric_ratio,
-        "omega": m.winding_number,
-        "kbar": m.average_curvature,
-        "kosc": m.osc_energy,
-        "ks2": m.ks_norm_sq,
-        "kss2": m.kss_norm_sq,
-        "kmin": m.min_curvature,
-        "dL_dt": record.dL_dt_measured,
-        "dA_dt": record.dA_dt_measured,
-        "residual": record.solver_residual,
-    }
+    obj = {key: attrgetter(attr)(record) for key, attr, _ in _TRAJECTORY_SCHEMA}
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
 
@@ -565,17 +570,18 @@ def write_trajectory_jsonl(records: Sequence[TrajectoryRecord], path) -> None:
 def read_trajectory_jsonl(path) -> List[TrajectoryRecord]:
     """Rebuild records from a serialized trajectory.
 
-    The serialized schema carries neither the oscillation-balance integrals
-    nor the oscillation rate; the rate is reconstructed by backward
-    differences and the integrals come back as None, so identity_residuals
-    rejects round-tripped trajectories by design.
+    Each record holds exactly its line's fields, read by the schema's
+    conversions, and so no rate of the oscillation energy.  The schema does
+    not carry the oscillation-balance integrals, so they come back as None
+    and identity_residuals rejects round-tripped trajectories by design.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise RejectedInputError(f"trajectory {path} is not UTF-8 text") from exc
-    parsed = []
+    records: List[TrajectoryRecord] = []
+    prev_line_no = 0
     for line_no, line in enumerate(lines, start=1):
         line = line.strip()
         if not line:
@@ -595,50 +601,25 @@ def read_trajectory_jsonl(path) -> List[TrajectoryRecord]:
             raise RejectedInputError(
                 f"trajectory line {line_no} lacks fields {missing}"
             )
-        row = {f: _number(obj, f, line_no) for f in TRAJECTORY_FIELDS}
-        if parsed and not row["t"] > parsed[-1][1]["t"]:
+        of_record: dict = {}
+        of_metrics: dict = {}
+        for key, attr, convert in _TRAJECTORY_SCHEMA:
+            owner, _, name = attr.rpartition(".")
+            try:
+                value = convert(obj[key])
+            except (TypeError, ValueError, OverflowError) as exc:
+                raise RejectedInputError(
+                    f"trajectory line {line_no}: field {key!r} is not a "
+                    f"number ({obj[key]!r})"
+                ) from exc
+            (of_metrics if owner else of_record)[name] = value
+        if records and not of_record["time"] > records[-1].time:
             raise RejectedInputError(
-                f"trajectory line {line_no}: time {obj['t']!r} does not "
-                f"increase on line {parsed[-1][0]}"
+                f"trajectory line {line_no}: time {of_record['time']!r} does "
+                f"not increase on line {prev_line_no}"
             )
-        parsed.append((line_no, row))
-    records = []
-    for j, (_, row) in enumerate(parsed):
-        m = CurveMetrics(
-            length=row["L"],
-            signed_area=row["A"],
-            isoperimetric_ratio=row["I"],
-            winding_number=row["omega"],
-            average_curvature=row["kbar"],
-            osc_energy=row["kosc"],
-            ks_norm_sq=row["ks2"],
-            kss_norm_sq=row["kss2"],
-            min_curvature=row["kmin"],
-        )
-        if j > 0:
-            prev_row = parsed[j - 1][1]
-            dkosc = (m.osc_energy - prev_row["kosc"]) / (row["t"] - prev_row["t"])
-        else:
-            dkosc = 0.0
-        records.append(TrajectoryRecord(
-            time=row["t"],
-            metrics=m,
-            dL_dt_measured=row["dL_dt"],
-            dA_dt_measured=row["dA_dt"],
-            dKosc_dt_measured=dkosc,
-            solver_residual=row["residual"],
-        ))
+        records.append(TrajectoryRecord(metrics=CurveMetrics(**of_metrics),
+                                        **of_record))
+        prev_line_no = line_no
     return records
 
-
-def _number(obj: dict, field: str, line_no: int):
-    """Field of a trajectory line as float (int for omega; I may be null)."""
-    value = obj[field]
-    if field == "I" and value is None:
-        return None
-    try:
-        return int(value) if field == "omega" else float(value)
-    except (TypeError, ValueError, OverflowError) as exc:
-        raise RejectedInputError(
-            f"trajectory line {line_no}: field {field!r} is not a number ({value!r})"
-        ) from exc

@@ -86,9 +86,10 @@ class SampledCurve:
     their relative spread is within SPREAD_TOL.  The quantities the flow and
     the analysis read of a curve are computed on first use and kept the same
     way, outside the constructor and ``repr``: the frames at h = L/n
-    (``_frames_h``), the arclength derivative k_s of the curvature (``_ks``),
-    the signed area (``_area``) and the metrics (``_measured``).  Two curves
-    are equal when their vertices are; a curve is not hashable.
+    (``_frames_h``), the arclength derivatives k_s and k_ss of the curvature
+    (``_ks_kss``), the signed area (``_area``) and the metrics
+    (``_measured``).  Two curves are equal when their vertices are; a curve
+    is not hashable.
     """
 
     vertices: np.ndarray
@@ -161,13 +162,17 @@ class SampledCurve:
         return frames
 
     @functools.cached_property
-    def _ks(self) -> np.ndarray:
-        """Read-only centred difference of the curvature at h = L/n: k_s."""
+    def _ks_kss(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Read-only centred first and second differences of the curvature
+        at h = L/n, k_s and k_ss, from one padded copy of it."""
         k = self._frames_h[2]
+        h = self.length() / self.n
         kp = np.concatenate((k[-1:], k, k[:1]))
-        ks = (kp[2:] - kp[:-2]) / (2.0 * (self.length() / self.n))
+        ks = (kp[2:] - kp[:-2]) / (2.0 * h)
+        kss = (kp[2:] - 2.0 * k + kp[:-2]) / (h * h)
         ks.setflags(write=False)
-        return ks
+        kss.setflags(write=False)
+        return ks, kss
 
     @functools.cached_property
     def _area(self) -> float:
@@ -458,17 +463,12 @@ def curvature_profile(curve: SampledCurve) -> np.ndarray:
 
 
 def curvature_derivatives(curve: SampledCurve, order: int) -> np.ndarray:
-    """First or second arclength derivative of the curvature profile; the
-    first is the curve's k_s, read-only."""
+    """First or second arclength derivative of the curvature profile: the
+    curve's kept k_s or k_ss, both read-only."""
     if order not in (1, 2):
         raise RejectedInputError("order must be 1 or 2")
     _require_uniform(curve, "curvature_derivatives")
-    if order == 1:
-        return curve._ks
-    k = curve._frames_h[2]
-    h = curve.length() / curve.n
-    kp = np.concatenate((k[-1:], k, k[:1]))
-    return (kp[2:] - 2.0 * k + kp[:-2]) / (h * h)
+    return curve._ks_kss[order - 1]
 
 
 def turning_number(curve: SampledCurve) -> int:
@@ -507,8 +507,9 @@ def metrics(curve: SampledCurve) -> CurveMetrics:
 
 
 def _metrics(curve: SampledCurve) -> CurveMetrics:
-    """:func:`metrics` from the curve's kept curvature profile and k_s."""
-    k, ks = curve._frames_h[2], curve._ks
+    """:func:`metrics` from the curve's kept curvature profile, k_s and k_ss."""
+    k = curve._frames_h[2]
+    ks, kss = curve._ks_kss
     L = curve.length()
     A = curve._area
     omega = turning_number(curve)
@@ -516,8 +517,6 @@ def _metrics(curve: SampledCurve) -> CurveMetrics:
     kbar = 2.0 * omega * np.pi / L
     dev = k - kbar
     kosc = L * float((dev * dev).sum()) * h
-    kp = np.concatenate((k[-1:], k, k[:1]))
-    kss = (kp[2:] - 2.0 * k + kp[:-2]) / (h * h)
     ks2 = float((ks * ks).sum()) * h
     kss2 = float((kss * kss).sum()) * h
     if abs(A) < _AREA_UNDEFINED_REL * L * L:

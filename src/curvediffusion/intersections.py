@@ -12,7 +12,7 @@ false alarm is acceptable, a missed crossing is not.
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -260,16 +260,10 @@ def is_embedded(curve: SampledCurve, eps: Optional[float] = None) -> bool:
     return len(find_crossings(curve, eps).crossings) == 0
 
 
+def crossing_set_dict(cs: CrossingSet) -> dict:
+    """The crossing set's fields and the resolution caveat, for json.dumps."""
+    return {**asdict(cs), "caveat": _RESOLUTION_CAVEAT}
+
+
 def crossing_set_to_json(cs: CrossingSet) -> str:
-    payload = {
-        "eps": cs.eps,
-        "multiplicity": cs.multiplicity,
-        "crossings": [
-            {"point": [c.point[0], c.point[1]],
-             "segments": [c.segments[0], c.segments[1]]}
-            for c in cs.crossings
-        ],
-        "clusters": [list(members) for members in cs.clusters],
-        "caveat": _RESOLUTION_CAVEAT,
-    }
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+    return json.dumps(crossing_set_dict(cs), sort_keys=True, separators=(",", ":"))

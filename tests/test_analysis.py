@@ -452,3 +452,11 @@ class TestReportSerialization:
         assert text == report_to_json(report)
         assert text.index('"a"') < text.index('"b"')
         assert '"values"' in text and '"verdicts"' in text
+
+    def test_fixed_report_serializes_to_its_literal(self):
+        report = Report(verdicts={"within_bound": True, "admissible": False},
+                        values={"integral": 0.125, "bound": 2.5})
+        assert report_to_json(report) == (
+            '{"values":{"bound":2.5,"integral":0.125},'
+            '"verdicts":{"admissible":false,"within_bound":true}}'
+        )

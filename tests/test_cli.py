@@ -112,6 +112,8 @@ class TestManifest:
         "shape = circle\nmax_steps = 10\nspread_threshold = 0.01\n",
         "shape = circle\nmax_steps = 10\nsolve_tolerance = 1e-8\n",
         "shape = circle\nmax_steps = 10\nmin_segment_factor = 1e-3\n",
+        "shape = circle\nmax_time = nan\n",
+        "shape = circle\nmax_steps = 10\ncurvature_energy_ceiling = nan\n",
     ])
     def test_malformed_manifests_rejected(self, tmp_path, body):
         path = tmp_path / "m.txt"
@@ -166,17 +168,29 @@ class TestSimulate:
         lines = (out / "trajectory.jsonl").read_text().splitlines()
         assert len(lines) == 300
 
-    def test_repeat_runs_byte_identical(self, tmp_path):
+    def test_repeat_runs_byte_identical(self, tmp_path, monkeypatch):
+        # one manifest with a relative output_dir, run under two output
+        # roots, so even the manifest echo must match
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(
+            "shape = fourier-perturbed-circle\nmodes = 2:0.01:0\n"
+            "n = 128\ndt = 1e-4\nmax_steps = 200\noutput_dir = run\n"
+            "snapshot_interval = 100\nsvg = true\n"
+            f"reports = {', '.join(REPORT_SECTIONS)}\n")
         outputs = []
         for name in ("a", "b"):
-            out = tmp_path / name
-            manifest = tmp_path / f"{name}.txt"
-            body = ("shape = circle\nn = 128\ndt = 1e-4\nmax_steps = 50\n"
-                    f"output_dir = {out}\n")
-            manifest.write_text(body)
+            monkeypatch.setenv("CURVEDIFFUSION_OUTPUT_ROOT", str(tmp_path / name))
             assert main(["simulate", str(manifest)]) == 0
-            outputs.append((out / "trajectory.jsonl").read_bytes())
+            out = tmp_path / name / "run"
+            outputs.append({p.name: p.read_bytes() for p in out.iterdir()})
         assert outputs[0] == outputs[1]
+        names = set(outputs[0])
+        assert {"manifest.txt", "trajectory.jsonl", "run.json"} <= names
+        for step in (0, 100, 200):
+            assert {f"snapshot_{step:08d}.csv", f"snapshot_{step:08d}.svg"} <= names
+        sections = json.loads(outputs[0]["run.json"])["sections"]
+        assert set(sections) == {"summary"} | set(REPORT_SECTIONS)
+        assert sections["decay"]["verdicts"]["fitted"]
 
     def test_relative_output_honors_env_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CURVEDIFFUSION_OUTPUT_ROOT", str(tmp_path))

@@ -21,6 +21,7 @@ from curvediffusion.flow import (
     SCHEME_EXPLICIT_RK4,
     FlowConfig,
     FlowState,
+    TrajectoryRecord,
     identity_residuals,
     read_trajectory_jsonl,
     record_to_json,
@@ -35,6 +36,7 @@ from curvediffusion.flow import (
 )
 from curvediffusion.geometry import (
     SPREAD_TOL,
+    CurveMetrics,
     SampledCurve,
     ShapeSpec,
     generate,
@@ -267,13 +269,13 @@ class TestCarriedValues:
             geometry.turning_number: 1,
             scipy.linalg.solve_banded: 0,
             # every caller, numpy's own stacking functions included
-            np.concatenate: 21,
+            np.concatenate: 20,
             np.sum: 0,
             np.clip: 0,
         }
         # without the area projection the resampled chords go to the curve
         # as they are, and no projection measures them
-        unprojected = {geometry._chord_lengths: 3, np.concatenate: 17}
+        unprojected = {geometry._chord_lengths: 3, np.concatenate: 16}
         numpy_modules = [module for name, module in list(sys.modules.items())
                          if name == "numpy" or name.startswith("numpy.")]
         for fn in budget:
@@ -363,6 +365,15 @@ class TestStopConditions:
     def test_config_requires_a_stop_condition(self):
         with pytest.raises(RejectedInputError):
             FlowConfig(n=64, dt=1e-4)
+
+    @pytest.mark.parametrize("name", [
+        "max_time", "stop_when_kosc_exceeds", "curvature_energy_ceiling",
+    ])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    def test_limits_must_be_positive_and_finite(self, name, value):
+        # a NaN limit never compares true, so a NaN max_time never ends a run
+        with pytest.raises(RejectedInputError, match=name):
+            FlowConfig(n=64, dt=1e-4, max_steps=10, **{name: value})
 
 
 class TestConservation:
@@ -510,6 +521,51 @@ class TestTrajectorySerialization:
             assert parsed.metrics.winding_number == original.metrics.winding_number
             assert parsed.dL_dt_measured == original.dL_dt_measured
             assert parsed.solver_residual == original.solver_residual
+
+    # every key in file order, each holding a distinct value; the second
+    # record has no isoperimetric ratio
+    FIXED_LINES = (
+        '{"t":0.25,"L":6.5,"A":3.0,"I":1.125,"omega":1,"kbar":0.96875,'
+        '"kosc":0.125,"ks2":2.5,"kss2":40.0,"kmin":-0.5,"dL_dt":-2.5,'
+        '"dA_dt":1e-12,"residual":3e-16}',
+        '{"t":0.5,"L":6.25,"A":0.0,"I":null,"omega":0,"kbar":0.0,'
+        '"kosc":7.75,"ks2":31.5,"kss2":51.5,"kmin":-3.0,"dL_dt":-1.0,'
+        '"dA_dt":0.0,"residual":0.0}',
+    )
+
+    @staticmethod
+    def fixed_records():
+        return [
+            TrajectoryRecord(
+                time=0.25,
+                metrics=CurveMetrics(
+                    length=6.5, signed_area=3.0, isoperimetric_ratio=1.125,
+                    winding_number=1, average_curvature=0.96875,
+                    osc_energy=0.125, ks_norm_sq=2.5, kss_norm_sq=40.0,
+                    min_curvature=-0.5),
+                dL_dt_measured=-2.5, dA_dt_measured=1e-12,
+                solver_residual=3e-16),
+            TrajectoryRecord(
+                time=0.5,
+                metrics=CurveMetrics(
+                    length=6.25, signed_area=0.0, isoperimetric_ratio=None,
+                    winding_number=0, average_curvature=0.0,
+                    osc_energy=7.75, ks_norm_sq=31.5, kss_norm_sq=51.5,
+                    min_curvature=-3.0),
+                dL_dt_measured=-1.0, dA_dt_measured=0.0,
+                solver_residual=0.0),
+        ]
+
+    def test_fixed_records_serialize_to_their_literals(self):
+        got = tuple(record_to_json(r) for r in self.fixed_records())
+        assert got == self.FIXED_LINES
+
+    def test_fixed_lines_read_back_to_the_records(self, tmp_path):
+        path = tmp_path / "trajectory.jsonl"
+        path.write_text("\n".join(self.FIXED_LINES) + "\n", encoding="utf-8")
+        back = read_trajectory_jsonl(path)
+        assert back == self.fixed_records()
+        assert type(back[0].metrics.winding_number) is int
 
     def test_record_json_is_deterministic(self, perturbed_run):
         record = perturbed_run.result.records[0]

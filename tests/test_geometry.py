@@ -348,11 +348,12 @@ class TestPaddedStencils:
         curve = SampledCurve(pts)
         L = curve.length()
         hk = L / n
-        ks = curve._ks
+        ks, kss = curve._ks_kss
         m = geometry._metrics(curve)
         want_ks = (_shift(k, 1) - _shift(k, -1)) / (2.0 * hk)
         want_kss = (_shift(k, 1) - 2.0 * k + _shift(k, -1)) / (hk * hk)
         assert np.array_equal(ks, want_ks)
+        assert np.array_equal(kss, want_kss)
         assert m.ks_norm_sq == float(np.sum(want_ks * want_ks)) * hk
         assert m.kss_norm_sq == float(np.sum(want_kss * want_kss)) * hk
         if kind == "circle":
@@ -384,22 +385,24 @@ class TestPaddedStencils:
 
 
 class TestCurveCache:
-    """A curve computes its frames, area, metrics and k_s on first use and
-    keeps them read-only, outside the constructor, repr and ==."""
+    """A curve computes its frames, area, metrics, k_s and k_ss on first use
+    and keeps them read-only, outside the constructor, repr and ==."""
 
     def test_kept_values_equal_a_fresh_computation_and_are_read_only(self):
         curve = uniform(ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0), 128)
         h = curve.length() / curve.n
         fresh = geometry._frames(curve.vertices, h)
         ks = (_shift(fresh[2], 1) - _shift(fresh[2], -1)) / (2.0 * h)
+        kss = (_shift(fresh[2], 1) - 2.0 * fresh[2] + _shift(fresh[2], -1)) / (h * h)
         m = geometry._metrics(curve)
         assert metrics(curve) == m
         assert np.array_equal(curvature_derivatives(curve, 1), ks)
+        assert np.array_equal(curvature_derivatives(curve, 2), kss)
         assert np.array_equal(curvature_profile(curve), fresh[2])
         assert curve._area == geometry.signed_area(curve)
         assert curve.length() == float(geometry._chord_lengths(curve.vertices).sum())
-        kept = (*curve._frames_h, curve._ks, curvature_profile(curve),
-                curvature_derivatives(curve, 1))
+        kept = (*curve._frames_h, *curve._ks_kss, curvature_profile(curve),
+                curvature_derivatives(curve, 1), curvature_derivatives(curve, 2))
         for got, want in zip(curve._frames_h, fresh):
             assert np.array_equal(got, want)
         for array in kept:
@@ -409,6 +412,7 @@ class TestCurveCache:
         # repeated queries return the kept objects themselves
         assert metrics(curve) is metrics(curve)
         assert curvature_profile(curve) is curve._frames_h[2]
+        assert curvature_derivatives(curve, 2) is curve._ks_kss[1]
 
     def test_cache_stays_out_of_repr_and_equality(self):
         curve = uniform(ShapeSpec("circle", radius=1.0), 32)

@@ -280,3 +280,18 @@ class TestSerialization:
         assert len(payload["crossings"]) == len(cs.crossings)
         for entry in payload["crossings"]:
             assert set(entry) == {"point", "segments"}
+
+    def test_fixed_crossing_set_serializes_to_its_literal(self):
+        cs = CrossingSet(
+            crossings=(Crossing(point=(0.5, -0.25), segments=(3, 17)),
+                       Crossing(point=(0.5, -0.2), segments=(4, 16))),
+            clusters=((0, 1),), multiplicity=2, eps=0.001,
+        )
+        assert crossing_set_to_json(cs) == (
+            '{"caveat":"contacts within eps count as crossings; touching and '
+            'crossing are indistinguishable below the sampling resolution",'
+            '"clusters":[[0,1]],'
+            '"crossings":[{"point":[0.5,-0.25],"segments":[3,17]},'
+            '{"point":[0.5,-0.2],"segments":[4,16]}],'
+            '"eps":0.001,"multiplicity":2}'
+        )
