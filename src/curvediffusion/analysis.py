@@ -34,6 +34,8 @@ EMBEDDED_INCONCLUSIVE = "inconclusive"
 _EXACT_INEQUALITY_GUARD = 1e-12   # rounding slack for exact algebraic inequalities
 _DISCRETE_BIAS_GUARD = 1e-2       # slack for O(h^2) finite-difference bias in verdicts
 _FLAT_WINDOW_REL = 1e-6           # below this relative variation there is no decay to fit
+_LYAPUNOV_SLACK = 1e-9            # rounding slack for an order-one Lyapunov value
+_ON_TRACE_REL = 1e-6              # on-trace tolerance for a point, relative to L
 
 
 @dataclass(frozen=True)
@@ -240,21 +242,18 @@ def l1_energy_check(trajectory: Sequence[TrajectoryRecord]) -> Report:
     )
 
 
-def smallness_propagation_check(trajectory: Sequence[TrajectoryRecord],
-                                slack: float = 1e-9) -> Report:
+def smallness_propagation_check(trajectory: Sequence[TrajectoryRecord]) -> Report:
     """Check the two consequences of admissible initial data along a run.
 
     The oscillation energy must stay at or below twice kstar() at every
     record, and the Lyapunov quantity K_osc + 8 pi^2 log L must never
-    increase between records.  ``slack`` scales the absolute tolerance for
-    the monotonicity comparison; the default absorbs rounding in runs whose
+    increase between records.  _LYAPUNOV_SLACK scales the absolute tolerance
+    for the monotonicity comparison; it absorbs rounding in runs whose
     Lyapunov value is order one while staying far below any real violation.
     Inadmissible first records are rejected.
     """
     if len(trajectory) == 0:
         raise RejectedInputError("empty trajectory")
-    if slack < 0.0 or not math.isfinite(slack):
-        raise RejectedInputError("slack must be finite and nonnegative")
     first = _hypothesis_report(trajectory[0].metrics)
     if not first.admissible:
         raise RejectedInputError(
@@ -265,7 +264,7 @@ def smallness_propagation_check(trajectory: Sequence[TrajectoryRecord],
     length = np.array([rec.metrics.length for rec in trajectory], dtype=float)
     threshold = 2.0 * kstar()
     lyapunov = kosc + 8.0 * math.pi * math.pi * np.log(length)
-    tol = slack * max(1.0, float(np.max(np.abs(lyapunov))))
+    tol = _LYAPUNOV_SLACK * max(1.0, float(np.max(np.abs(lyapunov))))
 
     kosc_bad = np.nonzero(kosc > threshold)[0]
     increases = np.diff(lyapunov)
@@ -317,7 +316,7 @@ def embeddedness_certificate(curve: SampledCurve) -> str:
     return EMBEDDED_INCONCLUSIVE
 
 
-def density_integral(curve: SampledCurve, point, epsilon: Optional[float] = None) -> float:
+def density_integral(curve: SampledCurve, point) -> float:
     """Multiplicity of a point on the trace, read off a curvature integral.
 
     After translating ``point`` to the origin, the integral of
@@ -328,15 +327,14 @@ def density_integral(curve: SampledCurve, point, epsilon: Optional[float] = None
     dropped and the cutoff is extrapolated to zero by evaluating at the
     cutoff and at twice it (Richardson in the cutoff radius).
 
-    ``epsilon`` is the on-trace tolerance for ``point``; defaults to 1e-6 L.
+    ``point`` must lie within _ON_TRACE_REL times L of the trace.
     """
     _require_uniform(curve, "density_integral")
     p = np.asarray(point, dtype=float)
     if p.shape != (2,) or not np.all(np.isfinite(p)):
         raise RejectedInputError("point must be a finite pair of coordinates")
     L = curve.length()
-    if epsilon is None:
-        epsilon = 1e-6 * L
+    epsilon = _ON_TRACE_REL * L
     gap = _max_dist_to_polyline(p[None, :], curve.vertices)
     if gap > epsilon:
         raise RejectedInputError(
@@ -410,15 +408,16 @@ def harmonic_sum_bound_check(l) -> bool:
     return bool(lhs >= rhs * (1.0 - _EXACT_INEQUALITY_GUARD))
 
 
-def wirtinger_check(samples, period: float, guard: float = _DISCRETE_BIAS_GUARD) -> Report:
+def wirtinger_check(samples, period: float) -> Report:
     """Periodic Poincare inequalities for a zero-mean sample vector.
 
     The mean is removed, derivatives are forward differences at midpoints,
     and integrals are uniform-grid quadrature over one period.  Checks
     int f^2 <= (P^2 / 4 pi^2) int f_x^2 and max f^2 <= (P / 2 pi) int f_x^2.
     The forward-difference derivative underestimates int f_x^2 by O(h^2), so
-    the verdicts allow ``guard`` relative slack; the reported ratio and gap
-    are raw.  Equality in the first inequality picks out the first harmonic.
+    the verdicts allow _DISCRETE_BIAS_GUARD relative slack; the reported
+    ratio and gap are raw.  Equality in the first inequality picks out the
+    first harmonic.
     """
     f = np.asarray(samples, dtype=float)
     if f.ndim != 1:
@@ -429,8 +428,6 @@ def wirtinger_check(samples, period: float, guard: float = _DISCRETE_BIAS_GUARD)
         raise RejectedInputError("samples must be finite")
     if not (math.isfinite(period) and period > 0.0):
         raise RejectedInputError("period must be positive")
-    if not (0.0 <= guard < 1.0):
-        raise RejectedInputError("guard must lie in [0, 1)")
 
     f = f - f.mean()
     h = period / f.size
@@ -446,8 +443,8 @@ def wirtinger_check(samples, period: float, guard: float = _DISCRETE_BIAS_GUARD)
         ratio = 1.0  # identically zero input: equality holds trivially
     return Report(
         verdicts={
-            "l2_holds": l2 <= l2_bound * (1.0 + guard),
-            "sup_holds": sup2 <= sup_bound * (1.0 + guard),
+            "l2_holds": l2 <= l2_bound * (1.0 + _DISCRETE_BIAS_GUARD),
+            "sup_holds": sup2 <= sup_bound * (1.0 + _DISCRETE_BIAS_GUARD),
         },
         values={
             "l2": l2,

@@ -172,7 +172,6 @@ _FLOW_PARSERS: Dict[str, Callable] = {
     "n": _parse_int, "dt": _parse_float,
     "scheme": _parse_str,
     "max_time": _parse_opt_float, "max_steps": _parse_opt_int,
-    "stop_when_kosc_exceeds": _parse_opt_float,
     "curvature_energy_ceiling": _parse_float,
     "conserve_area": _parse_bool,
 }

@@ -64,27 +64,40 @@ RESIDUAL_TOL = 1e-8     # largest backward error accepted from the implicit solv
 MIN_CHORD_RATIO = 1e-3  # a raw chord below this times the mean chord is a collapse
 
 
-def _optional_float(value) -> Optional[float]:
-    return None if value is None else float(value)
+def _number(value) -> float:
+    # a JSON int or float; bool is an int to Python, and is refused too
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise TypeError(f"{value!r} is not a JSON number")
+    return float(value)
+
+
+def _optional_number(value) -> Optional[float]:
+    return None if value is None else _number(value)
+
+
+def _integer(value) -> int:
+    if not _number(value).is_integer():
+        raise ValueError(f"{value!r} is not integral")
+    return int(value)
 
 
 # trajectory.jsonl schema, in file order: each key, the attribute it holds
 # (of the TrajectoryRecord, or of its CurveMetrics after "metrics."), and the
 # conversion that reads it back
 _TRAJECTORY_SCHEMA = (
-    ("t", "time", float),
-    ("L", "metrics.length", float),
-    ("A", "metrics.signed_area", float),
-    ("I", "metrics.isoperimetric_ratio", _optional_float),
-    ("omega", "metrics.winding_number", int),
-    ("kbar", "metrics.average_curvature", float),
-    ("kosc", "metrics.osc_energy", float),
-    ("ks2", "metrics.ks_norm_sq", float),
-    ("kss2", "metrics.kss_norm_sq", float),
-    ("kmin", "metrics.min_curvature", float),
-    ("dL_dt", "dL_dt_measured", float),
-    ("dA_dt", "dA_dt_measured", float),
-    ("residual", "solver_residual", float),
+    ("t", "time", _number),
+    ("L", "metrics.length", _number),
+    ("A", "metrics.signed_area", _number),
+    ("I", "metrics.isoperimetric_ratio", _optional_number),
+    ("omega", "metrics.winding_number", _integer),
+    ("kbar", "metrics.average_curvature", _number),
+    ("kosc", "metrics.osc_energy", _number),
+    ("ks2", "metrics.ks_norm_sq", _number),
+    ("kss2", "metrics.kss_norm_sq", _number),
+    ("kmin", "metrics.min_curvature", _number),
+    ("int_dev_ks2", "int_dev_ks2", _number),
+    ("int_dev2_ks2", "int_dev2_ks2", _number),
+    ("residual", "solver_residual", _number),
 )
 TRAJECTORY_FIELDS = tuple(key for key, _, _ in _TRAJECTORY_SCHEMA)
 
@@ -93,11 +106,12 @@ TRAJECTORY_FIELDS = tuple(key for key, _, _ in _TRAJECTORY_SCHEMA)
 class FlowConfig:
     """Scheme, resolution and stop conditions for one run.
 
-    ``curvature_energy_ceiling`` bounds the squared L2 norm of curvature
-    (arclength integral of k^2); crossing it, or any chord falling below
-    MIN_CHORD_RATIO times the mean spacing, stops the run with a
-    blow-up signal.  ``conserve_area`` toggles the exact area projection;
-    switching it off exposes the raw truncation drift.
+    A run stops at ``max_time`` or after ``max_steps``, whichever comes
+    first, or on blow-up.  ``curvature_energy_ceiling`` bounds the squared
+    L2 norm of curvature (arclength integral of k^2); crossing it, or any
+    chord falling below MIN_CHORD_RATIO times the mean spacing, stops the
+    run with a blow-up signal.  ``conserve_area`` toggles the exact area
+    projection; switching it off exposes the raw truncation drift.
     """
 
     n: int = 256
@@ -105,7 +119,6 @@ class FlowConfig:
     scheme: str = SCHEME_LINEARLY_IMPLICIT
     max_time: Optional[float] = None
     max_steps: Optional[int] = None
-    stop_when_kosc_exceeds: Optional[float] = None
     curvature_energy_ceiling: float = 1e5
     conserve_area: bool = True
 
@@ -125,8 +138,7 @@ class FlowConfig:
         if self.max_steps is not None and self.max_steps < 0:
             raise RejectedInputError("max_steps must be >= 0")
         # a NaN limit never compares true, so it would never stop the run
-        for name in ("max_time", "stop_when_kosc_exceeds",
-                     "curvature_energy_ceiling"):
+        for name in ("max_time", "curvature_energy_ceiling"):
             value = getattr(self, name)
             if value is not None and not (value > 0 and math.isfinite(value)):
                 raise RejectedInputError(f"{name} must be a positive finite number")
@@ -149,31 +161,22 @@ class FlowState:
 class TrajectoryRecord:
     """Diagnostics for one accepted step.
 
-    The rate fields are backward differences of L and A across the step
-    that produced this record, and are serialized with it; a record keeps no
-    rate of the oscillation energy.  ``int_dev_ks2`` and ``int_dev2_ks2`` are the arclength
-    integrals of (k - kbar) k_s^2 and (k - kbar)^2 k_s^2 on the record's
-    curve; they feed the oscillation-energy balance in identity_residuals
-    and are not part of the serialized schema (deserialized records carry
-    None there).
+    Every field measures the step's own curve, and every field is written
+    to trajectory.jsonl, so a record read back from the file is the record
+    the run made.  ``int_dev_ks2`` and ``int_dev2_ks2`` are the arclength
+    integrals of (k - kbar) k_s^2 and (k - kbar)^2 k_s^2; they feed the
+    oscillation-energy balance in identity_residuals.
     """
 
     time: float
     metrics: CurveMetrics
-    dL_dt_measured: float
-    dA_dt_measured: float
     solver_residual: float
-    int_dev_ks2: Optional[float] = None
-    int_dev2_ks2: Optional[float] = None
+    int_dev_ks2: float
+    int_dev2_ks2: float
 
     def __post_init__(self):
-        for name in ("time", "dL_dt_measured", "dA_dt_measured",
-                     "solver_residual"):
+        for name in ("time", "solver_residual", "int_dev_ks2", "int_dev2_ks2"):
             if not math.isfinite(getattr(self, name)):
-                raise RejectedInputError(f"non-finite {name} in trajectory record")
-        for name in ("int_dev_ks2", "int_dev2_ks2"):
-            value = getattr(self, name)
-            if value is not None and not math.isfinite(value):
                 raise RejectedInputError(f"non-finite {name} in trajectory record")
 
 
@@ -182,8 +185,8 @@ class RunResult:
     records: Tuple[TrajectoryRecord, ...]
     final_state: FlowState
     reason: str
+    initial_metrics: CurveMetrics
     detail: str = ""
-    initial_metrics: Optional[CurveMetrics] = None
 
 
 @dataclass(frozen=True)
@@ -405,18 +408,14 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     return _advance(state, config)[0]
 
 
-def _record_for(state: FlowState, residual: float, prev: CurveMetrics,
-                prev_time: float) -> TrajectoryRecord:
+def _record_for(state: FlowState, residual: float) -> TrajectoryRecord:
     """Diagnostics of state.curve, which is uniform in arclength."""
     m, ks = state.curve._measured, state.curve._ks_kss[0]
     h = m.length / state.curve.n
     dev = state.curve._frames_h[2] - m.average_curvature
-    dt = state.time - prev_time
     return TrajectoryRecord(
         time=state.time,
         metrics=m,
-        dL_dt_measured=(m.length - prev.length) / dt,
-        dA_dt_measured=(m.signed_area - prev.signed_area) / dt,
         solver_residual=residual,
         int_dev_ks2=float((dev * ks * ks).sum()) * h,
         int_dev2_ks2=float((dev * dev * ks * ks).sum()) * h,
@@ -428,8 +427,9 @@ def run(initial: SampledCurve, config: FlowConfig,
         ) -> RunResult:
     """Iterate the step until a stop condition fires.
 
-    Returns the per-step diagnostic records, the final state, and the reason
-    the run ended: max-time, max-steps, kosc-threshold, or blow-up.  On
+    Returns the per-step diagnostic records, the final state, the reason
+    the run ended (max-time, max-steps, or blow-up) and the metrics of the
+    initial curve.  Each record measures its own step's curve only.  On
     blow-up the records cover the accepted steps only and the final state is
     the last good one.  ``on_record`` is called with the state and record
     after each accepted step; callers use it to capture snapshots.
@@ -437,13 +437,11 @@ def run(initial: SampledCurve, config: FlowConfig,
     if not (initial.is_uniform() and initial.n == config.n):
         initial = resample_uniform(initial, config.n)
     state = FlowState(curve=initial, time=0.0, step_index=0)
-    prev = metrics(initial)
-    initial_metrics = prev
-    prev_time = 0.0
+    initial_metrics = metrics(initial)
     records: List[TrajectoryRecord] = []
 
     def done(reason: str, detail: str = "") -> RunResult:
-        return RunResult(tuple(records), state, reason, detail, initial_metrics)
+        return RunResult(tuple(records), state, reason, initial_metrics, detail)
 
     eps = 1e-9 * config.dt
     while True:
@@ -454,7 +452,7 @@ def run(initial: SampledCurve, config: FlowConfig,
             return done("max-time")
         try:
             state, residual = _advance(state, config)
-            record = _record_for(state, residual, prev, prev_time)
+            record = _record_for(state, residual)
         except BlowUpSignal as sig:
             if sig.last_state is not None:
                 state = sig.last_state
@@ -462,12 +460,6 @@ def run(initial: SampledCurve, config: FlowConfig,
         records.append(record)
         if on_record is not None:
             on_record(state, record)
-        prev = record.metrics
-        prev_time = state.time
-        if (config.stop_when_kosc_exceeds is not None
-                and record.metrics.osc_energy > config.stop_when_kosc_exceeds):
-            return done("kosc-threshold",
-                        f"osc energy {record.metrics.osc_energy:.3e}")
 
 
 def identity_residuals(trajectory: Sequence[TrajectoryRecord]) -> IdentityResiduals:
@@ -477,16 +469,12 @@ def identity_residuals(trajectory: Sequence[TrajectoryRecord]) -> IdentityResidu
     the length rate matches minus the squared L2 norm of k_s, the average
     curvature rate matches 2 omega pi / L^2 times that norm, and the
     oscillation-energy rate balances its production and dissipation terms.
+    A trajectory read back by read_trajectory_jsonl is checked the same way
+    as the records of the run that wrote it.
     """
     records = list(trajectory)
     if len(records) < 3:
         raise RejectedInputError("need at least 3 trajectory records")
-    for rec in records:
-        if rec.int_dev_ks2 is None or rec.int_dev2_ks2 is None:
-            raise RejectedInputError(
-                "records lack the oscillation-balance integrals "
-                "(deserialized trajectories cannot be re-checked)"
-            )
 
     rows = []
     for j in range(1, len(records) - 1):
@@ -501,11 +489,11 @@ def identity_residuals(trajectory: Sequence[TrajectoryRecord]) -> IdentityResidu
         area_scale = max(abs(m.signed_area), 1e-12 * m.length ** 2)
         area_abs = abs(dA) / area_scale
 
-        len_resid = dL + m.ks_norm_sq
+        len_resid = abs(dL + m.ks_norm_sq)
         len_terms = (abs(dL), m.ks_norm_sq)
 
         kbar_drive = 2.0 * m.winding_number * math.pi / m.length ** 2 * m.ks_norm_sq
-        kbar_resid = dkbar - kbar_drive
+        kbar_resid = abs(dkbar - kbar_drive)
         kbar_terms = (abs(dkbar), abs(kbar_drive))
 
         L = m.length
@@ -514,7 +502,7 @@ def identity_residuals(trajectory: Sequence[TrajectoryRecord]) -> IdentityResidu
                 + 6.0 * kbar * L * mid.int_dev_ks2
                 + 2.0 * kbar ** 2 * L * m.ks_norm_sq)
         loss = m.osc_energy * m.ks_norm_sq / L + 2.0 * L * m.kss_norm_sq
-        osc_resid = dkosc + loss - gain
+        osc_resid = abs(dkosc + loss - gain)
         osc_terms = (abs(dkosc), m.osc_energy * m.ks_norm_sq / L,
                      2.0 * L * m.kss_norm_sq,
                      abs(3.0 * L * mid.int_dev2_ks2),
@@ -522,10 +510,10 @@ def identity_residuals(trajectory: Sequence[TrajectoryRecord]) -> IdentityResidu
                      abs(2.0 * kbar ** 2 * L * m.ks_norm_sq))
 
         rows.append((
-            (area_abs, area_abs, (1.0,)),
-            (len_resid, abs(len_resid), len_terms),
-            (kbar_resid, abs(kbar_resid), kbar_terms),
-            (osc_resid, abs(osc_resid), osc_terms),
+            (area_abs, (1.0,)),
+            (len_resid, len_terms),
+            (kbar_resid, kbar_terms),
+            (osc_resid, osc_terms),
         ))
 
     # rel residuals only make sense where the identity's terms rise above
@@ -536,8 +524,8 @@ def identity_residuals(trajectory: Sequence[TrajectoryRecord]) -> IdentityResidu
     unit_osc = max(max(r.metrics.osc_energy for r in records), 1.0) / span
 
     def stat(idx: int, unit: float) -> ResidualStat:
-        abses = [row[idx][1] for row in rows]
-        scales = [max(row[idx][2]) for row in rows]
+        abses = [row[idx][0] for row in rows]
+        scales = [max(row[idx][1]) for row in rows]
         floor = max(1e-7 * max(scales), 1e-10 * unit, 1e-300)
         rels = [a / s if s >= floor else 0.0 for a, s in zip(abses, scales)]
         return ResidualStat(
@@ -570,10 +558,11 @@ def write_trajectory_jsonl(records: Sequence[TrajectoryRecord], path) -> None:
 def read_trajectory_jsonl(path) -> List[TrajectoryRecord]:
     """Rebuild records from a serialized trajectory.
 
-    Each record holds exactly its line's fields, read by the schema's
-    conversions, and so no rate of the oscillation energy.  The schema does
-    not carry the oscillation-balance integrals, so they come back as None
-    and identity_residuals rejects round-tripped trajectories by design.
+    Each line must hold every schema key; a number field takes a JSON int or
+    float (not a bool or a string), ``omega`` an integral value, and ``I``
+    also null.  The records equal those the run wrote, so identity_residuals
+    re-checks them.  Files that lack the oscillation-balance integrals (the
+    format before they were written) are rejected.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:

@@ -180,8 +180,6 @@ class TestWirtinger:
         with pytest.raises(RejectedInputError):
             wirtinger_check(good, 0.0)
         with pytest.raises(RejectedInputError):
-            wirtinger_check(good, 1.0, guard=1.5)
-        with pytest.raises(RejectedInputError):
             wirtinger_check(np.ones((8, 8)), 1.0)
         bad = good.copy()
         bad[3] = math.inf

@@ -65,7 +65,6 @@ class TestManifest:
             shape=ShapeSpec("fourier-perturbed-circle", r0=1.2,
                             modes=((2, 0.01, 0.0), (5, 0.002, 1.25))),
             flow=FlowConfig(n=192, dt=5e-5, max_time=0.25,
-                            stop_when_kosc_exceeds=0.5,
                             conserve_area=False),
             output_dir="somewhere",
             snapshot_interval=123,
@@ -112,6 +111,7 @@ class TestManifest:
         "shape = circle\nmax_steps = 10\nspread_threshold = 0.01\n",
         "shape = circle\nmax_steps = 10\nsolve_tolerance = 1e-8\n",
         "shape = circle\nmax_steps = 10\nmin_segment_factor = 1e-3\n",
+        "shape = circle\nmax_steps = 10\nstop_when_kosc_exceeds = 0.5\n",
         "shape = circle\nmax_time = nan\n",
         "shape = circle\nmax_steps = 10\ncurvature_energy_ceiling = nan\n",
     ])
