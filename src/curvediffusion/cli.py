@@ -340,7 +340,8 @@ def _summary_report(result: RunResult) -> Report:
         "length_nonincreasing": last.length <= first.length * (1.0 + 1e-12),
     }
     if first.signed_area > 0.0:
-        pts = result.final_state.curve.vertices
+        # row-major, so the centroid is summed row by row, not pairwise
+        pts = np.ascontiguousarray(result.final_state.curve.vertices)
         radii = np.linalg.norm(pts - pts.mean(axis=0), axis=1)
         values["round_radius_target"] = math.sqrt(first.signed_area / math.pi)
         values["final_radius_mean"] = float(radii.mean())

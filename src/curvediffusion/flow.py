@@ -65,9 +65,10 @@ MIN_CHORD_RATIO = 1e-3  # a raw chord below this times the mean chord is a colla
 
 
 def _number(value) -> float:
-    # a JSON int or float; bool is an int to Python, and is refused too
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise TypeError(f"{value!r} is not a JSON number")
+    # a finite JSON int or float; bool is an int to Python, and is refused too
+    if (isinstance(value, bool) or not isinstance(value, (int, float))
+            or not math.isfinite(value)):
+        raise TypeError(f"{value!r} is not a finite JSON number")
     return float(value)
 
 
@@ -222,7 +223,7 @@ def _solve_cyclic_pentadiagonal(c: float, rhs: np.ndarray) -> np.ndarray:
     """
     n = rhs.shape[0]
     symbol = 1.0 + 16.0 * c * _sin4(n)
-    return np.fft.irfft(np.fft.rfft(rhs, axis=0) / symbol[:, None], n=n, axis=0)
+    return np.fft.irfft(np.fft.rfft(rhs.T) / symbol, n=n).T
 
 
 @functools.lru_cache(maxsize=8)
@@ -558,11 +559,11 @@ def write_trajectory_jsonl(records: Sequence[TrajectoryRecord], path) -> None:
 def read_trajectory_jsonl(path) -> List[TrajectoryRecord]:
     """Rebuild records from a serialized trajectory.
 
-    Each line must hold every schema key; a number field takes a JSON int or
-    float (not a bool or a string), ``omega`` an integral value, and ``I``
-    also null.  The records equal those the run wrote, so identity_residuals
-    re-checks them.  Files that lack the oscillation-balance integrals (the
-    format before they were written) are rejected.
+    Each line must hold every schema key; a number field takes a finite JSON
+    int or float (no bool, string, NaN or Infinity), ``omega`` an integral
+    value, and ``I`` also null.  The records equal those the run wrote, so
+    identity_residuals re-checks them.  Files that lack the oscillation-
+    balance integrals (the format before they were written) are rejected.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -599,7 +600,7 @@ def read_trajectory_jsonl(path) -> List[TrajectoryRecord]:
             except (TypeError, ValueError, OverflowError) as exc:
                 raise RejectedInputError(
                     f"trajectory line {line_no}: field {key!r} is not a "
-                    f"number ({obj[key]!r})"
+                    f"finite number ({obj[key]!r})"
                 ) from exc
             (of_metrics if owner else of_record)[name] = value
         if records and not of_record["time"] > records[-1].time:

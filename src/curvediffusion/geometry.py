@@ -76,7 +76,8 @@ class SampledCurve:
     ----------
     vertices : (n, 2) array
         Vertex coordinates, traversed once; the edge from the last vertex back
-        to the first closes the polygon.
+        to the first closes the polygon.  Kept as a read-only column-major
+        copy, each coordinate contiguous; ``tobytes()`` is still row-major.
     chords : (n,) array, optional
         The chord lengths of vertices, when the caller has measured them.
 
@@ -123,7 +124,7 @@ class SampledCurve:
         object.__setattr__(self, "_chords", seg)
         object.__setattr__(self, "_length", total)
         object.__setattr__(self, "_uniform", self.chord_spread() <= SPREAD_TOL)
-        pts = pts.copy()
+        pts = np.array(pts, order="F")
         pts.setflags(write=False)
         object.__setattr__(self, "vertices", pts)
 
@@ -367,26 +368,28 @@ def _periodic_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
     directly, on the same three diagonals, with the right-hand sides
     stacked in Fortran order (the corner system, whose columns scipy
     repeats, as one column).  ``gtsv`` eliminates every column with the
-    same operations, so the result is bitwise scipy's.
+    same operations, so the result is bitwise scipy's.  The kernel works on
+    the coordinate rows y.T, and c is a view of one (4, cols, len(x) - 1) array.
     """
     dx = np.diff(x)
     if not (dx > 0.0).all():
         raise DegenerateGeometryError("spline knots must increase strictly")
-    dxr = dx[:, None]
-    slope = np.diff(y, axis=0) / dxr
+    yr = y.T
+    slope = np.diff(yr) / dx
     m = len(x) - 2
-    cols = y.shape[1]
+    cols = yr.shape[0]
     # row i of the periodic system: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i]
     # + dx[i-1] s[i+1] = 3 (dx[i] slope[i-1] + dx[i-1] slope[i])
     dx_prev = np.concatenate((dx[-1:], dx))  # row i is dx[i - 1]
-    rhs = 3 * (dxr * _shift(slope, -1) + dx_prev[:-1, None] * slope)
+    slope_prev = np.concatenate((slope[:, -1:], slope[:, :-1]), axis=1)
+    rhs = 3 * (dx * slope_prev + dx_prev[:-1] * slope)
     diag = np.empty(m)
     diag[0] = 2 * (dx[-1] + dx[0])
     diag[1:] = 2 * (dx[:m - 1] + dx[1:m])
     upper = dx_prev[:m - 1]
     # s = s1 + s[-2] s2 on the first m unknowns; s2 carries the corner terms
     b = np.zeros((m, cols + 1), order="F")
-    b[:, :cols] = rhs[:m]
+    b.T[:cols] = rhs[:, :m]
     b[0, cols] = -dx[0]
     b[-1, cols] = -dx[-3]
     _, _, _, both, info = dgtsv(dx[1:m], diag, upper, b, overwrite_d=1,
@@ -395,29 +398,33 @@ def _periodic_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
         raise DegenerateGeometryError(
             f"periodic spline system is singular (LAPACK gtsv info {info})"
         )
-    s1, s2 = both[:, :cols], both[:, cols:]
-    s_m1 = ((rhs[-1] - dx[-2] * s1[0] - dx[-1] * s1[-1])
+    s1, s2 = both.T[:cols], both.T[cols]
+    s_m1 = ((rhs[:, -1] - dx[-2] * s1[:, 0] - dx[-1] * s1[:, -1])
             / (2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]))
-    s = np.empty_like(y)
-    s[:-2] = s1 + s_m1 * s2
-    s[-2] = s_m1
-    s[-1] = s[0]
-    t = (s[:-1] + s[1:] - 2 * slope) / dxr
-    return np.stack((t / dxr, (slope - s[:-1]) / dxr - t, s[:-1], y[:-1]))
+    s = np.empty_like(yr)
+    s[:, :-2] = s1 + s_m1[:, None] * s2
+    s[:, -2] = s_m1
+    s[:, -1] = s[:, 0]
+    t = (s[:, :-1] + s[:, 1:] - 2 * slope) / dx
+    c = np.empty((4, cols, m + 1))
+    c[0], c[1] = t / dx, (slope - s[:, :-1]) / dx - t
+    c[2], c[3] = s[:, :-1], yr[:, :-1]
+    return c.transpose(0, 2, 1)
 
 
 def _evaluate_spline(x: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Values at u in [x[0], x[-1]) of the spline with coefficients c.
 
     Intervals are closed on the left and the polynomial is summed in the
-    order scipy's ``PPoly`` uses, so the values match it bitwise.
+    order scipy's ``PPoly`` uses, so the values match it bitwise.  The sum
+    runs on coordinate rows; the result is their column-major transpose.
     """
     i = np.searchsorted(x, u, side="right") - 1
     np.minimum(np.maximum(i, 0, out=i), len(x) - 2, out=i)
-    s = (u - x[i])[:, None]
+    s = u - x[i]
     s2 = s * s
-    c0, c1, c2, c3 = np.take(c, i, axis=1)
-    return c3 + c2 * s + c1 * s2 + c0 * (s2 * s)
+    c0, c1, c2, c3 = np.take(c.transpose(0, 2, 1), i, axis=2)
+    return (c3 + c2 * s + c1 * s2 + c0 * (s2 * s)).T
 
 
 def _require_uniform(curve: SampledCurve, op: str) -> None:
@@ -434,7 +441,9 @@ def _tangents(p: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
     if (tnorm == 0.0).any() or not np.isfinite(tnorm).all():
         raise DegenerateGeometryError("degenerate tangent (folded polygon)")
     tau = d1 / tnorm[:, None]
-    return tau, np.column_stack([-tau[:, 1], tau[:, 0]])
+    nu = np.empty_like(tau)
+    nu[:, 0], nu[:, 1] = -tau[:, 1], tau[:, 0]
+    return tau, nu
 
 
 def _frames(pts: np.ndarray, h: float):

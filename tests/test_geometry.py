@@ -291,6 +291,20 @@ class TestSplineKernel:
         u = np.concatenate([u, x[:-1], [np.nextafter(x[-1], 0.0)]])
         assert np.array_equal(geometry._evaluate_spline(x, coeffs, u), reference(u))
 
+    @pytest.mark.parametrize("n", [16, 17, 256, 4096])
+    def test_column_major_points_match_scipy(self, n):
+        from scipy.interpolate import CubicSpline
+
+        x, y = self.knots_and_points(n)
+        y = np.asfortranarray(y)
+        reference = CubicSpline(x, y, axis=0, bc_type="periodic")
+        coeffs = geometry._periodic_spline(x, y)
+        assert np.array_equal(coeffs, reference.c)
+        u = np.random.default_rng(n + 1).uniform(0.0, x[-1], 3 * n)
+        values = geometry._evaluate_spline(x, coeffs, u)
+        assert values.flags.f_contiguous
+        assert np.array_equal(values, reference(u))
+
     def test_chord_below_knot_rounding_raises(self):
         # a chord of one ulp vanishes in the cumulative length near pi, so
         # two spline knots coincide
@@ -427,6 +441,39 @@ class TestCurveCache:
         fields = dataclasses.fields(SampledCurve)
         assert [f.name for f in fields if f.repr] == ["vertices"]
         assert [f.name for f in fields if f.init] == ["vertices"]
+
+
+class TestColumnMajorLayout:
+    """Vertex arrays are column-major, each coordinate contiguous, from every
+    constructor through the frames, the resample and the solve."""
+
+    def test_curves_from_every_source_are_column_major(self, tmp_path):
+        raw = generate(ShapeSpec("limacon", offset=1.2), 128)
+        resampled = resample_uniform(raw)
+        path = tmp_path / "curve.csv"
+        write_curve_csv(resampled, path)
+        for curve in (raw, resampled, read_curve_csv(path)):
+            assert curve.vertices.flags.f_contiguous
+            tau, nu, _ = curve._frames_h
+            assert tau.flags.f_contiguous and nu.flags.f_contiguous
+            # the bytes are still those of the row-major array
+            rows = np.array(curve.vertices.tolist())
+            assert rows.flags.c_contiguous
+            assert curve.vertices.tobytes() == rows.tobytes()
+
+    def test_every_state_of_a_run_is_column_major(self):
+        layouts = []
+        run(uniform(ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0), 64),
+            FlowConfig(n=64, dt=1e-4, max_steps=5),
+            on_record=lambda state, _: layouts.append(
+                state.curve.vertices.flags.f_contiguous))
+        assert layouts == [True] * 5
+
+    def test_solve_returns_column_major(self):
+        from curvediffusion.flow import _solve_cyclic_pentadiagonal
+
+        rhs = generate(ShapeSpec("circle", radius=1.0), 64).vertices
+        assert _solve_cyclic_pentadiagonal(0.3, rhs).flags.f_contiguous
 
 
 class TestHausdorff:
