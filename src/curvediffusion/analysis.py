@@ -16,7 +16,7 @@ import numpy as np
 from .errors import RejectedInputError
 from .flow import TrajectoryRecord
 from .geometry import SampledCurve, CurveMetrics, metrics
-from .geometry import _max_dist_to_polyline, _require_uniform, _shift
+from .geometry import _max_dist_to_polyline, _require_uniform, _row_norms, _shift
 
 # Decimal expansion of the oscillation smallness threshold, frozen from a
 # 50-digit evaluation of the defining formula before the double-precision
@@ -344,7 +344,7 @@ def density_integral(curve: SampledCurve, point) -> float:
     h = L / curve.n
     _, nu, k = curve._frames_h
     q = curve.vertices - p[None, :]
-    r = np.linalg.norm(q, axis=1)
+    r = _row_norms(q)
     proj = np.einsum("ij,ij->i", q, nu)
 
     def partial(cut: float) -> float:

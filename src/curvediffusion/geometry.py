@@ -21,7 +21,6 @@ from dataclasses import InitVar, dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy.linalg.lapack import dgtsv
 
 from .errors import (
     DegenerateGeometryError,
@@ -290,13 +289,14 @@ def _fourier_radius(spec: ShapeSpec, t: np.ndarray) -> np.ndarray:
 def resample_uniform(curve: SampledCurve, n: Optional[int] = None) -> SampledCurve:
     """Redistribute vertices to uniform chord spacing on the same trace.
 
-    The trace is taken to be the periodic cubic spline through the current
-    vertices (chordal parametrization), built and evaluated by the private
-    kernel below, which repeats scipy's ``CubicSpline(..., bc_type="periodic")``
-    operation by operation and so matches it bitwise. New vertices are placed
-    on that spline and nudged, by a fixed-point iteration on the cumulative
-    chord length, until all chords agree to machine-level spread. Vertex 0
-    stays anchored, so an already-uniform curve is a fixed point of the map.
+    The trace is taken to be the periodic C^1 cubic Hermite interpolant of
+    the current vertices on chordal knots, the cumulative chord lengths, with
+    the slope at each knot that of the quartic through the five nearest
+    knots (:func:`_hermite_spline`).  New vertices are placed on it and
+    nudged, by a fixed-point iteration on the cumulative chord length, until
+    all chords agree to machine-level spread; the first guess is the uniform
+    grid in chord length.  Vertex 0 stays anchored, so an already-uniform
+    curve is a fixed point of the map.
 
     The iteration stops once the spread is below max(1e-12, 4 n eps), with
     eps the float64 machine epsilon, or once it is within the
@@ -307,9 +307,10 @@ def resample_uniform(curve: SampledCurve, n: Optional[int] = None) -> SampledCur
     spread still above half that tolerance after the last iteration raises
     DegenerateGeometryError.
 
-    Interpolating with a spline rather than along the polygon keeps the
-    chord-length deficit of the inscribed polygon consistent between input and
-    output; resampling then perturbs the measured length at O(h^4), not O(h^2).
+    Interpolating with a fourth-order interpolant rather than along the
+    polygon keeps the chord-length deficit of the inscribed polygon
+    consistent between input and output; resampling then perturbs the
+    measured length at O(h^4), not O(h^2).
     """
     if n is None:
         n = curve.n
@@ -328,10 +329,15 @@ def _resample_points(pts: np.ndarray, seg: np.ndarray,
         raise DegenerateGeometryError(
             f"total length {total:.3e} below threshold {MIN_TOTAL_LENGTH:.0e}"
         )
-    knots = np.concatenate([[0.0], np.cumsum(seg)])
-    coeffs = _periodic_spline(knots, np.vstack([pts, pts[:1]]))
+    # knots x[-2] .. x[m + 2] of the m points, two periodic images each side
+    cum = np.cumsum(seg)
+    period = cum[-1]
+    xp = np.concatenate((cum[-3:-1] - period, [0.0], cum, cum[:2] + period))
+    knots = xp[2:-2]
+    yr = pts.T
+    coeffs = _hermite_spline(xp, np.concatenate((yr[:, -2:], yr, yr[:, :3]), axis=1))
 
-    u = np.interp(np.arange(n) * (total / n), knots, knots)
+    u = np.arange(n) * (total / n)
     target = max(_RESAMPLE_TARGET_SPREAD, 4 * n * _FLOAT_EPS)
     prev_spread = math.inf
     for _ in range(_RESAMPLE_MAX_ITERS):
@@ -346,7 +352,7 @@ def _resample_points(pts: np.ndarray, seg: np.ndarray,
             break
         prev_spread = spread
         cum = np.concatenate([[0.0], np.cumsum(chords)])
-        u = np.interp(np.arange(n) * (cum[-1] / n), cum, np.append(u, knots[-1]))
+        u = np.interp(np.arange(n) * (cum[-1] / n), cum, np.append(u, period))
     if spread > 0.5 * SPREAD_TOL:
         raise DegenerateGeometryError(
             f"uniform resampling did not converge (spread {spread:.3e})"
@@ -354,77 +360,61 @@ def _resample_points(pts: np.ndarray, seg: np.ndarray,
     return out, chords
 
 
-def _periodic_spline(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Coefficients of the periodic cubic spline through (x, y), y[-1] == y[0].
+def _hermite_spline(xp: np.ndarray, yp: np.ndarray) -> np.ndarray:
+    """Coefficients of the periodic cubic Hermite interpolant through (x, y).
 
-    Returns c of shape (4, len(x) - 1, y.shape[1]); on [x[i], x[i+1]] the
-    spline is sum_k c[k, i] (t - x[i])^(3 - k).  The arithmetic is scipy's
-    ``CubicSpline(x, y, axis=0, bc_type="periodic")``, step for step: the
-    slopes s solve a cyclic tridiagonal system, condensed to a tridiagonal
-    one in the first len(x) - 2 unknowns plus a scalar back-substitution for
-    the last; the coefficients follow from the Hermite formulas.  scipy
-    solves the tridiagonal system twice through ``solve_banded``, which
-    hands a (1, 1) band to LAPACK ``gtsv``.  Here ``gtsv`` is called once,
-    directly, on the same three diagonals, with the right-hand sides
-    stacked in Fortran order (the corner system, whose columns scipy
-    repeats, as one column).  ``gtsv`` eliminates every column with the
-    same operations, so the result is bitwise scipy's.  The kernel works on
-    the coordinate rows y.T, and c is a view of one (4, cols, len(x) - 1) array.
+    xp holds the m + 1 knots x[0] .. x[m] of m points, x[m] closing the
+    period, padded with their periodic images x[-2], x[-1], x[m + 1] and
+    x[m + 2]; yp holds the coordinate rows of the points at the same m + 5
+    knots, (cols, m + 5).  The slope s[i] at knot i is the derivative of
+    the quartic through knots i - 2 .. i + 2, in Newton form about x[i] with
+    nodes i, i + 1, i - 1, i + 2, i - 2, from divided differences up to
+    order 4:
+
+        s[i] = f[i, i+1] - h[i] (f[i-1, i, i+1] + h[i-1] (f[i-1 .. i+2]
+               - (h[i] + h[i+1]) f[i-2 .. i+2]))
+
+    with h[i] = x[i + 1] - x[i].  The interpolant is C^1 and fourth-order
+    accurate, and each slope reads five knots, so no system is solved.
+    Returns c of shape (4, cols, m): on edge i, at x = x[i] + f h[i] with
+    f in [0, 1), the cubic is ((c[0] f + c[1]) f + c[2]) f + c[3], its
+    tangents scaled by the chord h[i].
     """
-    dx = np.diff(x)
-    if not (dx > 0.0).all():
+    h = np.diff(xp)
+    if not (h > 0.0).all():
         raise DegenerateGeometryError("spline knots must increase strictly")
-    yr = y.T
-    slope = np.diff(yr) / dx
-    m = len(x) - 2
-    cols = yr.shape[0]
-    # row i of the periodic system: dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i]
-    # + dx[i-1] s[i+1] = 3 (dx[i] slope[i-1] + dx[i-1] slope[i])
-    dx_prev = np.concatenate((dx[-1:], dx))  # row i is dx[i - 1]
-    slope_prev = np.concatenate((slope[:, -1:], slope[:, :-1]), axis=1)
-    rhs = 3 * (dx * slope_prev + dx_prev[:-1] * slope)
-    diag = np.empty(m)
-    diag[0] = 2 * (dx[-1] + dx[0])
-    diag[1:] = 2 * (dx[:m - 1] + dx[1:m])
-    upper = dx_prev[:m - 1]
-    # s = s1 + s[-2] s2 on the first m unknowns; s2 carries the corner terms
-    b = np.zeros((m, cols + 1), order="F")
-    b.T[:cols] = rhs[:, :m]
-    b[0, cols] = -dx[0]
-    b[-1, cols] = -dx[-3]
-    _, _, _, both, info = dgtsv(dx[1:m], diag, upper, b, overwrite_d=1,
-                                overwrite_du=1, overwrite_b=1)
-    if info != 0:
-        raise DegenerateGeometryError(
-            f"periodic spline system is singular (LAPACK gtsv info {info})"
-        )
-    s1, s2 = both.T[:cols], both.T[cols]
-    s_m1 = ((rhs[:, -1] - dx[-2] * s1[:, 0] - dx[-1] * s1[:, -1])
-            / (2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]))
-    s = np.empty_like(yr)
-    s[:, :-2] = s1 + s_m1[:, None] * s2
-    s[:, -2] = s_m1
-    s[:, -1] = s[:, 0]
-    t = (s[:, :-1] + s[:, 1:] - 2 * slope) / dx
-    c = np.empty((4, cols, m + 1))
-    c[0], c[1] = t / dx, (slope - s[:, :-1]) / dx - t
-    c[2], c[3] = s[:, :-1], yr[:, :-1]
-    return c.transpose(0, 2, 1)
+    m = len(xp) - 5
+    # column j of xp and yp is knot j - 2, so column j of d_k starts there
+    dy = np.diff(yp)
+    d1 = dy / h                                # f[j-2, j-1]
+    d2 = np.diff(d1) / (xp[2:] - xp[:-2])      # f[j-2 .. j]
+    d3 = np.diff(d2) / (xp[3:] - xp[:-3])      # f[j-2 .. j+1]
+    d4 = np.diff(d3) / (xp[4:] - xp[:-4])      # f[j-2 .. j+2]
+    hi, hm, hp = h[2:m + 3], h[1:m + 2], h[3:m + 4]   # h[i], h[i-1], h[i+1]
+    s = d1[:, 2:m + 3] - hi * (d2[:, 1:m + 2] + hm * (d3[:, 1:m + 2] - (hi + hp) * d4))
+    t0 = s[:, :-1] * hi[:-1]                   # tangents at f = 0 and f = 1
+    t1 = s[:, 1:] * hi[:-1]
+    delta = dy[:, 2:m + 2]
+    c = np.empty((4, yp.shape[0], m))
+    c[0] = t0 + t1 - 2.0 * delta
+    c[1] = 3.0 * delta - 2.0 * t0 - t1
+    c[2], c[3] = t0, yp[:, 2:m + 2]
+    return c
 
 
 def _evaluate_spline(x: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Values at u in [x[0], x[-1]) of the spline with coefficients c.
+    """Values at u in [x[0], x[-1]] of the interpolant with coefficients c.
 
-    Intervals are closed on the left and the polynomial is summed in the
-    order scipy's ``PPoly`` uses, so the values match it bitwise.  The sum
-    runs on coordinate rows; the result is their column-major transpose.
+    The piecewise-linear map of the knots x onto the vertex index gives each
+    u its edge i and local variable f in [0, 1).  The cubic is summed on
+    coordinate rows; the result is their column-major transpose.
     """
-    i = np.searchsorted(x, u, side="right") - 1
-    np.minimum(np.maximum(i, 0, out=i), len(x) - 2, out=i)
-    s = u - x[i]
-    s2 = s * s
-    c0, c1, c2, c3 = np.take(c.transpose(0, 2, 1), i, axis=2)
-    return (c3 + c2 * s + c1 * s2 + c0 * (s2 * s)).T
+    t = np.interp(u, x, np.arange(len(x), dtype=float))
+    i = t.astype(np.intp)
+    np.minimum(i, len(x) - 2, out=i)  # u = x[-1] is f = 1 on the last edge
+    f = t - i
+    c0, c1, c2, c3 = np.take(c, i, axis=2)
+    return (((c0 * f + c1) * f + c2) * f + c3).T
 
 
 def _require_uniform(curve: SampledCurve, op: str) -> None:

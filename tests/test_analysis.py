@@ -260,6 +260,18 @@ class TestDensityIntegral:
         with pytest.raises(NonUniformParametrizationError):
             density_integral(curve, (2.0, 0.0))
 
+    def test_row_norms_match_linalg_norm(self, monkeypatch):
+        # the vertex distances come from _row_norms; np.linalg.norm(q, axis=1)
+        # forms the same sum of squares, so the integral is bitwise unchanged
+        from curvediffusion.cli import _corpus_spec
+
+        rng = np.random.default_rng(0)
+        curves = [uniform(_corpus_spec(rng, index), 512) for index in range(4)]
+        values = [density_integral(c, c.vertices[0]) for c in curves]
+        monkeypatch.setattr(analysis, "_row_norms",
+                            lambda q: np.linalg.norm(q, axis=1))
+        assert [density_integral(c, c.vertices[0]) for c in curves] == values
+
 
 class TestHypotheses:
     def test_circle_is_admissible(self, circle_run):

@@ -401,12 +401,14 @@ class TestUsage:
         assert proc.returncode == 0
         assert "checks passed" in proc.stdout
 
-    def test_import_leaves_scipy_interpolate_unloaded(self):
-        # the package carries its own spline kernel; importing
-        # scipy.interpolate would add start-up time and memory to every run
+    @pytest.mark.parametrize("module", ["curvediffusion", "curvediffusion.cli"])
+    def test_import_leaves_scipy_unloaded(self, module):
+        # the package needs numpy only; any scipy module would add start-up
+        # time and memory to every run
         proc = subprocess.run(
             [sys.executable, "-c",
-             "import curvediffusion.cli, sys; "
-             "sys.exit('scipy.interpolate' in sys.modules)"],
+             f"import {module}, sys; "
+             "sys.exit(sorted(m for m in sys.modules "
+             "if m.split('.')[0] == 'scipy') or None)"],
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr

@@ -269,41 +269,89 @@ class TestResampling:
 
 
 class TestSplineKernel:
-    """The private periodic spline equals scipy's CubicSpline bitwise."""
+    """The private periodic Hermite interpolant on chordal knots."""
 
     @staticmethod
-    def knots_and_points(n):
-        rng = np.random.default_rng(n)
-        x = np.concatenate([[0.0], np.cumsum(rng.uniform(0.5, 1.5, n - 1))])
-        y = rng.standard_normal((n, 2))
-        y[-1] = y[0]
-        return x, y
+    def hermite(x, y):
+        """Coefficients through the points y (m, 2) at the knots x[0] .. x[m],
+        padded periodically as the resample pads them."""
+        period = x[-1]
+        xp = np.concatenate((x[-3:-1] - period, x, x[1:3] + period))
+        yr = np.asarray(y).T
+        return geometry._hermite_spline(
+            xp, np.concatenate((yr[:, -2:], yr, yr[:, :3]), axis=1))
 
-    @pytest.mark.parametrize("n", [16, 17, 256, 4096])
-    def test_matches_scipy_periodic_cubic_spline(self, n):
+    @staticmethod
+    def uneven_knots(m, seed):
+        """m + 1 random knots on [0, 2 pi], neighbouring steps up to 3x apart."""
+        steps = np.random.default_rng(seed).uniform(0.5, 1.5, m)
+        x = np.concatenate([[0.0], np.cumsum(steps)]) * (2.0 * np.pi / steps.sum())
+        x[-1] = 2.0 * np.pi
+        return x
+
+    @staticmethod
+    def smooth(t):
+        return np.column_stack([np.cos(t) + 0.3 * np.sin(2.0 * t),
+                                np.sin(t) - 0.2 * np.cos(3.0 * t)])
+
+    def errors(self, m):
+        """Largest error of the kernel and of scipy's periodic CubicSpline
+        through the smooth data at m random uneven knots."""
         from scipy.interpolate import CubicSpline
 
-        x, y = self.knots_and_points(n)
-        reference = CubicSpline(x, y, axis=0, bc_type="periodic")
-        coeffs = geometry._periodic_spline(x, y)
-        assert np.array_equal(coeffs, reference.c)
-        u = np.random.default_rng(n + 1).uniform(0.0, x[-1], 3 * n)
-        u = np.concatenate([u, x[:-1], [np.nextafter(x[-1], 0.0)]])
-        assert np.array_equal(geometry._evaluate_spline(x, coeffs, u), reference(u))
+        x = self.uneven_knots(m, m)
+        y = self.smooth(x[:-1])
+        u = np.linspace(0.0, 2.0 * np.pi, 20001)[:-1]
+        exact = self.smooth(u)
+        ours = geometry._evaluate_spline(x, self.hermite(x, y), u)
+        reference = CubicSpline(x, np.concatenate([y, y[:1]]), bc_type="periodic")
+        return np.abs(ours - exact).max(), np.abs(reference(u) - exact).max()
 
-    @pytest.mark.parametrize("n", [16, 17, 256, 4096])
-    def test_column_major_points_match_scipy(self, n):
-        from scipy.interpolate import CubicSpline
-
-        x, y = self.knots_and_points(n)
-        y = np.asfortranarray(y)
-        reference = CubicSpline(x, y, axis=0, bc_type="periodic")
-        coeffs = geometry._periodic_spline(x, y)
-        assert np.array_equal(coeffs, reference.c)
-        u = np.random.default_rng(n + 1).uniform(0.0, x[-1], 3 * n)
-        values = geometry._evaluate_spline(x, coeffs, u)
+    @pytest.mark.parametrize("m", [16, 17, 256, 4096])
+    def test_knots_return_their_vertices(self, m):
+        x = self.uneven_knots(m, m)
+        y = np.random.default_rng(m + 1).standard_normal((m, 2))
+        values = geometry._evaluate_spline(x, self.hermite(x, y), x[:-1])
         assert values.flags.f_contiguous
-        assert np.array_equal(values, reference(u))
+        assert np.array_equal(values, y)
+
+    @pytest.mark.parametrize("m", [16, 256])
+    def test_first_derivative_continuous_at_every_knot(self, m):
+        x = self.uneven_knots(m, m)
+        c = self.hermite(x, self.smooth(x[:-1]))
+        h = np.diff(x)
+        end = (3.0 * c[0] + 2.0 * c[1] + c[2]) / h   # d/dx at f = 1 of edge i
+        start = c[2] / h                              # d/dx at f = 0 of edge i
+        gap = np.abs(end - np.concatenate((start[:, 1:], start[:, :1]), axis=1))
+        assert gap.max() <= 1e-13 * np.abs(start).max()
+
+    def test_fourth_order_on_uneven_knots(self):
+        errors = [self.errors(m)[0] for m in (32, 64, 128, 256)]
+        for coarse, fine in zip(errors, errors[1:]):
+            assert coarse / fine >= 10.0
+
+    @pytest.mark.parametrize("m", [32, 64, 128, 256])
+    def test_error_within_twice_scipy_periodic_cubic_spline(self, m):
+        ours, reference = self.errors(m)
+        assert ours <= 2.0 * reference
+
+    @pytest.mark.parametrize("n", [64, 256])
+    @pytest.mark.parametrize("sampling", ["jump-10", "jump-100", "jitter-45"])
+    def test_resamples_unevenly_sampled_circle(self, sampling, n):
+        # chordal knots follow the trace however the parameter was spaced;
+        # knots at the vertex index miss all six cases
+        if sampling.startswith("jump"):
+            steps = np.where(np.arange(n) < n // 2, 1.0, float(sampling[5:]))
+            theta = np.concatenate([[0.0], np.cumsum(steps)[:-1]]) * (
+                2.0 * np.pi / steps.sum())
+        else:
+            jitter = np.random.default_rng(n).uniform(-0.45, 0.45, n)
+            theta = 2.0 * np.pi * (np.arange(n) + jitter) / n
+        raw = SampledCurve(np.column_stack([np.cos(theta), np.sin(theta)]))
+        curve = resample_uniform(raw)
+        radius = np.hypot(curve.vertices[:, 0], curve.vertices[:, 1])
+        assert curve.chord_spread() <= 0.5 * SPREAD_TOL
+        assert np.abs(radius - 1.0).max() <= (1e-5 if n == 64 else 1e-7)
 
     def test_chord_below_knot_rounding_raises(self):
         # a chord of one ulp vanishes in the cumulative length near pi, so
