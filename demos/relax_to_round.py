@@ -23,9 +23,9 @@ def main() -> None:
                      modes=((2, 0.01, 0.0),))
     initial = resample_uniform(generate(spec, 128))
 
-    hyp = check_hypotheses(initial)
-    print(f"initial oscillation energy {hyp.kosc0:.5f} "
-          f"vs threshold {kstar():.5f} -> admissible: {hyp.admissible}")
+    hyp = check_hypotheses(metrics(initial))
+    print(f"initial oscillation energy {hyp.values['kosc0']:.5f} "
+          f"vs threshold {kstar():.5f} -> admissible: {hyp.verdicts['admissible']}")
     print()
 
     result = run(initial, FlowConfig(n=128, dt=1e-4, max_time=0.5))

@@ -53,7 +53,6 @@ from .intersections import (
 )
 from .analysis import (
     DecayFit,
-    HypothesisReport,
     Report,
     check_hypotheses,
     decay_fit,
@@ -61,7 +60,6 @@ from .analysis import (
     embeddedness_certificate,
     general_smallness_threshold,
     harmonic_sum_bound_check,
-    hypothesis_as_report,
     isoperimetric_limit,
     kss2_rate_floor,
     kstar,

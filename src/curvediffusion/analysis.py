@@ -9,7 +9,7 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Dict, Optional, Sequence, Tuple
+from typing import Dict, Sequence, Tuple
 
 import numpy as np
 
@@ -48,31 +48,6 @@ class Report:
 
 def report_to_json(report: Report) -> str:
     return json.dumps(asdict(report), sort_keys=True, separators=(",", ":"))
-
-
-@dataclass(frozen=True)
-class HypothesisReport:
-    """Admissibility of an initial curve for the global-existence checks.
-
-    ``iso0`` is None when the enclosed area is too small to define an
-    isoperimetric ratio; that also forces ``iso_ok`` false.
-    """
-
-    kosc0: float
-    iso0: Optional[float]
-    kstar: float
-    kosc_ok: bool
-    iso_ok: bool
-    winding_ok: bool
-    area_ok: bool
-    admissible: bool
-
-    def __post_init__(self):
-        expected = self.kosc_ok and self.iso_ok and self.winding_ok and self.area_ok
-        if self.admissible != expected:
-            raise RejectedInputError(
-                "admissible must equal the conjunction of the four sub-verdicts"
-            )
 
 
 @dataclass(frozen=True)
@@ -133,45 +108,29 @@ def isoperimetric_limit() -> float:
     return math.exp(kstar() / (8.0 * math.pi * math.pi))
 
 
-def _hypothesis_report(m: CurveMetrics) -> HypothesisReport:
-    ks = kstar()
-    kosc_ok = m.osc_energy < ks
-    iso_ok = m.isoperimetric_ratio is not None and m.isoperimetric_ratio < isoperimetric_limit()
-    winding_ok = m.winding_number == 1
-    area_ok = m.signed_area > 0.0
-    return HypothesisReport(
-        kosc0=m.osc_energy,
-        iso0=m.isoperimetric_ratio,
-        kstar=ks,
-        kosc_ok=kosc_ok,
-        iso_ok=iso_ok,
-        winding_ok=winding_ok,
-        area_ok=area_ok,
-        admissible=kosc_ok and iso_ok and winding_ok and area_ok,
-    )
-
-
-def check_hypotheses(curve: SampledCurve) -> HypothesisReport:
+def check_hypotheses(m: CurveMetrics) -> Report:
     """Decide whether an initial curve qualifies for the circle-convergence result.
 
     Requires oscillation energy below kstar(), isoperimetric ratio below
-    exp(kstar()/8 pi^2), winding number one, and positive enclosed area.
+    exp(kstar()/8 pi^2), winding number one, and positive enclosed area;
+    ``admissible`` is the conjunction of those four verdicts.  The values
+    are ``kosc0``, ``kstar``, ``iso_limit`` and, when the enclosed area is
+    large enough to define the ratio, ``iso0``.  Pass ``metrics(curve)`` for
+    a curve, which must be uniform in arclength.
     """
-    return _hypothesis_report(metrics(curve))
-
-
-def hypothesis_as_report(report: HypothesisReport) -> Report:
+    ks = kstar()
+    iso_limit = isoperimetric_limit()
     verdicts = {
-        "kosc_ok": report.kosc_ok,
-        "iso_ok": report.iso_ok,
-        "winding_ok": report.winding_ok,
-        "area_ok": report.area_ok,
-        "admissible": report.admissible,
+        "kosc_ok": m.osc_energy < ks,
+        "iso_ok": (m.isoperimetric_ratio is not None
+                   and m.isoperimetric_ratio < iso_limit),
+        "winding_ok": m.winding_number == 1,
+        "area_ok": m.signed_area > 0.0,
     }
-    values = {"kosc0": report.kosc0, "kstar": report.kstar,
-              "iso_limit": isoperimetric_limit()}
-    if report.iso0 is not None:
-        values["iso0"] = report.iso0
+    verdicts["admissible"] = all(verdicts.values())
+    values = {"kosc0": m.osc_energy, "kstar": ks, "iso_limit": iso_limit}
+    if m.isoperimetric_ratio is not None:
+        values["iso0"] = m.isoperimetric_ratio
     return Report(verdicts=verdicts, values=values)
 
 
@@ -254,8 +213,7 @@ def smallness_propagation_check(trajectory: Sequence[TrajectoryRecord]) -> Repor
     """
     if len(trajectory) == 0:
         raise RejectedInputError("empty trajectory")
-    first = _hypothesis_report(trajectory[0].metrics)
-    if not first.admissible:
+    if not check_hypotheses(trajectory[0].metrics).verdicts["admissible"]:
         raise RejectedInputError(
             "first record is not admissible; the propagation bound does not apply"
         )

@@ -45,7 +45,6 @@ from .analysis import (
     decay_fit,
     density_integral,
     embeddedness_certificate,
-    hypothesis_as_report,
     kss2_rate_floor,
     l1_energy_check,
     multiplicity_bound,
@@ -322,6 +321,7 @@ def _svg_frame(curve: SampledCurve, viewbox: Tuple[float, float, float, float],
 
 def _summary_report(result: RunResult) -> Report:
     first = result.initial_metrics
+    lengths = [first.length] + [rec.metrics.length for rec in result.records]
     last = result.records[-1].metrics if result.records else first
     values = {
         "initial_length": first.length,
@@ -337,7 +337,10 @@ def _summary_report(result: RunResult) -> Report:
             abs(last.signed_area - first.signed_area)
             <= 1e-6 * max(1.0, abs(first.signed_area))
         ),
-        "length_nonincreasing": last.length <= first.length * (1.0 + 1e-12),
+        "length_nonincreasing": all(
+            after <= before * (1.0 + 1e-12)
+            for before, after in zip(lengths, lengths[1:])
+        ),
     }
     if first.signed_area > 0.0:
         # row-major, so the centroid is summed row by row, not pairwise
@@ -349,10 +352,9 @@ def _summary_report(result: RunResult) -> Report:
     return Report(verdicts=verdicts, values=values)
 
 
-def _waiting_section(initial: SampledCurve, records: Sequence[TrajectoryRecord],
-                     result: RunResult) -> Report:
+def _waiting_section(result: RunResult) -> Report:
     first = result.initial_metrics
-    measure = positivity_waiting_measure(records)
+    measure = positivity_waiting_measure(result.records)
     bound = waiting_time_bound(first.length, first.signed_area)
     return Report(
         verdicts={"measure_within_bound": measure <= bound + 1e-15},
@@ -360,8 +362,8 @@ def _waiting_section(initial: SampledCurve, records: Sequence[TrajectoryRecord],
     )
 
 
-def _decay_section(initial: SampledCurve, records: Sequence[TrajectoryRecord],
-                   result: RunResult) -> Report:
+def _decay_section(result: RunResult) -> Report:
+    records = result.records
     if not records:
         raise RejectedInputError("no records to fit")
     t_end = records[-1].time
@@ -387,25 +389,22 @@ def _decay_section(initial: SampledCurve, records: Sequence[TrajectoryRecord],
     return Report(verdicts=verdicts, values=values)
 
 
-_SECTION_BUILDERS: Dict[str, Callable] = {
-    "hypotheses": lambda initial, records, result:
-        hypothesis_as_report(check_hypotheses(initial)),
-    "smallness": lambda initial, records, result:
-        smallness_propagation_check(records),
-    "l1-energy": lambda initial, records, result:
-        l1_energy_check(records),
+# each run.json section, built from the run's result alone
+_SECTION_BUILDERS: Dict[str, Callable[[RunResult], Report]] = {
+    "hypotheses": lambda result: check_hypotheses(result.initial_metrics),
+    "smallness": lambda result: smallness_propagation_check(result.records),
+    "l1-energy": lambda result: l1_energy_check(result.records),
     "waiting": _waiting_section,
     "decay": _decay_section,
 }
 
 
-def _simulation_report(manifest: RunManifest, result: RunResult,
-                       initial: SampledCurve) -> Dict[str, object]:
-    records = list(result.records)
+def _simulation_report(manifest: RunManifest,
+                       result: RunResult) -> Dict[str, object]:
     sections: Dict[str, object] = {"summary": asdict(_summary_report(result))}
     for name in manifest.reports:
         try:
-            sections[name] = asdict(_SECTION_BUILDERS[name](initial, records, result))
+            sections[name] = asdict(_SECTION_BUILDERS[name](result))
         except RejectedInputError as exc:
             sections[name] = {
                 "verdicts": {"applicable": False},
@@ -416,7 +415,7 @@ def _simulation_report(manifest: RunManifest, result: RunResult,
         "run": {
             "reason": result.reason,
             "detail": result.detail,
-            "records": len(records),
+            "records": len(result.records),
             "final_step": result.final_state.step_index,
             "final_time": result.final_state.time,
         },
@@ -457,7 +456,7 @@ def cmd_simulate(manifest_path: str) -> int:
             _atomic_text(os.path.join(out_dir, f"snapshot_{step:08d}.svg"),
                          _svg_frame(curve, viewbox, time))
 
-    payload = _simulation_report(manifest, result, initial)
+    payload = _simulation_report(manifest, result)
     _atomic_text(os.path.join(out_dir, "run.json"),
                  json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
@@ -485,7 +484,7 @@ def cmd_analyze(curve_path: str) -> int:
     curve = read_curve_csv(curve_path)
     work = curve if curve.is_uniform() else resample_uniform(curve)
     met = metrics(work)
-    hypotheses = hypothesis_as_report(check_hypotheses(work))
+    hypotheses = check_hypotheses(met)
     crossings = find_crossings(work)
     certificate = embeddedness_certificate(work)
     bound = multiplicity_bound(crossings.multiplicity, met.winding_number)
@@ -803,6 +802,8 @@ def cmd_verify(suite: Optional[str], seed: int) -> int:
             print(f"unknown suite {suite!r}", file=target)
         print(f"available suites: {known}", file=target)
         return 1
+    if seed < 0:
+        raise RejectedInputError(f"--seed must be a non-negative integer, got {seed}")
     rows = SUITES[suite](seed)
     width = max(len(name) for name, _, _ in rows)
     passed = 0

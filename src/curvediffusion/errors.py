@@ -32,11 +32,7 @@ class SolverError(CurveDiffusionError, RuntimeError):
 class BlowUpSignal(CurveDiffusionError, RuntimeError):
     """Curvature or mesh degeneration consistent with finite-time blow-up.
 
-    Carries the last state that still satisfied all invariants, so callers
-    can keep the partial trajectory. The run loop treats this as an expected
-    branch, not an error.
+    Carries only its message: the step that raises it leaves the state it
+    was given untouched, and that state is the last good one.  The run loop
+    treats this as an expected branch, not an error.
     """
-
-    def __init__(self, message: str, last_state=None):
-        super().__init__(message)
-        self.last_state = last_state

@@ -324,7 +324,7 @@ def _project_area(pts: np.ndarray, seg: np.ndarray, target: float) -> np.ndarray
     return pts + alpha * nu
 
 
-def _redistribute(raw: np.ndarray, state: FlowState, config: FlowConfig,
+def _redistribute(raw: np.ndarray, config: FlowConfig,
                   prev_area: float) -> SampledCurve:
     """Resample a raw polygon to config.n uniform chords, conserving area.
 
@@ -335,9 +335,7 @@ def _redistribute(raw: np.ndarray, state: FlowState, config: FlowConfig,
     """
     seg = _chord_lengths(raw)
     if float(seg.min()) < MIN_CHORD_RATIO * float(seg.sum() / len(seg)):
-        raise BlowUpSignal(
-            "a segment collapsed below the resolvable scale", last_state=state,
-        )
+        raise BlowUpSignal("a segment collapsed below the resolvable scale")
     try:
         for _ in range(_MAX_EXTRA_PASSES + 1):
             pts, seg = _resample_points(raw, seg, config.n)
@@ -353,9 +351,7 @@ def _redistribute(raw: np.ndarray, state: FlowState, config: FlowConfig,
             f"after {_MAX_EXTRA_PASSES} extra resample-project passes"
         )
     except (DegenerateGeometryError, RejectedInputError) as exc:
-        raise BlowUpSignal(
-            f"redistribution failed: {exc}", last_state=state,
-        ) from exc
+        raise BlowUpSignal(f"redistribution failed: {exc}") from exc
 
 
 def _advance(state: FlowState, config: FlowConfig) -> Tuple[FlowState, float]:
@@ -372,10 +368,8 @@ def _advance(state: FlowState, config: FlowConfig) -> Tuple[FlowState, float]:
         residual = 0.0
 
     if not np.isfinite(raw).all():
-        raise BlowUpSignal(
-            "non-finite coordinates after the step", last_state=state,
-        )
-    curve = _redistribute(raw, state, config, state.curve._area)
+        raise BlowUpSignal("non-finite coordinates after the step")
+    curve = _redistribute(raw, config, state.curve._area)
 
     # curvature-energy ceiling, the continuation criterion in reverse
     k = curve._frames_h[2]
@@ -383,7 +377,7 @@ def _advance(state: FlowState, config: FlowConfig) -> Tuple[FlowState, float]:
     if energy >= config.curvature_energy_ceiling:
         raise BlowUpSignal(
             f"curvature energy {energy:.3e} reached the ceiling "
-            f"{config.curvature_energy_ceiling:.3e}", last_state=state,
+            f"{config.curvature_energy_ceiling:.3e}"
         )
 
     new_state = FlowState(
@@ -397,10 +391,17 @@ def _advance(state: FlowState, config: FlowConfig) -> Tuple[FlowState, float]:
 def step(state: FlowState, config: FlowConfig) -> FlowState:
     """Advance one time step, then resample to uniform chords.
 
-    Raises SolverError on a failed linear solve and BlowUpSignal (carrying
-    the last good state) on post-step degeneracy; blow-up is the expected
-    exit for singular initial shapes.
+    The new time is config.dt times the new step index, as in run(), so a
+    state whose time is not config.dt times its step index is rejected.
+    Raises SolverError on a failed linear solve and BlowUpSignal on
+    post-step degeneracy, after which the given state is the last good one;
+    blow-up is the expected exit for singular initial shapes.
     """
+    if state.time != config.dt * state.step_index:
+        raise RejectedInputError(
+            f"state time {state.time!r} is not dt {config.dt!r} times its "
+            f"step index {state.step_index}"
+        )
     if not (state.curve.is_uniform() and state.curve.n == config.n):
         state = FlowState(
             curve=resample_uniform(state.curve, config.n),
@@ -455,8 +456,6 @@ def run(initial: SampledCurve, config: FlowConfig,
             state, residual = _advance(state, config)
             record = _record_for(state, residual)
         except BlowUpSignal as sig:
-            if sig.last_state is not None:
-                state = sig.last_state
             return done("blow-up", str(sig))
         records.append(record)
         if on_record is not None:

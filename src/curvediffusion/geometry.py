@@ -106,6 +106,10 @@ class SampledCurve:
             raise RejectedInputError(
                 f"need at least {MIN_VERTICES} vertices, got {pts.shape[0]}"
             )
+        if chords is not None and np.shape(chords) != (pts.shape[0],):
+            raise RejectedInputError(
+                f"chords must have shape ({pts.shape[0]},), got {np.shape(chords)}"
+            )
         if not np.isfinite(pts).all():
             raise RejectedInputError("vertex coordinates must be finite")
         # squared chords overflow beyond about 1e154: a wrong scale, rejected

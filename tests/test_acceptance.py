@@ -139,9 +139,9 @@ def test_criterion_05_time_integrated_energy_capped(all_scenarios):
 
 def test_criterion_06_small_data_relaxes_to_round(perturbed_run):
     result = perturbed_run.result
-    hyp = check_hypotheses(perturbed_run.initial)
-    admissible = hyp.admissible and hyp.kosc0 < kstar() \
-        and hyp.iso0 < isoperimetric_limit()
+    hyp = check_hypotheses(metrics(perturbed_run.initial))
+    admissible = hyp.verdicts["admissible"] and hyp.values["kosc0"] < kstar() \
+        and hyp.values["iso0"] < isoperimetric_limit()
     completed = result.reason == "max-time" \
         and abs(result.final_state.time - 5.0) <= 1e-9
     threshold = 2.0 * kstar()

@@ -18,7 +18,6 @@ from curvediffusion.analysis import (
     EMBEDDED_INCONCLUSIVE,
     KSTAR_DIGITS,
     DecayFit,
-    HypothesisReport,
     Report,
     check_hypotheses,
     decay_fit,
@@ -26,7 +25,6 @@ from curvediffusion.analysis import (
     embeddedness_certificate,
     general_smallness_threshold,
     harmonic_sum_bound_check,
-    hypothesis_as_report,
     isoperimetric_limit,
     kss2_rate_floor,
     kstar,
@@ -275,43 +273,49 @@ class TestDensityIntegral:
 
 class TestHypotheses:
     def test_circle_is_admissible(self, circle_run):
-        report = check_hypotheses(circle_run.initial)
-        assert report.admissible
-        assert report.kosc0 <= 1e-6
-        assert report.iso0 is not None
-        assert report.iso0 < isoperimetric_limit()
-        assert report.kstar == kstar()
+        report = check_hypotheses(metrics(circle_run.initial))
+        assert report.verdicts["admissible"]
+        assert report.values["kosc0"] <= 1e-6
+        assert "iso0" in report.values
+        assert report.values["iso0"] < isoperimetric_limit()
+        assert report.values["kstar"] == kstar()
 
     def test_perturbed_circle_is_admissible(self, perturbed_run):
-        report = check_hypotheses(perturbed_run.initial)
-        assert report.admissible
-        assert report.kosc0 < kstar()
+        report = check_hypotheses(metrics(perturbed_run.initial))
+        assert report.verdicts["admissible"]
+        assert report.values["kosc0"] < kstar()
 
     def test_third_mode_fails_the_energy_gate(self, mode3_run):
-        report = check_hypotheses(mode3_run.initial)
-        assert not report.kosc_ok
-        assert not report.admissible
+        report = check_hypotheses(metrics(mode3_run.initial))
+        assert not report.verdicts["kosc_ok"]
+        assert not report.verdicts["admissible"]
 
     def test_figure_eight_fails_on_winding_and_ratio(self, lemniscate_run):
         # the signed area cancels only to rounding, so the load-bearing
         # rejections are the winding number and the undefined ratio
-        report = check_hypotheses(lemniscate_run.initial)
-        assert not report.admissible
-        assert not report.winding_ok
-        assert not report.iso_ok
-        assert report.iso0 is None
+        report = check_hypotheses(metrics(lemniscate_run.initial))
+        assert not report.verdicts["admissible"]
+        assert not report.verdicts["winding_ok"]
+        assert not report.verdicts["iso_ok"]
+        assert "iso0" not in report.values
 
-    def test_report_conversion_carries_verdicts(self, circle_run):
-        report = hypothesis_as_report(check_hypotheses(circle_run.initial))
-        assert isinstance(report, Report)
-        assert report.verdicts["admissible"]
-        assert "kosc0" in report.values
-
-    def test_inconsistent_conjunction_rejected(self):
-        with pytest.raises(RejectedInputError):
-            HypothesisReport(kosc0=0.0, iso0=1.0, kstar=kstar(),
-                             kosc_ok=True, iso_ok=True, winding_ok=True,
-                             area_ok=True, admissible=False)
+    def test_admissible_is_the_conjunction_on_every_fixture(self, all_scenarios):
+        # the keys are those run.json and analyze reports carry; iso0 is
+        # present exactly when the isoperimetric ratio is defined
+        for name, fixture in all_scenarios.items():
+            m = fixture.result.initial_metrics
+            report = check_hypotheses(m)
+            assert isinstance(report, Report)
+            verdicts = dict(report.verdicts)
+            admissible = verdicts.pop("admissible")
+            assert set(verdicts) == {"kosc_ok", "iso_ok", "winding_ok", "area_ok"}
+            assert admissible == all(verdicts.values()), name
+            keys = {"kosc0", "kstar", "iso_limit"}
+            if m.isoperimetric_ratio is not None:
+                keys.add("iso0")
+            assert set(report.values) == keys, name
+            assert report.values["kosc0"] == m.osc_energy
+            assert report.values["iso_limit"] == isoperimetric_limit()
 
 
 class TestEmbeddednessCertificate:
@@ -357,7 +361,7 @@ class TestOneComputationPerCurve:
             met = metrics(curve)
             embeddedness_certificate(curve)
             density_integral(curve, curve.vertices[0])
-            check_hypotheses(curve)
+            check_hypotheses(metrics(curve))
             assert met is metrics(curve)
             assert counts == {"_frames": 1, "turning_number": 1}, index
 

@@ -23,7 +23,7 @@ from curvediffusion.cli import (
     write_manifest,
 )
 from curvediffusion.errors import RejectedInputError
-from curvediffusion.flow import FlowConfig
+from curvediffusion.flow import FlowConfig, run
 from curvediffusion.geometry import (
     ShapeSpec,
     generate,
@@ -162,6 +162,21 @@ class TestSimulate:
         # so rather than fit noise
         assert sections["decay"]["verdicts"] == {"applicable": False}
         assert "note" in sections["decay"]
+
+    def test_length_verdict_checks_every_step(self):
+        # a 1e-9 relative rise between two records fails the verdict, though
+        # the last length is below the first
+        spec = ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0)
+        initial = resample_uniform(generate(spec, 64))
+        result = run(initial, FlowConfig(n=64, dt=1e-4, max_steps=6))
+        assert cli._summary_report(result).verdicts["length_nonincreasing"]
+        records = list(result.records)
+        risen = dataclasses.replace(
+            records[3].metrics, length=records[2].metrics.length * (1.0 + 1e-9))
+        records[3] = dataclasses.replace(records[3], metrics=risen)
+        assert records[-1].metrics.length < result.initial_metrics.length
+        spliced = dataclasses.replace(result, records=tuple(records))
+        assert not cli._summary_report(spliced).verdicts["length_nonincreasing"]
 
     def test_trajectory_lines_match_record_count(self, circle_outputs):
         _, out = circle_outputs
@@ -382,6 +397,13 @@ class TestVerify:
     def test_bare_verify_lists_options(self, capsys):
         assert main(["verify"]) == 1
         assert "available suites" in capsys.readouterr().out
+
+    def test_negative_seed_is_a_usage_error(self, capsys):
+        assert main(["verify", "wirtinger", "--seed", "-1"]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "curvediffusion: --seed must be a non-negative integer, got -1"
+        ]
 
 
 class TestUsage:

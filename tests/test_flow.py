@@ -40,6 +40,8 @@ from curvediffusion.geometry import (
     CurveMetrics,
     SampledCurve,
     ShapeSpec,
+    curvature_profile,
+    curve_integral,
     generate,
     hausdorff_distance,
     metrics,
@@ -49,6 +51,19 @@ from curvediffusion.geometry import (
 
 
 RIPPLE = ShapeSpec("fourier-perturbed-circle", r0=1.0, modes=((2, 0.01, 0.0),))
+
+# how each run of conftest.SCENARIOS stops: reason, final step index and
+# the prefix of the blow-up detail
+SESSION_STOPS = {
+    "circle": ("max-time", 10000, ""),
+    "ellipse": ("max-time", 20000, ""),
+    "perturbed": ("max-time", 50000, ""),
+    "wide-perturbed": ("max-time", 5000, ""),
+    "strong-perturbed": ("max-time", 10000, ""),
+    "mode3": ("max-time", 5000, ""),
+    "lemniscate": ("blow-up", 3308, "curvature energy"),
+    "wave": ("max-steps", 30, ""),
+}
 
 
 def uniform(spec: ShapeSpec, n: int):
@@ -64,6 +79,19 @@ class TestSingleStep:
         assert abs(after.time - 1e-4) <= 1e-18
         assert after.curve.is_uniform()
         assert state.step_index == 0  # input state untouched
+
+    def test_rejects_a_state_off_the_step_clock(self):
+        # the step sets the new time to dt * (step_index + 1), so a state
+        # whose own time is not dt * step_index would have its clock reset
+        curve = uniform(ShapeSpec("circle", radius=1.0), 64)
+        config = FlowConfig(n=64, dt=1e-4, max_steps=1)
+        with pytest.raises(RejectedInputError, match="0.5.*0.0001.*0"):
+            step(FlowState(curve, time=0.5), config)
+        with pytest.raises(RejectedInputError):
+            step(FlowState(curve, time=0.0, step_index=3), config)
+        after = step(FlowState(curve, time=config.dt * 3, step_index=3), config)
+        assert after.step_index == 4
+        assert after.time == config.dt * 4
 
     def test_step_resamples_to_config_n_like_run(self):
         # a uniform curve at the wrong vertex count is resampled first
@@ -353,6 +381,30 @@ class TestStopConditions:
         assert result.reason == "blow-up"
         assert result.detail.startswith("curvature energy")
         assert abs(result.final_state.time - 0.04135) <= 0.01 * 0.04135
+
+    def test_ceiling_below_the_initial_energy_stops_before_any_record(self):
+        # the first step's curve already reaches the ceiling: no step is
+        # accepted and the final state is the initial curve, untouched
+        initial = uniform(RIPPLE, 64)
+        energy = curve_integral(initial, curvature_profile(initial) ** 2)
+        result = run(initial, FlowConfig(n=64, dt=1e-4, max_steps=10,
+                                         curvature_energy_ceiling=0.5 * energy))
+        assert result.reason == "blow-up"
+        assert result.detail.startswith("curvature energy")
+        assert result.records == ()
+        assert result.final_state.curve is initial
+        assert result.final_state.step_index == 0
+        assert result.final_state.time == 0.0
+
+    @pytest.mark.parametrize("name", sorted(SESSION_STOPS))
+    def test_session_runs_stop_where_measured(self, request, name):
+        reason, final_step, detail = SESSION_STOPS[name]
+        result = request.getfixturevalue(name.replace("-", "_") + "_run").result
+        assert result.reason == reason
+        assert result.final_state.step_index == final_step
+        assert len(result.records) == final_step
+        assert result.detail.startswith(detail)
+        assert (result.detail == "") == (reason != "blow-up")
 
     def test_config_requires_a_stop_condition(self):
         with pytest.raises(RejectedInputError):

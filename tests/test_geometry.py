@@ -634,6 +634,14 @@ class TestValidation:
             with pytest.raises(RejectedInputError, match=match):
                 SampledCurve(curve.vertices, chords=chords)
 
+    def test_handed_over_chords_need_one_per_vertex(self):
+        # a 64-gon of length about 2 pi must not take the length and the
+        # uniformity of three unit chords
+        curve = uniform(ShapeSpec("circle", radius=1.0), 64)
+        for shape in ((3,), (65,), (64, 1), ()):
+            with pytest.raises(RejectedInputError, match="chords must have shape"):
+                SampledCurve(curve.vertices, chords=np.ones(shape))
+
     def test_uniformity_is_measured(self):
         t = 2.0 * np.pi * np.arange(64) / 64
         pts = np.column_stack([np.cos(t), np.sin(t)])
