@@ -161,6 +161,16 @@ def _record_times(trajectory: Sequence[TrajectoryRecord]) -> np.ndarray:
     return times
 
 
+def _median_interval(times: np.ndarray) -> float:
+    """Median of the intervals between two or more record times: the middle
+    sorted interval, or the mean of the two middle ones for an even count."""
+    gaps = np.sort(times[1:] - times[:-1])
+    mid = gaps.size // 2
+    if gaps.size % 2:
+        return float(gaps[mid])
+    return float((gaps[mid - 1] + gaps[mid]) / 2.0)
+
+
 def positivity_waiting_measure(trajectory: Sequence[TrajectoryRecord]) -> float:
     """Total time the recorded minimum curvature spends at or below zero.
 
@@ -172,8 +182,7 @@ def positivity_waiting_measure(trajectory: Sequence[TrajectoryRecord]) -> float:
         raise RejectedInputError("empty trajectory")
     if len(trajectory) == 1:
         return 0.0
-    times = _record_times(trajectory)
-    dt = float(np.median(np.diff(times)))
+    dt = _median_interval(_record_times(trajectory))
     hits = sum(1 for rec in trajectory if rec.metrics.min_curvature <= 0.0)
     return dt * hits
 
@@ -436,11 +445,13 @@ def decay_fit(trajectory: Sequence[TrajectoryRecord], quantity: str,
               window: Tuple[float, float]) -> DecayFit:
     """Fit A exp(-rate t) to one recorded quantity over a time window.
 
-    Straight-line least squares on the logarithm.  Rejected when the window
-    is shorter than ten record intervals, holds fewer than two records, the
-    quantity is not strictly positive there, or it varies by less than one
-    part in 1e6 across the window (a resolution-limited plateau has no decay
-    to fit).
+    Straight-line least squares on the logarithm, in closed form about the
+    means: slope = sum (x - xbar)(y - ybar) / sum (x - xbar)^2 and
+    intercept = ybar - slope xbar, so no solver is called.  Rejected when
+    the window is shorter than ten record intervals, holds fewer than two
+    records, the quantity is not strictly positive there, or it varies by
+    less than one part in 1e6 across the window (a resolution-limited
+    plateau has no decay to fit).
     """
     if quantity not in DECAY_QUANTITIES:
         raise RejectedInputError(
@@ -453,7 +464,7 @@ def decay_fit(trajectory: Sequence[TrajectoryRecord], quantity: str,
         raise RejectedInputError("window must be a finite interval with t1 > t0")
     times = _record_times(trajectory)
     if times.size > 1:
-        dt = float(np.median(np.diff(times)))
+        dt = _median_interval(times)
         if t1 - t0 <= 10.0 * dt:
             raise RejectedInputError("window must span more than ten record intervals")
     keep = (times >= t0) & (times <= t1)
@@ -469,8 +480,11 @@ def decay_fit(trajectory: Sequence[TrajectoryRecord], quantity: str,
         )
     x = times[keep]
     y = np.log(q)
-    slope, intercept = np.polyfit(x, y, 1)
-    resid = y - (slope * x + intercept)
+    x_mean, y_mean = float(x.mean()), float(y.mean())
+    xc, yc = x - x_mean, y - y_mean
+    slope = float((xc * yc).sum() / (xc * xc).sum())
+    intercept = y_mean - slope * x_mean
+    resid = yc - slope * xc
     return DecayFit(
         quantity=quantity,
         window=(t0, t1),

@@ -101,6 +101,8 @@ _TRAJECTORY_SCHEMA = (
     ("residual", "solver_residual", _number),
 )
 TRAJECTORY_FIELDS = tuple(key for key, _, _ in _TRAJECTORY_SCHEMA)
+_TRAJECTORY_GETTERS = tuple((key, attrgetter(attr))
+                            for key, attr, _ in _TRAJECTORY_SCHEMA)
 
 
 @dataclass(frozen=True)
@@ -545,7 +547,7 @@ def identity_residuals(trajectory: Sequence[TrajectoryRecord]) -> IdentityResidu
 
 
 def record_to_json(record: TrajectoryRecord) -> str:
-    obj = {key: attrgetter(attr)(record) for key, attr, _ in _TRAJECTORY_SCHEMA}
+    obj = {key: get(record) for key, get in _TRAJECTORY_GETTERS}
     return json.dumps(obj, separators=(",", ":"), allow_nan=False)
 
 

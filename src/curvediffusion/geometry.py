@@ -121,12 +121,15 @@ class SampledCurve:
             raise RejectedInputError(
                 "coordinates are too large: the chord lengths overflow"
             )
-        if (seg == 0.0).any():
+        seg_min = seg.min()
+        if seg_min == 0.0:
             raise RejectedInputError("consecutive vertices must not coincide")
         seg.setflags(write=False)
         object.__setattr__(self, "_chords", seg)
         object.__setattr__(self, "_length", total)
-        object.__setattr__(self, "_uniform", self.chord_spread() <= SPREAD_TOL)
+        # the spread as chord_spread() computes it, reusing the minimum
+        spread = float((seg.max() - seg_min) / (total / len(seg)))
+        object.__setattr__(self, "_uniform", spread <= SPREAD_TOL)
         pts = np.array(pts, order="F")
         pts.setflags(write=False)
         object.__setattr__(self, "vertices", pts)
@@ -210,7 +213,9 @@ class ShapeSpec:
     ``r0`` and ``modes`` as (frequency, amplitude, phase) triples
     (fourier-perturbed-circle, r(theta) = r0 * (1 + sum eps cos(m theta + phi)));
     ``offset`` and ``scale`` (limacon, r(theta) = scale * (offset + cos theta));
-    ``scale`` (lemniscate of Bernoulli). Unused fields are ignored.
+    ``scale`` (lemniscate of Bernoulli). Every number must be finite, the
+    amplitudes and phases of ``modes`` too; unused fields are otherwise
+    ignored.
     """
 
     kind: str
@@ -227,6 +232,10 @@ class ShapeSpec:
             raise RejectedInputError(
                 f"unknown shape kind {self.kind!r}; expected one of {SHAPE_KINDS}"
             )
+        for name in ("radius", "a", "b", "r0", "offset", "scale"):
+            value = getattr(self, name)
+            if not math.isfinite(value):
+                raise RejectedInputError(f"{name} must be finite, got {value!r}")
         if self.kind == "circle" and self.radius <= 0:
             raise RejectedInputError("circle radius must be positive")
         if self.kind == "ellipse" and (self.a <= 0 or self.b <= 0):
@@ -237,7 +246,11 @@ class ShapeSpec:
             norm = []
             for entry in self.modes:
                 m, eps, phase = entry
-                if int(m) != m or int(m) < 1:
+                if not (math.isfinite(eps) and math.isfinite(phase)):
+                    raise RejectedInputError(
+                        f"modes: amplitude and phase must be finite, got {entry!r}"
+                    )
+                if not math.isfinite(m) or int(m) != m or int(m) < 1:
                     raise RejectedInputError("mode frequencies must be integers >= 1")
                 norm.append((int(m), float(eps), float(phase)))
             object.__setattr__(self, "modes", tuple(norm))
@@ -348,7 +361,7 @@ def _resample_points(pts: np.ndarray, seg: np.ndarray,
         out = _evaluate_spline(knots, coeffs, u)
         chords = _chord_lengths(out)
         mean = chords.sum() / n
-        if mean <= 0 or not np.isfinite(mean):
+        if mean <= 0 or not math.isfinite(mean):
             raise DegenerateGeometryError("resampling produced a collapsed polygon")
         spread = (chords.max() - chords.min()) / mean
         stalled = spread > 0.5 * prev_spread and spread <= 0.5 * SPREAD_TOL
@@ -356,7 +369,7 @@ def _resample_points(pts: np.ndarray, seg: np.ndarray,
             break
         prev_spread = spread
         cum = np.concatenate([[0.0], np.cumsum(chords)])
-        u = np.interp(np.arange(n) * (cum[-1] / n), cum, np.append(u, period))
+        u = np.interp(np.arange(n) * (cum[-1] / n), cum, np.concatenate((u, (period,))))
     if spread > 0.5 * SPREAD_TOL:
         raise DegenerateGeometryError(
             f"uniform resampling did not converge (spread {spread:.3e})"
@@ -384,16 +397,16 @@ def _hermite_spline(xp: np.ndarray, yp: np.ndarray) -> np.ndarray:
     f in [0, 1), the cubic is ((c[0] f + c[1]) f + c[2]) f + c[3], its
     tangents scaled by the chord h[i].
     """
-    h = np.diff(xp)
+    h = xp[1:] - xp[:-1]
     if not (h > 0.0).all():
         raise DegenerateGeometryError("spline knots must increase strictly")
     m = len(xp) - 5
     # column j of xp and yp is knot j - 2, so column j of d_k starts there
-    dy = np.diff(yp)
-    d1 = dy / h                                # f[j-2, j-1]
-    d2 = np.diff(d1) / (xp[2:] - xp[:-2])      # f[j-2 .. j]
-    d3 = np.diff(d2) / (xp[3:] - xp[:-3])      # f[j-2 .. j+1]
-    d4 = np.diff(d3) / (xp[4:] - xp[:-4])      # f[j-2 .. j+2]
+    dy = yp[:, 1:] - yp[:, :-1]
+    d1 = dy / h                                            # f[j-2, j-1]
+    d2 = (d1[:, 1:] - d1[:, :-1]) / (xp[2:] - xp[:-2])     # f[j-2 .. j]
+    d3 = (d2[:, 1:] - d2[:, :-1]) / (xp[3:] - xp[:-3])     # f[j-2 .. j+1]
+    d4 = (d3[:, 1:] - d3[:, :-1]) / (xp[4:] - xp[:-4])     # f[j-2 .. j+2]
     hi, hm, hp = h[2:m + 3], h[1:m + 2], h[3:m + 4]   # h[i], h[i-1], h[i+1]
     s = d1[:, 2:m + 3] - hi * (d2[:, 1:m + 2] + hm * (d3[:, 1:m + 2] - (hi + hp) * d4))
     t0 = s[:, :-1] * hi[:-1]                   # tangents at f = 0 and f = 1
@@ -432,7 +445,8 @@ def _tangents(p: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
     """Unit tangent and normal of :func:`_frames`, from points padded by a row."""
     d1 = (p[2:] - p[:-2]) / (2.0 * h)
     tnorm = _row_norms(d1)
-    if (tnorm == 0.0).any() or not np.isfinite(tnorm).all():
+    # a norm is never negative, so this rejects zero, NaN and inf alike
+    if not (tnorm.min() > 0.0 and math.isfinite(tnorm.max())):
         raise DegenerateGeometryError("degenerate tangent (folded polygon)")
     tau = d1 / tnorm[:, None]
     nu = np.empty_like(tau)

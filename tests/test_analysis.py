@@ -1,5 +1,6 @@
 """Thresholds, inequality checks, trajectory diagnostics, and their oracles."""
 
+import dataclasses
 import itertools
 import math
 import warnings
@@ -456,6 +457,73 @@ class TestDecayFits:
         with pytest.raises(RejectedInputError):
             DecayFit(quantity=DECAY_KOSC, window=(0.0, 1.0), rate=math.nan,
                      amplitude=1.0, rms_log_residual=0.0)
+
+
+def _raising(name):
+    def fail(*args, **kwargs):
+        raise AssertionError(f"{name} called")
+    return fail
+
+
+def _polyfit_rate_and_amplitude(records, quantity_field, window):
+    # the straight line decay_fit fits, taken from numpy's least squares
+    t = np.array([rec.time for rec in records])
+    q = np.array([getattr(rec.metrics, quantity_field) for rec in records])
+    keep = (t >= window[0]) & (t <= window[1])
+    slope, intercept = np.polyfit(t[keep], np.log(q[keep]), 1)
+    return -slope, math.exp(intercept)
+
+
+class TestPlainNumpyFits:
+    WINDOWS = ((0.0, 0.5), (0.0, 0.25), (0.25, 0.5), (0.1, 0.4))
+
+    def test_reports_need_neither_polyfit_nor_median(self, monkeypatch,
+                                                     perturbed_run, wave_run):
+        # np.polyfit starts LAPACK and np.median imports numpy.ma; the
+        # reports fit a line and take a median without either
+        for name in ("polyfit", "median"):
+            monkeypatch.setattr(np, name, _raising(f"np.{name}"))
+        monkeypatch.setattr(np.linalg, "lstsq", _raising("np.linalg.lstsq"))
+        fit = decay_fit(perturbed_run.result.records, DECAY_KOSC, (0.0, 0.5))
+        assert fit.rate > 0.0
+        assert positivity_waiting_measure(wave_run.result.records) > 0.0
+
+    def test_fit_agrees_with_polyfit_on_the_ripple(self, perturbed_run):
+        records = perturbed_run.result.records
+        for window in self.WINDOWS:
+            fit = decay_fit(records, DECAY_KOSC, window)
+            rate, amplitude = _polyfit_rate_and_amplitude(records, "osc_energy", window)
+            assert fit.rate == pytest.approx(rate, rel=1e-13, abs=0.0), window
+            assert fit.amplitude == pytest.approx(amplitude, rel=1e-13, abs=0.0), window
+
+    def test_fit_agrees_with_polyfit_on_a_noisy_exponential(self, perturbed_run):
+        rng = np.random.default_rng(7)
+        template = perturbed_run.result.records[0]
+        times = 1e-3 * np.arange(1, 801)
+        values = 3.0 * np.exp(-4.0 * times + 0.05 * rng.normal(size=times.size))
+        records = [
+            dataclasses.replace(
+                template, time=float(t),
+                metrics=dataclasses.replace(template.metrics, osc_energy=float(v)))
+            for t, v in zip(times, values)
+        ]
+        window = (0.1, 0.7)
+        fit = decay_fit(records, DECAY_KOSC, window)
+        rate, amplitude = _polyfit_rate_and_amplitude(records, "osc_energy", window)
+        assert fit.rate == pytest.approx(rate, rel=1e-13, abs=0.0)
+        assert fit.amplitude == pytest.approx(amplitude, rel=1e-13, abs=0.0)
+        assert abs(fit.rate - 4.0) < 0.2
+
+    @pytest.mark.parametrize("times", [
+        1e-4 * np.arange(1, 9),                 # 7 intervals
+        1e-4 * np.arange(1, 10),                # 8 intervals
+        np.cumsum(np.random.default_rng(3).uniform(1e-5, 1e-3, 40)),
+        np.cumsum(np.random.default_rng(4).uniform(1e-5, 1e-3, 41)),
+        np.array([0.0, 1.0]),
+        np.array([0.0, 1.0, 1.5]),
+    ])
+    def test_median_interval_is_np_median(self, times):
+        assert analysis._median_interval(times) == float(np.median(np.diff(times)))
 
 
 class TestReportSerialization:

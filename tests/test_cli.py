@@ -10,6 +10,7 @@ import sys
 import tempfile
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -41,6 +42,18 @@ max_steps = 300
 output_dir = {out}
 snapshot_interval = 100
 svg = true
+reports = hypotheses, smallness, l1-energy, waiting, decay
+"""
+
+# a ripple that decays well above the quadrature floor, so the decay
+# section fits a rate
+RIPPLE_MANIFEST = """\
+shape = fourier-perturbed-circle
+modes = 2:0.01:0
+n = 128
+dt = 1e-4
+max_steps = 200
+output_dir = {out}
 reports = hypotheses, smallness, l1-energy, waiting, decay
 """
 
@@ -234,6 +247,33 @@ class TestSimulate:
     def test_missing_manifest_is_usage_error(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "absent.txt")]) == 1
         assert capsys.readouterr().err != ""
+
+    def test_reports_need_neither_polyfit_nor_median(self, tmp_path, monkeypatch):
+        def raising(*args, **kwargs):
+            raise AssertionError("np.polyfit, np.linalg.lstsq or np.median called")
+
+        for module, name in ((np, "polyfit"), (np, "median"), (np.linalg, "lstsq")):
+            monkeypatch.setattr(module, name, raising)
+        out = tmp_path / "out"
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(RIPPLE_MANIFEST.format(out=out))
+        assert main(["simulate", str(manifest)]) == 0
+        sections = json.loads((out / "run.json").read_text())["sections"]
+        assert set(sections) == {"summary"} | set(REPORT_SECTIONS)
+        assert sections["decay"]["verdicts"]["fitted"]
+        assert sections["waiting"]["values"]["measure"] == 0.0
+
+    def test_non_finite_shape_field_exits_one(self, tmp_path, capsys):
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(
+            "shape = circle\nradius = nan\nmax_steps = 10\n"
+            f"output_dir = {tmp_path / 'out'}\n")
+        assert main(["simulate", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err.splitlines() == [
+            "curvediffusion: radius must be finite, got nan"
+        ]
+        assert not (tmp_path / "out").exists()
 
 
 class TestAnalyze:
@@ -434,3 +474,20 @@ class TestUsage:
              "if m.split('.')[0] == 'scipy') or None)"],
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
+
+    def test_simulate_leaves_numpy_ma_unloaded(self, tmp_path):
+        # the reports fit their line and take their median with plain numpy;
+        # np.median alone would import numpy.ma
+        out = tmp_path / "out"
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(RIPPLE_MANIFEST.format(out=out))
+        proc = subprocess.run(
+            [sys.executable, "-c",
+             "import sys; from curvediffusion.cli import main; "
+             f"code = main(['simulate', {str(manifest)!r}]); "
+             "sys.exit(code or sorted(m for m in sys.modules "
+             "if m == 'numpy.ma' or m.startswith('numpy.ma.')) or None)"],
+            capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        sections = json.loads((out / "run.json").read_text())["sections"]
+        assert sections["decay"]["verdicts"]["fitted"]

@@ -300,6 +300,8 @@ class TestCarriedValues:
             np.vstack: 0,
             np.sum: 0,
             np.clip: 0,
+            np.diff: 0,
+            np.append: 0,
         }
         # without the area projection the resampled chords go to the curve
         # as they are, and no projection measures them

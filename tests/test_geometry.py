@@ -587,6 +587,26 @@ class TestValidation:
         with pytest.raises(RejectedInputError):
             ShapeSpec("fourier-perturbed-circle", modes=((0, 0.1, 0.0),))
 
+    @pytest.mark.parametrize("kind, field, value", [
+        ("circle", "radius", math.nan),
+        ("ellipse", "a", math.inf),
+        ("ellipse", "b", -math.inf),
+        ("fourier-perturbed-circle", "r0", math.nan),
+        ("limacon", "offset", math.nan),
+        ("limacon", "scale", math.inf),
+        ("lemniscate", "scale", math.inf),
+    ])
+    def test_non_finite_fields_are_named(self, kind, field, value):
+        # a NaN compares false with every bound, and an infinite lemniscate
+        # scale reaches numpy as inf * 0; both are rejected by name up front
+        with pytest.raises(RejectedInputError, match=f"^{field} must be finite"):
+            ShapeSpec(kind, **{field: value})
+
+    @pytest.mark.parametrize("mode", [(2, math.nan, 0.0), (2, 0.01, math.inf)])
+    def test_non_finite_mode_entries_are_named(self, mode):
+        with pytest.raises(RejectedInputError, match="^modes: "):
+            ShapeSpec("fourier-perturbed-circle", modes=(mode,))
+
     def test_minimum_vertex_count(self):
         with pytest.raises(RejectedInputError):
             generate(ShapeSpec("circle", radius=1.0), 8)
