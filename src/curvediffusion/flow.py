@@ -25,9 +25,11 @@ thousands of steps.
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import json
 import math
+import sys
 from dataclasses import dataclass
 from operator import attrgetter
 from typing import Callable, List, Optional, Sequence, Tuple
@@ -46,6 +48,7 @@ from .geometry import (
     SPREAD_TOL,
     _chord_lengths,
     _frames,
+    _integer_arg,
     _resample_points,
     _shift,
     _tangents,
@@ -62,6 +65,12 @@ SCHEMES = (SCHEME_LINEARLY_IMPLICIT, SCHEME_EXPLICIT_RK4)
 _MAX_EXTRA_PASSES = 3
 RESIDUAL_TOL = 1e-8     # largest backward error accepted from the implicit solve
 MIN_CHORD_RATIO = 1e-3  # a raw chord below this times the mean chord is a collapse
+
+# glibc mallopt parameters and the values _retain_freed_heap sets
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+_MMAP_THRESHOLD_BYTES = 32 * 2 ** 20  # the ceiling of glibc's dynamic threshold
+_TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES  # glibc's dynamic ratio
 
 
 def _number(value) -> float:
@@ -128,6 +137,9 @@ class FlowConfig:
     def __post_init__(self):
         if self.dt <= 0 or not math.isfinite(self.dt):
             raise RejectedInputError("dt must be a positive finite number")
+        _integer_arg("n", self.n)
+        if self.max_steps is not None:
+            _integer_arg("max_steps", self.max_steps)
         if self.n < 16:
             raise RejectedInputError("need n >= 16")
         if self.scheme not in SCHEMES:
@@ -390,6 +402,28 @@ def _advance(state: FlowState, config: FlowConfig) -> Tuple[FlowState, float]:
     return new_state, residual
 
 
+@functools.cache
+def _retain_freed_heap() -> None:
+    """Keep the heap a step frees for the next step, once per process.
+
+    From n of about 3000 on, a step's (n, 2) arrays are large enough that
+    glibc returns the top of the heap to the kernel on their free, and the
+    next step faults the same pages back in.  Raising the trim threshold
+    (and fixing the mmap threshold at its dynamic ceiling, so the spline
+    coefficient blocks stay on the heap) keeps them mapped.  Where the C
+    library has no mallopt (macOS, Windows), nothing is done.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is None:
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, _MMAP_THRESHOLD_BYTES)
+    mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
+
+
 def step(state: FlowState, config: FlowConfig) -> FlowState:
     """Advance one time step, then resample to uniform chords.
 
@@ -398,7 +432,12 @@ def step(state: FlowState, config: FlowConfig) -> FlowState:
     Raises SolverError on a failed linear solve and BlowUpSignal on
     post-step degeneracy, after which the given state is the last good one;
     blow-up is the expected exit for singular initial shapes.
+
+    The first step() or run() of a process raises glibc's heap trim and
+    mmap thresholds for the whole process (to 64 and 32 MiB), so freed
+    memory stays mapped for the next step; see _retain_freed_heap.
     """
+    _retain_freed_heap()
     if state.time != config.dt * state.step_index:
         raise RejectedInputError(
             f"state time {state.time!r} is not dt {config.dt!r} times its "
@@ -437,7 +476,12 @@ def run(initial: SampledCurve, config: FlowConfig,
     blow-up the records cover the accepted steps only and the final state is
     the last good one.  ``on_record`` is called with the state and record
     after each accepted step; callers use it to capture snapshots.
+
+    The first run() or step() of a process raises glibc's heap trim and
+    mmap thresholds for the whole process (to 64 and 32 MiB), so freed
+    memory stays mapped for the next step; see _retain_freed_heap.
     """
+    _retain_freed_heap()
     if not (initial.is_uniform() and initial.n == config.n):
         initial = resample_uniform(initial, config.n)
     state = FlowState(curve=initial, time=0.0, step_index=0)

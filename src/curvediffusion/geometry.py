@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import math
+import numbers
 from dataclasses import InitVar, dataclass, field
 from typing import Optional, Tuple
 
@@ -260,6 +261,13 @@ class ShapeSpec:
             raise RejectedInputError("limacon offset must be positive")
 
 
+def _integer_arg(name: str, value) -> int:
+    """value as an int; a float, a string or a bool is refused by name."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise RejectedInputError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
 def generate(spec: ShapeSpec, n: int) -> SampledCurve:
     """Sample a parametric shape at n parameter-uniform points.
 
@@ -268,6 +276,7 @@ def generate(spec: ShapeSpec, n: int) -> SampledCurve:
     to arclength, as on the circle, are the chords uniform; resample any
     other shape before calling a curvature operation.
     """
+    n = _integer_arg("n", n)
     if n < MIN_VERTICES:
         raise RejectedInputError(f"need n >= {MIN_VERTICES}, got {n}")
     t = 2.0 * np.pi * np.arange(n) / n
@@ -329,8 +338,7 @@ def resample_uniform(curve: SampledCurve, n: Optional[int] = None) -> SampledCur
     consistent between input and output; resampling then perturbs the
     measured length at O(h^4), not O(h^2).
     """
-    if n is None:
-        n = curve.n
+    n = curve.n if n is None else _integer_arg("n", n)
     pts, seg = _resample_points(curve.vertices, curve.segment_lengths(), n)
     return SampledCurve(pts, chords=seg)
 

@@ -3,6 +3,8 @@
 import dataclasses
 import json
 import math
+import platform
+import subprocess
 import sys
 from collections import Counter
 
@@ -418,6 +420,84 @@ class TestStopConditions:
         # a NaN limit never compares true, so a NaN max_time never ends a run
         with pytest.raises(RejectedInputError, match=name):
             FlowConfig(n=64, dt=1e-4, max_steps=10, **{name: value})
+
+    @pytest.mark.parametrize("name, value", [
+        ("n", 64.5), ("n", 64.0), ("n", True), ("n", "64"),
+        ("max_steps", 2.5), ("max_steps", 3.0), ("max_steps", True),
+    ])
+    def test_sizes_must_be_integers(self, name, value):
+        # max_steps = 2.5 used to run 3 steps, and n = 64.5 to fail late
+        fields = {"n": 64, "dt": 1e-4, "max_steps": 10, name: value}
+        with pytest.raises(RejectedInputError,
+                           match=f"^{name} must be an integer, got {value!r}$"):
+            FlowConfig(**fields)
+
+
+# Prints the minor page faults per step of MEASURED steps after WARM_UP steps
+# at n = 4096, in a fresh interpreter: glibc adapts its thresholds to the
+# frees a process has made, so a count taken here would depend on the tests
+# that ran before.
+_FAULTS_PER_STEP = """
+import resource
+from curvediffusion.flow import FlowConfig, FlowState, run, step
+from curvediffusion.geometry import ShapeSpec, generate, resample_uniform
+
+N, WARM_UP, MEASURED = 4096, 5, 20
+faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+spec = ShapeSpec("fourier-perturbed-circle", r0=1.0, modes=((2, 0.01, 0.0),))
+initial = resample_uniform(generate(spec, N))
+counts = {{}}
+if {loop!r} == "run":
+    def count(state, record):
+        counts[state.step_index] = faults()
+    run(initial, FlowConfig(n=N, dt=1e-4, max_steps=WARM_UP + MEASURED),
+        on_record=count)
+else:
+    config = FlowConfig(n=N, dt=1e-4, max_steps=1)
+    state = FlowState(initial)
+    for i in range(1, WARM_UP + MEASURED + 1):
+        state = step(state, config)
+        counts[i] = faults()
+print((counts[WARM_UP + MEASURED] - counts[WARM_UP]) / MEASURED)
+"""
+
+
+@pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
+                    reason="the heap thresholds are glibc's")
+@pytest.mark.parametrize("loop", ["run", "step"])
+def test_steps_keep_the_freed_heap(loop):
+    # at n = 4096 a step's (n, 2) arrays are 64 KiB, so glibc's default trim
+    # hands the heap top back on every step: about 140 faults per step
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP.format(loop=loop)],
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert float(proc.stdout) <= 20
+
+
+def test_run_without_mallopt_is_unchanged(monkeypatch):
+    # where the C library has no mallopt the setting is skipped, and the
+    # trajectory never depended on it
+    initial = uniform(RIPPLE, 128)
+    config = FlowConfig(n=128, dt=1e-4, max_steps=40)
+    expected = run(initial, config)
+    opened = []
+
+    def no_mallopt(name, *args, **kwargs):
+        opened.append(name)
+        return object()
+
+    monkeypatch.setattr(flow.ctypes, "CDLL", no_mallopt)
+    flow._retain_freed_heap.cache_clear()
+    try:
+        result = run(initial, config)
+    finally:
+        monkeypatch.undo()
+        flow._retain_freed_heap.cache_clear()
+    assert opened == ([None] if sys.platform.startswith("linux") else [])
+    assert ([record_to_json(r) for r in result.records]
+            == [record_to_json(r) for r in expected.records])
+    assert (result.final_state.curve.vertices.tobytes()
+            == expected.final_state.curve.vertices.tobytes())
 
 
 class TestConservation:

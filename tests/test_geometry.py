@@ -611,6 +611,21 @@ class TestValidation:
         with pytest.raises(RejectedInputError):
             generate(ShapeSpec("circle", radius=1.0), 8)
 
+    @pytest.mark.parametrize("n", [64.5, 64.0, True, "64"])
+    def test_generate_takes_an_integer_count(self, n):
+        # 64.5 used to give 65 vertices with a last chord of half the others
+        with pytest.raises(RejectedInputError,
+                           match=f"^n must be an integer, got {n!r}$"):
+            generate(ShapeSpec("circle", radius=1.0), n)
+
+    @pytest.mark.parametrize("n", [70.5, 70.0, True, "70"])
+    def test_resample_takes_an_integer_count(self, n):
+        # 70.5 used to fail late, as a resample that did not converge
+        curve = uniform(ShapeSpec("ellipse", a=1.5, b=0.5), 64)
+        with pytest.raises(RejectedInputError,
+                           match=f"^n must be an integer, got {n!r}$"):
+            resample_uniform(curve, n)
+
     def test_curve_constructor_rejects_bad_vertices(self):
         with pytest.raises(RejectedInputError):
             SampledCurve(np.zeros((4, 2)))
