@@ -66,6 +66,7 @@ from .flow import (
 from .geometry import (
     SampledCurve,
     ShapeSpec,
+    _integer_arg,
     generate,
     metrics,
     read_curve_csv,
@@ -93,7 +94,7 @@ class RunManifest:
     def __post_init__(self):
         if not self.output_dir:
             raise RejectedInputError("output_dir must be nonempty")
-        if self.snapshot_interval < 1:
+        if _integer_arg("snapshot_interval", self.snapshot_interval) < 1:
             raise RejectedInputError("snapshot_interval must be >= 1")
         for name in self.reports:
             if name not in REPORT_SECTIONS:
@@ -169,10 +170,8 @@ _SHAPE_PARSERS: Dict[str, Callable] = {
 }
 _FLOW_PARSERS: Dict[str, Callable] = {
     "n": _parse_int, "dt": _parse_float,
-    "scheme": _parse_str,
     "max_time": _parse_opt_float, "max_steps": _parse_opt_int,
     "curvature_energy_ceiling": _parse_float,
-    "conserve_area": _parse_bool,
 }
 _OUTPUT_PARSERS: Dict[str, Callable] = {
     "output_dir": _parse_str, "snapshot_interval": _parse_int,
@@ -494,18 +493,8 @@ def cmd_analyze(curve_path: str) -> int:
                 "multiplicity": float(crossings.multiplicity)},
     )
 
-    metric_values = {
-        "length": met.length,
-        "signed_area": met.signed_area,
-        "average_curvature": met.average_curvature,
-        "osc_energy": met.osc_energy,
-        "ks_norm_sq": met.ks_norm_sq,
-        "kss_norm_sq": met.kss_norm_sq,
-        "min_curvature": met.min_curvature,
-        "winding_number": float(met.winding_number),
-    }
-    if met.isoperimetric_ratio is not None:
-        metric_values["isoperimetric_ratio"] = met.isoperimetric_ratio
+    metric_values = {key: float(value) for key, value in asdict(met).items()
+                     if value is not None}
 
     payload = {
         "curve": {

@@ -5,14 +5,14 @@ Written in the parametrization, that velocity splits as
 
     -k_ss nu  =  -gamma_ssss - k^3 nu - 3 k k_s tau,
 
-so the default scheme treats the stiff fourth-derivative term implicitly with
-its coefficient (the arclength spacing) frozen at the current step, and the
+so the step treats the stiff fourth-derivative term implicitly with its
+coefficient (the arclength spacing) frozen at the current step, and the
 lower-order curvature terms explicitly.  Each step then solves one periodic
 pentadiagonal system per coordinate.  The system is circulant, so it is
 diagonal in the discrete Fourier basis and one real FFT pair solves it.
-Explicit RK4 on the plain normal velocity is kept as a cross-validation
-scheme; it needs dt of order (L/n)^4 and is only practical at coarse
-resolution.
+Explicit RK4 on the plain normal velocity (_rk4_advance) is kept as a private
+reference the tests cross-validate the step against; it needs dt of order
+(L/n)^4 and is only practical at coarse resolution.
 
 Vertices carry no tangential dynamics of their own.  The step moves them by
 the computed velocity and then restores the uniform-in-arclength sampling by
@@ -29,6 +29,7 @@ import ctypes
 import functools
 import json
 import math
+import numbers
 import sys
 from dataclasses import dataclass
 from operator import attrgetter
@@ -56,10 +57,6 @@ from .geometry import (
     resample_uniform,
 )
 
-SCHEME_LINEARLY_IMPLICIT = "linearly-implicit"
-SCHEME_EXPLICIT_RK4 = "explicit-rk4"
-SCHEMES = (SCHEME_LINEARLY_IMPLICIT, SCHEME_EXPLICIT_RK4)
-
 # resample-project passes after the first: at n = 256, dt = 1e-4 the test
 # fixtures and limacon offset 1.2 need <= 1, limacons 0.3 and 0.5 up to 2 and 3
 _MAX_EXTRA_PASSES = 3
@@ -71,6 +68,11 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD_BYTES = 32 * 2 ** 20  # the ceiling of glibc's dynamic threshold
 _TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES  # glibc's dynamic ratio
+
+
+def _is_real(value) -> bool:
+    # bool is an int to Python, and is refused as a number
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _number(value) -> float:
@@ -116,47 +118,44 @@ _TRAJECTORY_GETTERS = tuple((key, attrgetter(attr))
 
 @dataclass(frozen=True)
 class FlowConfig:
-    """Scheme, resolution and stop conditions for one run.
+    """Resolution, time step and stop conditions for one run.
 
     A run stops at ``max_time`` or after ``max_steps``, whichever comes
     first, or on blow-up.  ``curvature_energy_ceiling`` bounds the squared
     L2 norm of curvature (arclength integral of k^2); crossing it, or any
     chord falling below MIN_CHORD_RATIO times the mean spacing, stops the
-    run with a blow-up signal.  ``conserve_area`` toggles the exact area
-    projection; switching it off exposes the raw truncation drift.
+    run with a blow-up signal.  Every step is the linearly implicit step
+    followed by the exact area projection.
     """
 
     n: int = 256
     dt: float = 1e-4
-    scheme: str = SCHEME_LINEARLY_IMPLICIT
     max_time: Optional[float] = None
     max_steps: Optional[int] = None
     curvature_energy_ceiling: float = 1e5
-    conserve_area: bool = True
 
     def __post_init__(self):
-        if self.dt <= 0 or not math.isfinite(self.dt):
-            raise RejectedInputError("dt must be a positive finite number")
+        # a NaN limit never compares true, so it would never stop the run;
+        # max_time alone may be left unset
+        for name in ("dt", "max_time", "curvature_energy_ceiling"):
+            value = getattr(self, name)
+            if value is None and name == "max_time":
+                continue
+            if not (_is_real(value) and value > 0 and math.isfinite(value)):
+                raise RejectedInputError(
+                    f"{name} must be a positive finite number, got {value!r}"
+                )
         _integer_arg("n", self.n)
         if self.max_steps is not None:
             _integer_arg("max_steps", self.max_steps)
         if self.n < 16:
             raise RejectedInputError("need n >= 16")
-        if self.scheme not in SCHEMES:
-            raise RejectedInputError(
-                f"unknown scheme {self.scheme!r}; expected one of {SCHEMES}"
-            )
         if self.max_time is None and self.max_steps is None:
             raise RejectedInputError(
                 "no stop condition: set max_time and/or max_steps"
             )
         if self.max_steps is not None and self.max_steps < 0:
             raise RejectedInputError("max_steps must be >= 0")
-        # a NaN limit never compares true, so it would never stop the run
-        for name in ("max_time", "curvature_energy_ceiling"):
-            value = getattr(self, name)
-            if value is not None and not (value > 0 and math.isfinite(value)):
-                raise RejectedInputError(f"{name} must be a positive finite number")
 
 
 @dataclass(frozen=True)
@@ -166,9 +165,12 @@ class FlowState:
     step_index: int = 0
 
     def __post_init__(self):
-        if not (math.isfinite(self.time) and self.time >= 0.0):
-            raise RejectedInputError("time must be finite and >= 0")
-        if self.step_index < 0:
+        if not (_is_real(self.time) and math.isfinite(self.time)
+                and self.time >= 0.0):
+            raise RejectedInputError(
+                f"time must be a finite number >= 0, got {self.time!r}"
+            )
+        if _integer_arg("step_index", self.step_index) < 0:
             raise RejectedInputError("step_index must be >= 0")
 
 
@@ -338,9 +340,8 @@ def _project_area(pts: np.ndarray, seg: np.ndarray, target: float) -> np.ndarray
     return pts + alpha * nu
 
 
-def _redistribute(raw: np.ndarray, config: FlowConfig,
-                  prev_area: float) -> SampledCurve:
-    """Resample a raw polygon to config.n uniform chords, conserving area.
+def _redistribute(raw: np.ndarray, n: int, prev_area: float) -> SampledCurve:
+    """Resample a raw polygon to n uniform chords, conserving area.
 
     One area projection after every resample cancels both the step's
     truncation leak and the resample's own small area change.  On curves of
@@ -352,11 +353,9 @@ def _redistribute(raw: np.ndarray, config: FlowConfig,
         raise BlowUpSignal("a segment collapsed below the resolvable scale")
     try:
         for _ in range(_MAX_EXTRA_PASSES + 1):
-            pts, seg = _resample_points(raw, seg, config.n)
-            if config.conserve_area:
-                pts = _project_area(pts, seg, prev_area)
-                seg = None  # the projection moved the points: measure again
-            curve = SampledCurve(pts, chords=seg)
+            pts, seg = _resample_points(raw, seg, n)
+            # the projection moved the points, so the curve measures its chords
+            curve = SampledCurve(_project_area(pts, seg, prev_area))
             if curve.is_uniform():
                 return curve
             raw, seg = curve.vertices, curve.segment_lengths()
@@ -375,15 +374,10 @@ def _advance(state: FlowState, config: FlowConfig) -> Tuple[FlowState, float]:
     first use and keeps it, so a quantity the ceiling check or a record
     computes is not computed again by the next step.
     """
-    if config.scheme == SCHEME_LINEARLY_IMPLICIT:
-        raw, residual = _implicit_advance(state.curve, config.dt)
-    else:
-        raw = _rk4_advance(state.curve.vertices, config.dt)
-        residual = 0.0
-
+    raw, residual = _implicit_advance(state.curve, config.dt)
     if not np.isfinite(raw).all():
         raise BlowUpSignal("non-finite coordinates after the step")
-    curve = _redistribute(raw, config, state.curve._area)
+    curve = _redistribute(raw, config.n, state.curve._area)
 
     # curvature-energy ceiling, the continuation criterion in reverse
     k = curve._frames_h[2]

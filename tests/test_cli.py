@@ -77,8 +77,7 @@ class TestManifest:
         manifest = RunManifest(
             shape=ShapeSpec("fourier-perturbed-circle", r0=1.2,
                             modes=((2, 0.01, 0.0), (5, 0.002, 1.25))),
-            flow=FlowConfig(n=192, dt=5e-5, max_time=0.25,
-                            conserve_area=False),
+            flow=FlowConfig(n=192, dt=5e-5, max_time=0.25),
             output_dir="somewhere",
             snapshot_interval=123,
             svg=True,
@@ -127,6 +126,8 @@ class TestManifest:
         "shape = circle\nmax_steps = 10\nstop_when_kosc_exceeds = 0.5\n",
         "shape = circle\nmax_time = nan\n",
         "shape = circle\nmax_steps = 10\ncurvature_energy_ceiling = nan\n",
+        "shape = circle\nmax_steps = 10\nscheme = explicit-rk4\n",
+        "shape = circle\nmax_steps = 10\nconserve_area = false\n",
     ])
     def test_malformed_manifests_rejected(self, tmp_path, body):
         path = tmp_path / "m.txt"
@@ -137,6 +138,14 @@ class TestManifest:
     def test_flow_keys_are_the_config_fields(self):
         fields = [f.name for f in dataclasses.fields(FlowConfig)]
         assert fields == list(cli._FLOW_PARSERS)
+
+    @pytest.mark.parametrize("value", [2.5, True, "3"])
+    def test_snapshot_interval_must_be_an_integer(self, value):
+        # 2.5 and True used to pass, and "3" to end in a bare TypeError
+        with pytest.raises(RejectedInputError, match=(
+                f"^snapshot_interval must be an integer, got {value!r}$")):
+            RunManifest(shape=ShapeSpec("circle"),
+                        flow=FlowConfig(max_steps=10), snapshot_interval=value)
 
 
 @pytest.fixture(scope="module")

@@ -1,9 +1,10 @@
-"""Stepping, stop conditions, conservation, and scheme cross-validation."""
+"""Stepping, stop conditions, conservation, and the RK4 cross-validation."""
 
 import dataclasses
 import json
 import math
 import platform
+import re
 import subprocess
 import sys
 from collections import Counter
@@ -21,7 +22,6 @@ from curvediffusion.errors import (
     SolverError,
 )
 from curvediffusion.flow import (
-    SCHEME_EXPLICIT_RK4,
     FlowConfig,
     FlowState,
     TrajectoryRecord,
@@ -70,6 +70,12 @@ SESSION_STOPS = {
 
 def uniform(spec: ShapeSpec, n: int):
     return resample_uniform(generate(spec, n))
+
+
+def rk4_advance(curve, dt):
+    """The RK4 reference step in the place of flow._implicit_advance; RK4
+    has no linear solve, so its residual is 0."""
+    return flow._rk4_advance(curve.vertices, dt), 0.0
 
 
 class TestSingleStep:
@@ -224,15 +230,19 @@ class TestCarriedValues:
             records.append(_record_for(state, residual))
         return records, state
 
-    @pytest.mark.parametrize("spec, config", [
-        (RIPPLE, FlowConfig(n=256, dt=1e-4, max_steps=50)),
-        (RIPPLE, FlowConfig(n=1024, dt=1e-4, max_steps=10)),
+    @pytest.mark.parametrize("spec, config, advance", [
+        (RIPPLE, FlowConfig(n=256, dt=1e-4, max_steps=50), None),
+        (RIPPLE, FlowConfig(n=1024, dt=1e-4, max_steps=10), None),
         # step 1 needs an extra resample-project pass to reach a uniform grid
-        (ShapeSpec("limacon", offset=1.2), FlowConfig(n=256, dt=1e-4, max_steps=20)),
+        (ShapeSpec("limacon", offset=1.2), FlowConfig(n=256, dt=1e-4, max_steps=20),
+         None),
         (ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0),
-         FlowConfig(n=32, dt=1e-6, max_steps=20, scheme=SCHEME_EXPLICIT_RK4)),
+         FlowConfig(n=32, dt=1e-6, max_steps=20), rk4_advance),
     ], ids=["ripple", "ripple-1024", "limacon-1.2", "rk4"])
-    def test_run_is_bitwise_the_uncarried_loop(self, spec, config):
+    def test_run_is_bitwise_the_uncarried_loop(self, monkeypatch, spec, config,
+                                               advance):
+        if advance is not None:
+            monkeypatch.setattr(flow, "_implicit_advance", advance)
         initial = uniform(spec, config.n)
         result = run(initial, config)
         records, state = self.uncached_run(initial, config)
@@ -242,12 +252,14 @@ class TestCarriedValues:
         assert np.array_equal(result.final_state.curve.vertices,
                               state.curve.vertices)
 
-    @pytest.mark.parametrize("spec, config", [
-        (RIPPLE, FlowConfig(n=256, dt=1e-4, max_steps=30)),
+    @pytest.mark.parametrize("spec, config, advance", [
+        (RIPPLE, FlowConfig(n=256, dt=1e-4, max_steps=30), None),
         (ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0),
-         FlowConfig(n=32, dt=1e-6, max_steps=10, scheme=SCHEME_EXPLICIT_RK4)),
+         FlowConfig(n=32, dt=1e-6, max_steps=10), rk4_advance),
     ], ids=["ripple", "rk4"])
-    def test_step_loop_is_bitwise_run(self, spec, config):
+    def test_step_loop_is_bitwise_run(self, monkeypatch, spec, config, advance):
+        if advance is not None:
+            monkeypatch.setattr(flow, "_implicit_advance", advance)
         initial = uniform(spec, config.n)
         ran = []
         result = run(initial, config, on_record=lambda *args: ran.append(args))
@@ -305,9 +317,6 @@ class TestCarriedValues:
             np.diff: 0,
             np.append: 0,
         }
-        # without the area projection the resampled chords go to the curve
-        # as they are, and no projection measures them
-        unprojected = {geometry._chord_lengths: 3, np.concatenate: 12}
         numpy_modules = [module for name, module in list(sys.modules.items())
                          if name == "numpy" or name.startswith("numpy.")]
         for fn in budget:
@@ -316,17 +325,13 @@ class TestCarriedValues:
                 for attr, value in list(vars(module).items()):
                     if value is fn:
                         monkeypatch.setattr(module, attr, wrapper)
-        for conserve_area, bounds in ((True, budget), (False, {**budget, **unprojected})):
-            counts.clear()
-            seen = []
-            run(uniform(RIPPLE, 256),
-                FlowConfig(n=256, dt=1e-4, max_steps=20, conserve_area=conserve_area),
-                on_record=lambda *args: seen.append(Counter(counts)))
-            assert len(seen) == 20
-            for before, after in zip(seen, seen[1:]):
-                for fn, bound in bounds.items():
-                    assert after[fn.__name__] - before[fn.__name__] <= bound, (
-                        fn.__name__, conserve_area)
+        seen = []
+        run(uniform(RIPPLE, 256), FlowConfig(n=256, dt=1e-4, max_steps=20),
+            on_record=lambda *args: seen.append(Counter(counts)))
+        assert len(seen) == 20
+        for before, after in zip(seen, seen[1:]):
+            for fn, bound in budget.items():
+                assert after[fn.__name__] - before[fn.__name__] <= bound, fn.__name__
 
     def test_flow_resample_takes_two_spline_evaluations_at_4096(self, monkeypatch):
         # at n = 4096 the second evaluation reaches a spread of about 1.5e-12,
@@ -415,9 +420,10 @@ class TestStopConditions:
             FlowConfig(n=64, dt=1e-4)
 
     @pytest.mark.parametrize("name", ["max_time", "curvature_energy_ceiling"])
-    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, 0.0, -1.0, "1", True])
     def test_limits_must_be_positive_and_finite(self, name, value):
-        # a NaN limit never compares true, so a NaN max_time never ends a run
+        # a NaN limit never compares true, so a NaN max_time never ends a run;
+        # a string used to end in a bare TypeError, and True to read as 1.0
         with pytest.raises(RejectedInputError, match=name):
             FlowConfig(n=64, dt=1e-4, max_steps=10, **{name: value})
 
@@ -431,6 +437,30 @@ class TestStopConditions:
         with pytest.raises(RejectedInputError,
                            match=f"^{name} must be an integer, got {value!r}$"):
             FlowConfig(**fields)
+
+    @pytest.mark.parametrize("name, value", [
+        ("dt", "1e-4"), ("dt", True), ("dt", None),
+        ("curvature_energy_ceiling", None),
+    ])
+    def test_set_limits_must_be_numbers(self, name, value):
+        # only max_time may be None; a None ceiling used to pass and end the
+        # first step in a bare TypeError
+        fields = {"n": 64, "dt": 1e-4, "max_steps": 10, name: value}
+        with pytest.raises(RejectedInputError, match=re.escape(
+                f"{name} must be a positive finite number, got {value!r}")):
+            FlowConfig(**fields)
+
+    @pytest.mark.parametrize("name, value, rule", [
+        ("step_index", 2.5, "an integer"), ("step_index", True, "an integer"),
+        ("time", "0", "a finite number >= 0"), ("time", True, "a finite number >= 0"),
+    ])
+    def test_state_fields_are_checked(self, name, value, rule):
+        # step_index = 2.5 used to pass, and fail later in step() with a
+        # message about the state's time
+        curve = uniform(ShapeSpec("circle", radius=1.0), 64)
+        message = f"{name} must be {rule}, got {value!r}"
+        with pytest.raises(RejectedInputError, match=f"^{re.escape(message)}$"):
+            FlowState(curve, **{name: value})
 
 
 # Prints the minor page faults per step of MEASURED steps after WARM_UP steps
@@ -508,10 +538,12 @@ class TestConservation:
                     - result.initial_metrics.signed_area)
         assert drift <= 1e-12
 
-    def test_unprojected_truncation_drift_is_visible(self):
+    def test_unprojected_truncation_drift_is_visible(self, monkeypatch):
+        # an identity projection leaves the step's leak and the resample's
+        # own area change in place
+        monkeypatch.setattr(flow, "_project_area", lambda pts, seg, target: pts)
         initial = uniform(ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0), 256)
-        result = run(initial, FlowConfig(n=256, dt=1e-4, max_steps=100,
-                                         conserve_area=False))
+        result = run(initial, FlowConfig(n=256, dt=1e-4, max_steps=100))
         drift = abs(result.records[-1].metrics.signed_area
                     - result.initial_metrics.signed_area)
         assert drift >= 1e-5
@@ -586,12 +618,12 @@ class TestCyclicSolve:
 
 
 class TestGaugeAndSchemes:
-    def test_explicit_rk4_cross_validates_implicit(self):
+    def test_explicit_rk4_cross_validates_implicit(self, monkeypatch):
         initial = uniform(ShapeSpec("fourier-perturbed-circle", r0=1.0,
                                     modes=((2, 0.05, 0.0),)), 64)
         implicit = run(initial, FlowConfig(n=64, dt=1e-6, max_steps=2000))
-        explicit = run(initial, FlowConfig(n=64, dt=1e-6, max_steps=2000,
-                                           scheme=SCHEME_EXPLICIT_RK4))
+        monkeypatch.setattr(flow, "_implicit_advance", rk4_advance)
+        explicit = run(initial, FlowConfig(n=64, dt=1e-6, max_steps=2000))
         distance = hausdorff_distance(implicit.final_state.curve,
                                       explicit.final_state.curve)
         assert distance <= 5e-5
