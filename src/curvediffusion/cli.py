@@ -92,10 +92,15 @@ class RunManifest:
     reports: Tuple[str, ...] = _DEFAULT_REPORTS
 
     def __post_init__(self):
-        if not self.output_dir:
-            raise RejectedInputError("output_dir must be nonempty")
+        if not (isinstance(self.output_dir, str) and self.output_dir):
+            raise RejectedInputError(
+                f"output_dir must be a nonempty string, got {self.output_dir!r}")
         if _integer_arg("snapshot_interval", self.snapshot_interval) < 1:
             raise RejectedInputError("snapshot_interval must be >= 1")
+        if not isinstance(self.svg, bool):
+            raise RejectedInputError(f"svg must be a bool, got {self.svg!r}")
+        if not isinstance(self.reports, tuple):
+            raise RejectedInputError(f"reports must be a tuple, got {self.reports!r}")
         for name in self.reports:
             if name not in REPORT_SECTIONS:
                 raise RejectedInputError(

@@ -10,9 +10,6 @@ coefficient (the arclength spacing) frozen at the current step, and the
 lower-order curvature terms explicitly.  Each step then solves one periodic
 pentadiagonal system per coordinate.  The system is circulant, so it is
 diagonal in the discrete Fourier basis and one real FFT pair solves it.
-Explicit RK4 on the plain normal velocity (_rk4_advance) is kept as a private
-reference the tests cross-validate the step against; it needs dt of order
-(L/n)^4 and is only practical at coarse resolution.
 
 Vertices carry no tangential dynamics of their own.  The step moves them by
 the computed velocity and then restores the uniform-in-arclength sampling by
@@ -29,7 +26,6 @@ import ctypes
 import functools
 import json
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 from operator import attrgetter
@@ -48,8 +44,8 @@ from .geometry import (
     SampledCurve,
     SPREAD_TOL,
     _chord_lengths,
-    _frames,
     _integer_arg,
+    _is_real,
     _resample_points,
     _shift,
     _tangents,
@@ -68,11 +64,6 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 _MMAP_THRESHOLD_BYTES = 32 * 2 ** 20  # the ceiling of glibc's dynamic threshold
 _TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES  # glibc's dynamic ratio
-
-
-def _is_real(value) -> bool:
-    # bool is an int to Python, and is refused as a number
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _number(value) -> float:
@@ -277,24 +268,6 @@ def _implicit_advance(curve: SampledCurve, dt: float) -> Tuple[np.ndarray, float
             f"{RESIDUAL_TOL:.1e}"
         )
     return x, residual
-
-
-def _rk4_velocity(pts: np.ndarray) -> np.ndarray:
-    h = float(_chord_lengths(pts).sum()) / len(pts)
-    if h <= 0 or not math.isfinite(h):
-        raise DegenerateGeometryError("collapsed polygon inside RK4 stage")
-    _, nu, k = _frames(pts, h)
-    kp = np.concatenate((k[-1:], k, k[:1]))
-    kss = (kp[2:] - 2.0 * k + kp[:-2]) / (h * h)
-    return -kss[:, None] * nu
-
-
-def _rk4_advance(pts: np.ndarray, dt: float) -> np.ndarray:
-    k1 = _rk4_velocity(pts)
-    k2 = _rk4_velocity(pts + 0.5 * dt * k1)
-    k3 = _rk4_velocity(pts + 0.5 * dt * k2)
-    k4 = _rk4_velocity(pts + dt * k3)
-    return pts + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
 def _project_area(pts: np.ndarray, seg: np.ndarray, target: float) -> np.ndarray:

@@ -235,7 +235,7 @@ class ShapeSpec:
             )
         for name in ("radius", "a", "b", "r0", "offset", "scale"):
             value = getattr(self, name)
-            if not math.isfinite(value):
+            if not (_is_real(value) and math.isfinite(value)):
                 raise RejectedInputError(f"{name} must be finite, got {value!r}")
         if self.kind == "circle" and self.radius <= 0:
             raise RejectedInputError("circle radius must be positive")
@@ -246,19 +246,26 @@ class ShapeSpec:
                 raise RejectedInputError("base radius must be positive")
             norm = []
             for entry in self.modes:
-                m, eps, phase = entry
-                if not (math.isfinite(eps) and math.isfinite(phase)):
+                try:
+                    m, eps, phase = entry
+                except (TypeError, ValueError):
+                    m = eps = phase = None  # not a triple
+                if not (all(_is_real(x) and math.isfinite(x) for x in (m, eps, phase))
+                        and int(m) == m >= 1):
                     raise RejectedInputError(
-                        f"modes: amplitude and phase must be finite, got {entry!r}"
-                    )
-                if not math.isfinite(m) or int(m) != m or int(m) < 1:
-                    raise RejectedInputError("mode frequencies must be integers >= 1")
+                        "modes: each entry is (integer frequency >= 1, finite "
+                        f"amplitude, finite phase), got {entry!r}")
                 norm.append((int(m), float(eps), float(phase)))
             object.__setattr__(self, "modes", tuple(norm))
         if self.kind in ("limacon", "lemniscate") and self.scale <= 0:
             raise RejectedInputError("scale must be positive")
         if self.kind == "limacon" and self.offset <= 0:
             raise RejectedInputError("limacon offset must be positive")
+
+
+def _is_real(value) -> bool:
+    # bool is an int to Python, and is refused as a number
+    return isinstance(value, numbers.Real) and not isinstance(value, bool)
 
 
 def _integer_arg(name: str, value) -> int:
@@ -568,13 +575,6 @@ def curve_integral(curve: SampledCurve, values: np.ndarray) -> float:
     if values.shape != (curve.n,):
         raise RejectedInputError("need one sample per vertex")
     return float(values.sum()) * (curve.length() / curve.n)
-
-
-def hausdorff_distance(a: SampledCurve, b: SampledCurve) -> float:
-    """Symmetric Hausdorff distance between two closed polygonal traces."""
-    da = _max_dist_to_polyline(a.vertices, b.vertices)
-    db = _max_dist_to_polyline(b.vertices, a.vertices)
-    return max(da, db)
 
 
 def _max_dist_to_polyline(pts: np.ndarray, poly: np.ndarray) -> float:

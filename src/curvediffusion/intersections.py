@@ -255,11 +255,6 @@ def find_crossings(curve: SampledCurve, eps: Optional[float] = None) -> Crossing
     )
 
 
-def is_embedded(curve: SampledCurve, eps: Optional[float] = None) -> bool:
-    """True iff the trace has no self-contacts at tolerance eps."""
-    return len(find_crossings(curve, eps).crossings) == 0
-
-
 def crossing_set_dict(cs: CrossingSet) -> dict:
     """The crossing set's fields and the resolution caveat, for json.dumps."""
     return {**asdict(cs), "caveat": _RESOLUTION_CAVEAT}

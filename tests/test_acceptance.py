@@ -39,7 +39,7 @@ from curvediffusion.geometry import (
     metrics,
     resample_uniform,
 )
-from curvediffusion.intersections import find_crossings, is_embedded
+from curvediffusion.intersections import find_crossings
 
 
 def _line(index: int, ok: bool, detail: str) -> None:
@@ -211,7 +211,7 @@ def test_criterion_09_relaxing_run_stays_embedded(perturbed_run):
     embedded_all = True
     certified_all = True
     for _, _, curve in perturbed_run.snapshots:
-        embedded_all = embedded_all and is_embedded(curve)
+        embedded_all = embedded_all and not find_crossings(curve).crossings
         if metrics(curve).osc_energy < certificate_bound:
             certified_all = certified_all and (
                 embeddedness_certificate(curve) == EMBEDDED_CERTIFIED)

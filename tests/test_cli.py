@@ -147,6 +147,21 @@ class TestManifest:
             RunManifest(shape=ShapeSpec("circle"),
                         flow=FlowConfig(max_steps=10), snapshot_interval=value)
 
+    @pytest.mark.parametrize("field, value", [
+        ("svg", "no"),
+        ("svg", 1),
+        ("reports", "hypotheses"),
+        ("reports", ["hypotheses"]),
+        ("output_dir", 5),
+        ("output_dir", ""),
+    ])
+    def test_output_fields_are_typed(self, field, value):
+        # "no" used to be a truthy svg flag, "hypotheses" to be read by
+        # character, and 5 to fail only when the run wrote
+        with pytest.raises(RejectedInputError, match=f"^{field} must be "):
+            RunManifest(shape=ShapeSpec("circle"),
+                        flow=FlowConfig(max_steps=10), **{field: value})
+
 
 @pytest.fixture(scope="module")
 def circle_outputs(tmp_path_factory):
@@ -472,7 +487,11 @@ class TestUsage:
         assert proc.returncode == 0
         assert "checks passed" in proc.stdout
 
-    @pytest.mark.parametrize("module", ["curvediffusion", "curvediffusion.cli"])
+    @pytest.mark.parametrize("module", [
+        "curvediffusion", "curvediffusion.cli", "curvediffusion.flow",
+        "curvediffusion.geometry", "curvediffusion.analysis",
+        "curvediffusion.intersections",
+    ])
     def test_import_leaves_scipy_unloaded(self, module):
         # the package needs numpy only; any scipy module would add start-up
         # time and memory to every run
@@ -483,6 +502,22 @@ class TestUsage:
              "if m.split('.')[0] == 'scipy') or None)"],
             capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
+
+    def test_import_loads_only_what_it_needs(self):
+        def submodules_after(module):
+            proc = subprocess.run(
+                [sys.executable, "-c",
+                 f"import {module}, sys; print(*sorted(m for m in sys.modules "
+                 "if m.startswith('curvediffusion.')))"],
+                capture_output=True, text=True, timeout=300)
+            assert proc.returncode == 0, proc.stderr
+            return set(proc.stdout.split())
+
+        # the package root re-exports nothing, and the step needs neither
+        # the reports nor the crossing search
+        assert submodules_after("curvediffusion") == set()
+        assert not submodules_after("curvediffusion.flow") & {
+            "curvediffusion.analysis", "curvediffusion.intersections"}
 
     def test_simulate_leaves_numpy_ma_unloaded(self, tmp_path):
         # the reports fit their line and take their median with plain numpy;

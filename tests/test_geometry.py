@@ -26,13 +26,13 @@ from curvediffusion.geometry import (
     curvature_profile,
     curve_integral,
     generate,
-    hausdorff_distance,
     metrics,
     read_curve_csv,
     resample_uniform,
     turning_number,
     write_curve_csv,
 )
+from references import hausdorff_distance
 
 
 def uniform(spec: ShapeSpec, n: int) -> SampledCurve:
@@ -595,6 +595,9 @@ class TestValidation:
         ("limacon", "offset", math.nan),
         ("limacon", "scale", math.inf),
         ("lemniscate", "scale", math.inf),
+        ("circle", "radius", "1"),
+        ("circle", "radius", True),
+        ("ellipse", "b", None),
     ])
     def test_non_finite_fields_are_named(self, kind, field, value):
         # a NaN compares false with every bound, and an infinite lemniscate
@@ -602,7 +605,10 @@ class TestValidation:
         with pytest.raises(RejectedInputError, match=f"^{field} must be finite"):
             ShapeSpec(kind, **{field: value})
 
-    @pytest.mark.parametrize("mode", [(2, math.nan, 0.0), (2, 0.01, math.inf)])
+    @pytest.mark.parametrize("mode", [
+        (2, math.nan, 0.0), (2, 0.01, math.inf), (2, 0.1), (2, "0.1", 0.0),
+        (True, 0.01, 0.0), 2,
+    ])
     def test_non_finite_mode_entries_are_named(self, mode):
         with pytest.raises(RejectedInputError, match="^modes: "):
             ShapeSpec("fourier-perturbed-circle", modes=(mode,))
