@@ -15,7 +15,7 @@ import numpy as np
 
 from .errors import RejectedInputError
 from .flow import TrajectoryRecord
-from .geometry import SampledCurve, CurveMetrics, metrics
+from .geometry import SampledCurve, CurveMetrics, _is_real, metrics
 from .geometry import _max_dist_to_polyline, _require_uniform, _row_norms, _shift
 
 # Decimal expansion of the oscillation smallness threshold, frozen from a
@@ -60,17 +60,6 @@ class DecayFit:
     amplitude: float
     rms_log_residual: float
 
-    def __post_init__(self):
-        if self.quantity not in DECAY_QUANTITIES:
-            raise RejectedInputError(
-                f"unknown decay quantity {self.quantity!r}; expected one of {DECAY_QUANTITIES}"
-            )
-        t0, t1 = self.window
-        if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
-            raise RejectedInputError("window must be a finite interval with t1 > t0")
-        if not math.isfinite(self.rate):
-            raise RejectedInputError("fitted rate must be finite")
-
 
 def kstar() -> float:
     """Smallness threshold for the normalized curvature oscillation energy.
@@ -86,6 +75,11 @@ def kstar() -> float:
     return 4.0 * pi * pi / (3.0 * (2.0 * pi + 12.0 * pi * pi + 4.0 * pi * root))
 
 
+def _is_whole(value) -> bool:
+    # an integral int or float, such as a winding number; bool is refused
+    return _is_real(value) and math.isfinite(value) and int(value) == value
+
+
 def general_smallness_threshold(omega: int) -> float:
     """Winding-dependent ceiling under which the oscillation energy propagates.
 
@@ -93,10 +87,10 @@ def general_smallness_threshold(omega: int) -> float:
     in the same conjugate form as kstar(); equals 2 kstar() at w = 1 and
     depends on w only through w^2.
     """
+    if not _is_whole(omega):
+        raise RejectedInputError(f"winding number must be an integer, got {omega!r}")
     if omega == 0:
         raise RejectedInputError("winding number zero degenerates the threshold")
-    if int(omega) != omega:
-        raise RejectedInputError("winding number must be an integer")
     pi = math.pi
     w2 = float(omega) * float(omega)
     root = math.sqrt(3.0 * pi * w2 + 9.0 * pi * pi * w2 * w2)
@@ -141,10 +135,10 @@ def waiting_time_bound(L0: float, A0: float) -> float:
     isoperimetric inequality, which no plane curve can; such inputs are let
     through with a warning so callers can see the inconsistency.
     """
-    if not (math.isfinite(L0) and L0 > 0.0):
-        raise RejectedInputError("need finite L0 > 0")
-    if not math.isfinite(A0):
-        raise RejectedInputError("need finite A0")
+    if not (_is_real(L0) and math.isfinite(L0) and L0 > 0.0):
+        raise RejectedInputError(f"need finite L0 > 0, got {L0!r}")
+    if not (_is_real(A0) and math.isfinite(A0)):
+        raise RejectedInputError(f"need finite A0, got {A0!r}")
     bound = (L0 / (2.0 * math.pi)) ** 4 - (A0 / math.pi) ** 2
     if bound < 0.0:
         warnings.warn(
@@ -259,10 +253,10 @@ def multiplicity_bound(m: int, omega: int) -> float:
 
     Negative values (such as m = 1, w = 1) constrain nothing.
     """
-    if int(m) != m or m < 1:
-        raise RejectedInputError("multiplicity must be an integer >= 1")
-    if int(omega) != omega:
-        raise RejectedInputError("winding number must be an integer")
+    if not (_is_whole(m) and m >= 1):
+        raise RejectedInputError(f"multiplicity must be an integer >= 1, got {m!r}")
+    if not _is_whole(omega):
+        raise RejectedInputError(f"winding number must be an integer, got {omega!r}")
     w = float(omega)
     return 16.0 * float(m) * float(m) - 4.0 * w * w * math.pi * math.pi
 
@@ -393,8 +387,8 @@ def wirtinger_check(samples, period: float) -> Report:
         raise RejectedInputError("need at least 16 samples per period")
     if not np.all(np.isfinite(f)):
         raise RejectedInputError("samples must be finite")
-    if not (math.isfinite(period) and period > 0.0):
-        raise RejectedInputError("period must be positive")
+    if not (_is_real(period) and math.isfinite(period) and period > 0.0):
+        raise RejectedInputError(f"period must be a finite number > 0, got {period!r}")
 
     f = f - f.mean()
     h = period / f.size
@@ -429,8 +423,8 @@ def kss2_rate_floor(L0: float) -> float:
     """Slowest admissible decay rate for the squared curvature-second-derivative
     energy on a run of initial length L0: 4 pi^4 / L0^4.  Advisory; the true
     rate only settles after an initial transient."""
-    if not (math.isfinite(L0) and L0 > 0.0):
-        raise RejectedInputError("need finite L0 > 0")
+    if not (_is_real(L0) and math.isfinite(L0) and L0 > 0.0):
+        raise RejectedInputError(f"need finite L0 > 0, got {L0!r}")
     return 4.0 * math.pi ** 4 / L0 ** 4
 
 

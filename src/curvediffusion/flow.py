@@ -155,15 +155,6 @@ class FlowState:
     time: float = 0.0
     step_index: int = 0
 
-    def __post_init__(self):
-        if not (_is_real(self.time) and math.isfinite(self.time)
-                and self.time >= 0.0):
-            raise RejectedInputError(
-                f"time must be a finite number >= 0, got {self.time!r}"
-            )
-        if _integer_arg("step_index", self.step_index) < 0:
-            raise RejectedInputError("step_index must be >= 0")
-
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
@@ -199,18 +190,16 @@ class RunResult:
 
 @dataclass(frozen=True)
 class ResidualStat:
-    """Max/mean of one identity's residuals, raw and scale-normalized.
+    """Largest of one identity's residuals, raw and scale-normalized.
 
-    abs_* are in the identity's natural units (the area identity is divided
-    by the enclosed area first).  rel_* divide by the largest term entering
-    the identity at that record; records where every term is numerically
-    zero contribute 0 (the identity holds trivially there).
+    abs_max is in the identity's natural units (the area identity is divided
+    by the enclosed area first).  rel_max divides by the largest term
+    entering the identity at each record; records where every term is
+    numerically zero contribute 0 (the identity holds trivially there).
     """
 
     abs_max: float
-    abs_mean: float
     rel_max: float
-    rel_mean: float
 
 
 @dataclass(frozen=True)
@@ -258,6 +247,8 @@ def _implicit_advance(curve: SampledCurve, dt: float) -> Tuple[np.ndarray, float
     b = pts - dt * explicit
     c = dt / h ** 4
     x = _solve_cyclic_pentadiagonal(c, b)
+    if not np.isfinite(x).all():
+        raise BlowUpSignal("non-finite coordinates after the step")
     gap = _apply_cyclic_pentadiagonal(c, x) - b
     # backward error: residual relative to what rounding alone must produce
     scale = float(np.abs(b).max()) + (1.0 + 16.0 * c) * float(np.abs(x).max())
@@ -348,8 +339,6 @@ def _advance(state: FlowState, config: FlowConfig) -> Tuple[FlowState, float]:
     computes is not computed again by the next step.
     """
     raw, residual = _implicit_advance(state.curve, config.dt)
-    if not np.isfinite(raw).all():
-        raise BlowUpSignal("non-finite coordinates after the step")
     curve = _redistribute(raw, config.n, state.curve._area)
 
     # curvature-energy ceiling, the continuation criterion in reverse
@@ -391,33 +380,6 @@ def _retain_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-def step(state: FlowState, config: FlowConfig) -> FlowState:
-    """Advance one time step, then resample to uniform chords.
-
-    The new time is config.dt times the new step index, as in run(), so a
-    state whose time is not config.dt times its step index is rejected.
-    Raises SolverError on a failed linear solve and BlowUpSignal on
-    post-step degeneracy, after which the given state is the last good one;
-    blow-up is the expected exit for singular initial shapes.
-
-    The first step() or run() of a process raises glibc's heap trim and
-    mmap thresholds for the whole process (to 64 and 32 MiB), so freed
-    memory stays mapped for the next step; see _retain_freed_heap.
-    """
-    _retain_freed_heap()
-    if state.time != config.dt * state.step_index:
-        raise RejectedInputError(
-            f"state time {state.time!r} is not dt {config.dt!r} times its "
-            f"step index {state.step_index}"
-        )
-    if not (state.curve.is_uniform() and state.curve.n == config.n):
-        state = FlowState(
-            curve=resample_uniform(state.curve, config.n),
-            time=state.time, step_index=state.step_index,
-        )
-    return _advance(state, config)[0]
-
-
 def _record_for(state: FlowState, residual: float) -> TrajectoryRecord:
     """Diagnostics of state.curve, which is uniform in arclength."""
     m, ks = state.curve._measured, state.curve._ks_kss[0]
@@ -441,12 +403,14 @@ def run(initial: SampledCurve, config: FlowConfig,
     the run ended (max-time, max-steps, or blow-up) and the metrics of the
     initial curve.  Each record measures its own step's curve only.  On
     blow-up the records cover the accepted steps only and the final state is
-    the last good one.  ``on_record`` is called with the state and record
-    after each accepted step; callers use it to capture snapshots.
+    the last good one; a step that leaves a non-finite coordinate is a
+    blow-up too.  A solve whose residual exceeds RESIDUAL_TOL raises
+    SolverError.  ``on_record`` is called with the state and record after
+    each accepted step; callers use it to capture snapshots.
 
-    The first run() or step() of a process raises glibc's heap trim and
-    mmap thresholds for the whole process (to 64 and 32 MiB), so freed
-    memory stays mapped for the next step; see _retain_freed_heap.
+    The first run() of a process raises glibc's heap trim and mmap
+    thresholds for the whole process (to 64 and 32 MiB), so freed memory
+    stays mapped for the next step; see _retain_freed_heap.
     """
     _retain_freed_heap()
     if not (initial.is_uniform() and initial.n == config.n):
@@ -541,12 +505,7 @@ def identity_residuals(trajectory: Sequence[TrajectoryRecord]) -> IdentityResidu
         scales = [max(row[idx][1]) for row in rows]
         floor = max(1e-7 * max(scales), 1e-10 * unit, 1e-300)
         rels = [a / s if s >= floor else 0.0 for a, s in zip(abses, scales)]
-        return ResidualStat(
-            abs_max=float(max(abses)),
-            abs_mean=float(np.mean(abses)),
-            rel_max=float(max(rels)),
-            rel_mean=float(np.mean(rels)),
-        )
+        return ResidualStat(abs_max=float(max(abses)), rel_max=float(max(rels)))
 
     return IdentityResiduals(
         area=stat(0, 0.0),

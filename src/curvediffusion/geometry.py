@@ -244,6 +244,9 @@ class ShapeSpec:
         if self.kind == "fourier-perturbed-circle":
             if self.r0 <= 0:
                 raise RejectedInputError("base radius must be positive")
+            if not isinstance(self.modes, (tuple, list)):
+                raise RejectedInputError(
+                    f"modes must be a tuple or list of triples, got {self.modes!r}")
             norm = []
             for entry in self.modes:
                 try:

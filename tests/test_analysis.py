@@ -18,7 +18,6 @@ from curvediffusion.analysis import (
     EMBEDDED_CERTIFIED,
     EMBEDDED_INCONCLUSIVE,
     KSTAR_DIGITS,
-    DecayFit,
     Report,
     check_hypotheses,
     decay_fit,
@@ -80,10 +79,9 @@ class TestThresholdConstants:
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_general_threshold_rejects_degenerate_winding(self):
-        with pytest.raises(RejectedInputError):
-            general_smallness_threshold(0)
-        with pytest.raises(RejectedInputError):
-            general_smallness_threshold(1.5)
+        for omega in (0, 1.5, math.nan, math.inf, None, "1", True):
+            with pytest.raises(RejectedInputError, match="^winding number"):
+                general_smallness_threshold(omega)
 
     def test_isoperimetric_limit_value(self):
         assert isoperimetric_limit() == math.exp(kstar() / (8.0 * math.pi ** 2))
@@ -91,8 +89,9 @@ class TestThresholdConstants:
 
     def test_kss2_rate_floor(self):
         assert kss2_rate_floor(2.0 * math.pi) == pytest.approx(0.25, rel=1e-15)
-        with pytest.raises(RejectedInputError):
-            kss2_rate_floor(0.0)
+        for L0 in (0.0, None, "1", True):
+            with pytest.raises(RejectedInputError, match="L0"):
+                kss2_rate_floor(L0)
 
 
 class TestWaitingBound:
@@ -107,10 +106,12 @@ class TestWaitingBound:
         assert bound < 0.0
 
     def test_rejects_bad_inputs(self):
-        with pytest.raises(RejectedInputError):
-            waiting_time_bound(-1.0, 1.0)
-        with pytest.raises(RejectedInputError):
-            waiting_time_bound(1.0, math.nan)
+        # True used to read as L0 = 1, and a string to end in a bare TypeError
+        for L0, A0, name in ((-1.0, 1.0, "L0"), (1.0, math.nan, "A0"),
+                             ("1", 1.0, "L0"), (True, 0.1, "L0"),
+                             (None, 1.0, "L0"), (1.0, "1", "A0")):
+            with pytest.raises(RejectedInputError, match=name):
+                waiting_time_bound(L0, A0)
 
     @given(
         length=st.floats(min_value=0.1, max_value=100.0),
@@ -176,8 +177,9 @@ class TestWirtinger:
         good = np.sin(np.arange(64) / 64.0 * 2.0 * math.pi)
         with pytest.raises(RejectedInputError):
             wirtinger_check(good[:8], 1.0)
-        with pytest.raises(RejectedInputError):
-            wirtinger_check(good, 0.0)
+        for period in (0.0, "1", None, True, math.nan):
+            with pytest.raises(RejectedInputError, match="^period"):
+                wirtinger_check(good, period)
         with pytest.raises(RejectedInputError):
             wirtinger_check(np.ones((8, 8)), 1.0)
         bad = good.copy()
@@ -333,10 +335,12 @@ class TestEmbeddednessCertificate:
     def test_certificate_threshold_value(self):
         assert multiplicity_bound(2, 1) == pytest.approx(64.0 - 4.0 * math.pi ** 2)
         assert multiplicity_bound(1, 1) < 0.0
-        with pytest.raises(RejectedInputError):
-            multiplicity_bound(0, 1)
-        with pytest.raises(RejectedInputError):
-            multiplicity_bound(2.5, 1)
+        for m, omega, name in ((0, 1, "multiplicity"), (2.5, 1, "multiplicity"),
+                               (None, 1, "multiplicity"), (True, 1, "multiplicity"),
+                               (2, math.nan, "winding number"),
+                               (2, None, "winding number")):
+            with pytest.raises(RejectedInputError, match=f"^{name}"):
+                multiplicity_bound(m, omega)
 
 
 class TestOneComputationPerCurve:
@@ -446,17 +450,6 @@ class TestDecayFits:
             decay_fit(records, DECAY_KOSC, (0.0, 5e-4))
         with pytest.raises(RejectedInputError):
             decay_fit([], DECAY_KOSC, (0.0, 0.5))
-
-    def test_fit_dataclass_validation(self):
-        with pytest.raises(RejectedInputError):
-            DecayFit(quantity="nope", window=(0.0, 1.0), rate=1.0,
-                     amplitude=1.0, rms_log_residual=0.0)
-        with pytest.raises(RejectedInputError):
-            DecayFit(quantity=DECAY_KOSC, window=(1.0, 0.0), rate=1.0,
-                     amplitude=1.0, rms_log_residual=0.0)
-        with pytest.raises(RejectedInputError):
-            DecayFit(quantity=DECAY_KOSC, window=(0.0, 1.0), rate=math.nan,
-                     amplitude=1.0, rms_log_residual=0.0)
 
 
 def _raising(name):

@@ -29,7 +29,6 @@ from curvediffusion.flow import (
     read_trajectory_jsonl,
     record_to_json,
     run,
-    step,
     _advance,
     _apply_cyclic_pentadiagonal,
     _project_area,
@@ -80,34 +79,22 @@ def rk4_advance(curve, dt):
 
 class TestSingleStep:
     def test_advances_time_and_counter(self):
-        state = FlowState(uniform(ShapeSpec("circle", radius=1.0), 64))
-        config = FlowConfig(n=64, dt=1e-4, max_steps=10)
-        after = step(state, config)
+        initial = uniform(ShapeSpec("circle", radius=1.0), 64)
+        vertices = initial.vertices.copy()
+        after = run(initial, FlowConfig(n=64, dt=1e-4, max_steps=1)).final_state
         assert after.step_index == 1
         assert abs(after.time - 1e-4) <= 1e-18
         assert after.curve.is_uniform()
-        assert state.step_index == 0  # input state untouched
-
-    def test_rejects_a_state_off_the_step_clock(self):
-        # the step sets the new time to dt * (step_index + 1), so a state
-        # whose own time is not dt * step_index would have its clock reset
-        curve = uniform(ShapeSpec("circle", radius=1.0), 64)
-        config = FlowConfig(n=64, dt=1e-4, max_steps=1)
-        with pytest.raises(RejectedInputError, match="0.5.*0.0001.*0"):
-            step(FlowState(curve, time=0.5), config)
-        with pytest.raises(RejectedInputError):
-            step(FlowState(curve, time=0.0, step_index=3), config)
-        after = step(FlowState(curve, time=config.dt * 3, step_index=3), config)
-        assert after.step_index == 4
-        assert after.time == config.dt * 4
+        assert np.array_equal(initial.vertices, vertices)  # input curve untouched
 
     def test_step_resamples_to_config_n_like_run(self):
-        # a uniform curve at the wrong vertex count is resampled first
+        # a uniform curve at the wrong vertex count is resampled first, to
+        # the same curve as one at config.n
         curve = uniform(ShapeSpec("fourier-perturbed-circle", r0=1.0,
                                   modes=((2, 0.01, 0.0),)), 128)
         config = FlowConfig(n=256, dt=1e-4, max_steps=1)
-        after = step(FlowState(curve), config)
-        ran = run(curve, config).final_state
+        after = run(curve, config).final_state
+        ran = run(resample_uniform(curve, 256), config).final_state
         assert after.curve.n == 256
         assert np.array_equal(after.curve.vertices, ran.curve.vertices)
 
@@ -189,12 +176,37 @@ class TestSingleStep:
         assert result.final_state.step_index == 4
         assert result.final_state is seen[-1]
 
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_non_finite_step_ends_the_run_with_the_last_good_state(
+            self, monkeypatch, bad):
+        # the finiteness check runs before the residual, which a non-finite
+        # solution makes NaN; so the run ends as a blow-up, not a SolverError
+        solve = flow._solve_cyclic_pentadiagonal
+        calls = []
+
+        def poisoned(*args):
+            x = solve(*args)
+            calls.append(1)
+            if len(calls) == 3:
+                x[0, 0] = bad
+            return x
+
+        monkeypatch.setattr(flow, "_solve_cyclic_pentadiagonal", poisoned)
+        seen = []
+        result = run(uniform(RIPPLE, 256),
+                     FlowConfig(n=256, dt=1e-4, max_steps=20),
+                     on_record=lambda state, record: seen.append(state))
+        assert result.reason == "blow-up"
+        assert result.detail == "non-finite coordinates after the step"
+        assert len(result.records) == 2
+        assert result.final_state is seen[-1]
+
     def test_length_rate_matches_dissipation_at_small_dt(self):
         # one backward-difference step reproduces dL/dt = -|k_s|^2;
         # the mismatch shrinks with dt and is well under 2% at dt=1e-6
         curve = uniform(ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0), 256)
         m = metrics(curve)
-        after = step(FlowState(curve), FlowConfig(n=256, dt=1e-6, max_time=1.0))
+        after = run(curve, FlowConfig(n=256, dt=1e-6, max_steps=1)).final_state
         rate = (after.curve.length() - m.length) / 1e-6
         assert abs(rate + m.ks_norm_sq) / m.ks_norm_sq <= 0.02
 
@@ -204,7 +216,7 @@ class TestSingleStep:
         # in the splitting are visible
         curve = uniform(ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0), 256)
         m = metrics(curve)
-        after = step(FlowState(curve), FlowConfig(n=256, dt=1e-4, max_time=1.0))
+        after = run(curve, FlowConfig(n=256, dt=1e-4, max_steps=1)).final_state
         rate = (after.curve.length() - m.length) / 1e-4
         bias = abs(rate + m.ks_norm_sq) / m.ks_norm_sq
         assert 0.2 <= bias <= 0.3
@@ -213,7 +225,7 @@ class TestSingleStep:
 class TestCarriedValues:
     """Each quantity a step or a record reads of a curve is computed once,
     by the curve, and kept; a loop that rebuilds every curve without its
-    kept values, and a loop of step(), must give the same run."""
+    kept values must give the same run."""
 
     @staticmethod
     def rebuilt(state):
@@ -251,42 +263,6 @@ class TestCarriedValues:
         assert list(result.records) == records
         assert np.array_equal(result.final_state.curve.vertices,
                               state.curve.vertices)
-
-    @pytest.mark.parametrize("spec, config, advance", [
-        (RIPPLE, FlowConfig(n=256, dt=1e-4, max_steps=30), None),
-        (ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0),
-         FlowConfig(n=32, dt=1e-6, max_steps=10), rk4_advance),
-    ], ids=["ripple", "rk4"])
-    def test_step_loop_is_bitwise_run(self, monkeypatch, spec, config, advance):
-        if advance is not None:
-            monkeypatch.setattr(flow, "_implicit_advance", advance)
-        initial = uniform(spec, config.n)
-        ran = []
-        result = run(initial, config, on_record=lambda *args: ran.append(args))
-        state = FlowState(initial)
-        for ran_state, ran_record in ran:
-            state = step(state, config)
-            assert np.array_equal(state.curve.vertices, ran_state.curve.vertices)
-            # step() does not return the solve residual; every other field
-            # of the record is built from the stepped curve
-            assert _record_for(state, ran_record.solver_residual) == ran_record
-        assert state.step_index == config.max_steps == len(result.records)
-        assert np.array_equal(state.curve.vertices,
-                              result.final_state.curve.vertices)
-
-    def test_step_loop_makes_no_metrics_calls(self, monkeypatch):
-        # the solve reads the curve's k_s, which does not go through the
-        # metrics; step() discards the metrics a record of run() needs
-        calls = []
-        measure = geometry._metrics
-        monkeypatch.setattr(geometry, "_metrics",
-                            lambda *args: calls.append(1) or measure(*args))
-        state = FlowState(uniform(ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0), 256))
-        config = FlowConfig(n=256, dt=1e-4, max_steps=10)
-        for _ in range(10):
-            state = step(state, config)
-        assert state.step_index == 10
-        assert calls == []
 
     def test_call_budget_per_step(self, monkeypatch):
         # the quantities one step needs are computed once; counted between
@@ -450,18 +426,6 @@ class TestStopConditions:
                 f"{name} must be a positive finite number, got {value!r}")):
             FlowConfig(**fields)
 
-    @pytest.mark.parametrize("name, value, rule", [
-        ("step_index", 2.5, "an integer"), ("step_index", True, "an integer"),
-        ("time", "0", "a finite number >= 0"), ("time", True, "a finite number >= 0"),
-    ])
-    def test_state_fields_are_checked(self, name, value, rule):
-        # step_index = 2.5 used to pass, and fail later in step() with a
-        # message about the state's time
-        curve = uniform(ShapeSpec("circle", radius=1.0), 64)
-        message = f"{name} must be {rule}, got {value!r}"
-        with pytest.raises(RejectedInputError, match=f"^{re.escape(message)}$"):
-            FlowState(curve, **{name: value})
-
 
 # Prints the minor page faults per step of MEASURED steps after WARM_UP steps
 # at n = 4096, in a fresh interpreter: glibc adapts its thresholds to the
@@ -469,36 +433,28 @@ class TestStopConditions:
 # that ran before.
 _FAULTS_PER_STEP = """
 import resource
-from curvediffusion.flow import FlowConfig, FlowState, run, step
+from curvediffusion.flow import FlowConfig, run
 from curvediffusion.geometry import ShapeSpec, generate, resample_uniform
 
 N, WARM_UP, MEASURED = 4096, 5, 20
 faults = lambda: resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 spec = ShapeSpec("fourier-perturbed-circle", r0=1.0, modes=((2, 0.01, 0.0),))
 initial = resample_uniform(generate(spec, N))
-counts = {{}}
-if {loop!r} == "run":
-    def count(state, record):
-        counts[state.step_index] = faults()
-    run(initial, FlowConfig(n=N, dt=1e-4, max_steps=WARM_UP + MEASURED),
-        on_record=count)
-else:
-    config = FlowConfig(n=N, dt=1e-4, max_steps=1)
-    state = FlowState(initial)
-    for i in range(1, WARM_UP + MEASURED + 1):
-        state = step(state, config)
-        counts[i] = faults()
+counts = {}
+def count(state, record):
+    counts[state.step_index] = faults()
+run(initial, FlowConfig(n=N, dt=1e-4, max_steps=WARM_UP + MEASURED),
+    on_record=count)
 print((counts[WARM_UP + MEASURED] - counts[WARM_UP]) / MEASURED)
 """
 
 
 @pytest.mark.skipif(platform.libc_ver()[0] != "glibc",
                     reason="the heap thresholds are glibc's")
-@pytest.mark.parametrize("loop", ["run", "step"])
-def test_steps_keep_the_freed_heap(loop):
+def test_steps_keep_the_freed_heap():
     # at n = 4096 a step's (n, 2) arrays are 64 KiB, so glibc's default trim
     # hands the heap top back on every step: about 140 faults per step
-    proc = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP.format(loop=loop)],
+    proc = subprocess.run([sys.executable, "-c", _FAULTS_PER_STEP],
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert float(proc.stdout) <= 20
@@ -611,10 +567,9 @@ class TestCyclicSolve:
 
     def test_residual_above_tolerance_raises(self, monkeypatch):
         monkeypatch.setattr(flow, "RESIDUAL_TOL", 1e-300)
-        state = FlowState(uniform(ShapeSpec("circle", radius=1.0), 64))
-        config = FlowConfig(n=64, dt=1e-4, max_steps=1)
+        initial = uniform(ShapeSpec("circle", radius=1.0), 64)
         with pytest.raises(SolverError, match="residual"):
-            step(state, config)
+            run(initial, FlowConfig(n=64, dt=1e-4, max_steps=1))
 
 
 class TestGaugeAndSchemes:

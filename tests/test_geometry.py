@@ -613,6 +613,12 @@ class TestValidation:
         with pytest.raises(RejectedInputError, match="^modes: "):
             ShapeSpec("fourier-perturbed-circle", modes=(mode,))
 
+    @pytest.mark.parametrize("modes", [3, None, "abc"])
+    def test_modes_must_be_a_sequence(self, modes):
+        # 3 used to end in a bare TypeError, and "abc" to be read as entries
+        with pytest.raises(RejectedInputError, match="^modes must be a tuple"):
+            ShapeSpec("fourier-perturbed-circle", modes=modes)
+
     def test_minimum_vertex_count(self):
         with pytest.raises(RejectedInputError):
             generate(ShapeSpec("circle", radius=1.0), 8)

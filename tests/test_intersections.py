@@ -244,10 +244,9 @@ class TestCandidateSweep:
 class TestValidation:
     def test_eps_must_be_positive(self):
         curve = uniform(ShapeSpec("circle", radius=1.0), 128)
-        with pytest.raises(RejectedInputError):
-            find_crossings(curve, eps=0.0)
-        with pytest.raises(RejectedInputError):
-            find_crossings(curve, eps=-1e-3)
+        for eps in (0.0, -1e-3, "x", True, math.nan):
+            with pytest.raises(RejectedInputError, match="^eps"):
+                find_crossings(curve, eps=eps)
 
     def test_oversized_eps_rejected(self):
         curve = uniform(ShapeSpec("circle", radius=1.0), 128)
