@@ -16,7 +16,7 @@ import numpy as np
 from .errors import RejectedInputError
 from .flow import TrajectoryRecord
 from .geometry import SampledCurve, CurveMetrics, _is_real, metrics
-from .geometry import _max_dist_to_polyline, _require_uniform, _row_norms, _shift
+from .geometry import _require_uniform, _row_norms, _shift
 
 # Decimal expansion of the oscillation smallness threshold, frozen from a
 # 50-digit evaluation of the defining formula before the double-precision
@@ -78,6 +78,19 @@ def kstar() -> float:
 def _is_whole(value) -> bool:
     # an integral int or float, such as a winding number; bool is refused
     return _is_real(value) and math.isfinite(value) and int(value) == value
+
+
+def _real_array(name: str, value) -> np.ndarray:
+    """value as a float array, refused by name unless every entry is an int or
+    a float: an array by its dtype, a sequence entry by entry, since
+    np.asarray reads [True, 2.0] as floats and "12" as a number."""
+    if isinstance(value, np.ndarray):
+        ok = value.dtype.kind in "iuf"
+    else:
+        ok = all(_is_real(x) for x in np.asarray(value, dtype=object).flat)
+    if not ok:
+        raise RejectedInputError(f"{name} must hold only ints and floats, got {value!r}")
+    return np.asarray(value, dtype=float)
 
 
 def general_smallness_threshold(omega: int) -> float:
@@ -291,12 +304,18 @@ def density_integral(curve: SampledCurve, point) -> float:
     ``point`` must lie within _ON_TRACE_REL times L of the trace.
     """
     _require_uniform(curve, "density_integral")
-    p = np.asarray(point, dtype=float)
-    if p.shape != (2,) or not np.all(np.isfinite(p)):
+    p = _real_array("point", point)
+    if p.shape != (2,) or not np.isfinite(p).all():
         raise RejectedInputError("point must be a finite pair of coordinates")
     L = curve.length()
     epsilon = _ON_TRACE_REL * L
-    gap = _max_dist_to_polyline(p[None, :], curve.vertices)
+    v = curve.vertices
+    q = v - p[None, :]
+    # distance to the polyline through the point's clamped foot on each edge
+    edge = _shift(v, 1) - v
+    t = -np.einsum("ij,ij->i", q, edge) / np.einsum("ij,ij->i", edge, edge)
+    t = np.clip(t, 0.0, 1.0)
+    gap = float(_row_norms(p - (v + t[:, None] * edge)).min())
     if gap > epsilon:
         raise RejectedInputError(
             f"point is {gap:.3e} from the trace, beyond the tolerance {epsilon:.3e}"
@@ -304,19 +323,18 @@ def density_integral(curve: SampledCurve, point) -> float:
 
     h = L / curve.n
     _, nu, k = curve._frames_h
-    q = curve.vertices - p[None, :]
     r = _row_norms(q)
     proj = np.einsum("ij,ij->i", q, nu)
-
-    def partial(cut: float) -> float:
-        keep = r >= cut
-        rr = r[keep]
-        k0 = 2.0 * proj[keep] / (rr * rr) + k[keep]
-        integrand = (k[keep] * k[keep] - k0 * k0) * rr
-        return float(integrand.sum()) * h
-
     cut = 3.0 * h
-    return 2.0 * partial(cut) - partial(2.0 * cut)
+    keep = r >= cut
+    rr, kk = r[keep], k[keep]
+    k0 = 2.0 * proj[keep] / (rr * rr) + kk
+    integrand = (kk * kk - k0 * k0) * rr
+    # r >= 2 cut keeps a subset of these values in order, so its sum is the
+    # one a pass built at that cutoff would give
+    near = float(integrand.sum()) * h
+    far = float(integrand[rr >= 2.0 * cut].sum()) * h
+    return 2.0 * near - far
 
 
 def _elementary_symmetric(values: np.ndarray) -> np.ndarray:
@@ -331,7 +349,7 @@ def _elementary_symmetric(values: np.ndarray) -> np.ndarray:
 
 
 def _positive_entries(l) -> np.ndarray:
-    arr = np.asarray(l, dtype=float)
+    arr = _real_array("entries", l)
     if arr.ndim != 1 or arr.size == 0:
         raise RejectedInputError("need a nonempty flat list of entries")
     if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
@@ -380,7 +398,7 @@ def wirtinger_check(samples, period: float) -> Report:
     ratio and gap are raw.  Equality in the first inequality picks out the
     first harmonic.
     """
-    f = np.asarray(samples, dtype=float)
+    f = _real_array("samples", samples)
     if f.ndim != 1:
         raise RejectedInputError("need a flat list of samples")
     if f.size < 16:

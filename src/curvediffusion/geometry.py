@@ -38,7 +38,6 @@ _RESAMPLE_MAX_ITERS = 10
 _RESAMPLE_TARGET_SPREAD = 1e-12
 _FLOAT_EPS = 2.220446049250313e-16  # float64 machine epsilon, 2**-52
 _AREA_UNDEFINED_REL = 1e-10  # |A| < this * L^2 leaves the isoperimetric ratio undefined
-_DIST_ROW_BLOCK = 128         # points per block in the point-to-polyline distance
 
 SHAPE_KINDS = (
     "circle",
@@ -578,28 +577,6 @@ def curve_integral(curve: SampledCurve, values: np.ndarray) -> float:
     if values.shape != (curve.n,):
         raise RejectedInputError("need one sample per vertex")
     return float(values.sum()) * (curve.length() / curve.n)
-
-
-def _max_dist_to_polyline(pts: np.ndarray, poly: np.ndarray) -> float:
-    """Largest distance from a point of pts to the closed polyline poly.
-
-    Points are taken in row blocks so the (rows, m, 2) temporaries stay
-    bounded; min and max are exact, so the blocking does not change the result.
-    """
-    starts = poly
-    d = _shift(poly, 1) - starts  # (m, 2)
-    len2 = np.einsum("ij,ij->i", d, d)
-    worst = -math.inf
-    for row0 in range(0, pts.shape[0], _DIST_ROW_BLOCK):
-        block = pts[row0:row0 + _DIST_ROW_BLOCK]
-        # project every point on every segment, clamp to [0, 1]
-        diff = block[:, None, :] - starts[None, :, :]          # (rows, m, 2)
-        tproj = np.einsum("pmi,mi->pm", diff, d) / len2[None, :]
-        tproj = np.clip(tproj, 0.0, 1.0)
-        closest = starts[None, :, :] + tproj[:, :, None] * d[None, :, :]
-        dist = np.linalg.norm(block[:, None, :] - closest, axis=2)
-        worst = max(worst, float(dist.min(axis=1).max()))
-    return worst
 
 
 def read_curve_csv(path) -> SampledCurve:

@@ -1,13 +1,13 @@
 """Self-intersection detection and multiplicity measurement for sampled curves.
 
 Candidate segment pairs come from a sort and sweep along x over the
-segments' bounding boxes, inflated by the tolerance; each candidate then
-gets an exact segment-to-segment distance.  The sweep visits only the pairs
-whose boxes overlap in x: a few per segment on a smooth uniform curve
-(2.5 n on a circle, 3.6 n on a limacon at the default eps), up to n^2 / 2
-when every box overlaps every other in x.  Contacts within the tolerance
-count as crossings even when tangential: for embeddedness certification a
-false alarm is acceptable, a missed crossing is not.
+segments' tolerance-inflated bounding boxes, kept as sorted 1-D edge columns;
+each candidate gets an exact segment-to-segment distance from one pass over
+its four endpoint projections.  The sweep visits the pairs whose boxes overlap
+in x: a few per segment on a smooth uniform curve (2.5 n on a circle, 3.6 n
+on a limacon at the default eps), up to n^2 / 2 when all boxes overlap in x.
+Contacts within the tolerance count as crossings even when tangential: for
+embeddedness certification a false alarm is acceptable, a missed one is not.
 """
 
 import json
@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import RejectedInputError
-from .geometry import SampledCurve, _is_real, _shift
+from .geometry import SampledCurve, _is_real, _row_norms, _shift
 
 _ROW_BLOCK = 512   # sweep positions per block; a block holds <= _ROW_BLOCK * n pairs
 
@@ -78,23 +78,28 @@ def _candidate_pairs(starts: np.ndarray, ends: np.ndarray, eps: float,
     met once, at its first position.  The pairs come out in no fixed order.
     """
     n = starts.shape[0]
-    lo = np.minimum(starts, ends) - eps
-    hi = np.maximum(starts, ends) + eps
-    order = np.argsort(lo[:, 0], kind="stable")
-    lo, hi = lo[order], hi[order]
-    stop = np.searchsorted(lo[:, 0], hi[:, 0], side="right")
+    lo = np.minimum(starts, ends)
+    lo -= eps
+    hi = np.maximum(starts, ends)
+    hi += eps
+    order = lo[:, 0].argsort(kind="stable")
+    lo_x, lo_y = lo[:, 0][order], lo[:, 1][order]
+    hi_x, hi_y = hi[:, 0][order], hi[:, 1][order]
+    stop = lo_x.searchsorted(hi_x, side="right")
     out: List[np.ndarray] = []
     for pos0 in range(0, n, _ROW_BLOCK):
         pos = np.arange(pos0, min(pos0 + _ROW_BLOCK, n))
-        run = stop[pos] - pos - 1
-        aa = np.repeat(pos, run)
-        run_start = np.repeat(np.cumsum(run) - run, run)
-        bb = aa + 1 + (np.arange(aa.size) - run_start)
-        keep = (lo[bb, 1] <= hi[aa, 1]) & (lo[aa, 1] <= hi[bb, 1])
-        i, j = order[aa[keep]], order[bb[keep]]
+        run = stop[pos0:pos0 + _ROW_BLOCK] - pos - 1
+        # position a pairs with b = a + 1 .. stop[a] - 1, on the block rows
+        # cumsum(run)[a] - run[a] onwards, so b is the row plus first_b[a]
+        first_b = pos + 1 + run - run.cumsum()
+        aa = pos.repeat(run)
+        bb = np.arange(aa.size) + first_b.repeat(run)
+        i, j = order[aa], order[bb]
         ii, jj = np.minimum(i, j), np.maximum(i, j)
         gap = jj - ii
-        keep = (gap > excluded_gap) & (gap < n - excluded_gap)
+        keep = ((lo_y[bb] <= hi_y[aa]) & (lo_y[aa] <= hi_y[bb])
+                & (gap > excluded_gap) & (gap < n - excluded_gap))
         if keep.any():
             out.append(np.stack([ii[keep], jj[keep]], axis=1))
     if not out:
@@ -109,7 +114,7 @@ def _point_segment(p: np.ndarray, a: np.ndarray, b: np.ndarray):
     t = np.einsum("ij,ij->i", p - a, d) / np.where(len2 > 0.0, len2, 1.0)
     t = np.clip(t, 0.0, 1.0)
     foot = a + t[:, None] * d
-    return np.linalg.norm(p - foot, axis=1), foot
+    return _row_norms(p - foot), foot
 
 
 def _pair_contacts(starts: np.ndarray, ends: np.ndarray,
@@ -118,39 +123,37 @@ def _pair_contacts(starts: np.ndarray, ends: np.ndarray,
 
     Non-intersecting segments attain their minimum distance at an endpoint
     of one of them, so the distance is the proper-crossing test plus four
-    endpoint-to-segment projections; no iterative clamping involved.
+    endpoint-to-segment projections, made in one pass over the endpoints
+    stacked slot by slot; no iterative clamping involved.
     """
+    m = pairs.shape[0]
     a, b = starts[pairs[:, 0]], ends[pairs[:, 0]]
     c, d = starts[pairs[:, 1]], ends[pairs[:, 1]]
+    ab, cd = b - a, d - c
 
     def cross(u, v):
         return u[:, 0] * v[:, 1] - u[:, 1] * v[:, 0]
 
-    d1 = cross(d - c, a - c)
-    d2 = cross(d - c, b - c)
-    d3 = cross(b - a, c - a)
-    d4 = cross(b - a, d - a)
+    d1 = cross(cd, a - c)
+    d2 = cross(cd, b - c)
+    d3 = cross(ab, c - a)
+    d4 = cross(ab, d - a)
     proper = (d1 * d2 < 0.0) & (d3 * d4 < 0.0)
 
-    cand_dist = np.empty((pairs.shape[0], 4))
-    cand_foot = np.empty((pairs.shape[0], 4, 2))
-    cand_base = np.empty((pairs.shape[0], 4, 2))
-    for slot, (p, sa, sb) in enumerate(((a, c, d), (b, c, d), (c, a, b), (d, a, b))):
-        dist, foot = _point_segment(p, sa, sb)
-        cand_dist[:, slot] = dist
-        cand_foot[:, slot] = foot
-        cand_base[:, slot] = p
-    best = np.argmin(cand_dist, axis=1)
-    rows = np.arange(pairs.shape[0])
-    dist = cand_dist[rows, best]
-    point = 0.5 * (cand_base[rows, best] + cand_foot[rows, best])
+    # slot s holds rows s*m .. s*m + m - 1: a and b on cd, then c and d on ab
+    base = np.concatenate((a, b, c, d))
+    cand_dist, cand_foot = _point_segment(base, np.concatenate((c, c, a, a)),
+                                          np.concatenate((d, d, b, b)))
+    best = np.argmin(cand_dist.reshape(4, m), axis=0) * m + np.arange(m)
+    dist = cand_dist[best]
+    point = 0.5 * (base[best] + cand_foot[best])
 
     # proper crossings: exact line-line intersection, distance zero.  The
     # signed areas d1, d2 interpolate linearly along ab, vanishing at the hit.
     denom = d1 - d2
     safe = np.where(proper & (denom != 0.0), denom, 1.0)
     s = d1 / safe
-    hit = a + (b - a) * s[:, None]
+    hit = a + ab * s[:, None]
     dist = np.where(proper, 0.0, dist)
     point = np.where(proper[:, None], hit, point)
 

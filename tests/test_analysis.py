@@ -42,6 +42,7 @@ from curvediffusion.errors import (
     RejectedInputError,
 )
 from curvediffusion.geometry import ShapeSpec, generate, metrics, resample_uniform
+from references import two_pass_density
 
 
 def uniform(spec: ShapeSpec, n: int):
@@ -186,6 +187,10 @@ class TestWirtinger:
         bad[3] = math.inf
         with pytest.raises(RejectedInputError):
             wirtinger_check(bad, 1.0)
+        for samples in ("a" * 16, [True] * 16, np.ones(16, dtype=bool),
+                        list(good[:15]) + ["x"]):
+            with pytest.raises(RejectedInputError, match="^samples"):
+                wirtinger_check(samples, 1.0)
 
 
 class TestSymmetricFunctionInequalities:
@@ -231,6 +236,16 @@ class TestSymmetricFunctionInequalities:
             newton_ratio_check([1.0], 0)
         with pytest.raises(RejectedInputError):
             harmonic_sum_bound_check([0.0, 1.0])
+        for entries in ("abc", [1.0, {"a": 1}], [True, 2.0], np.array([1.0, 2.0j])):
+            with pytest.raises(RejectedInputError, match="^entries"):
+                newton_ratio_check(entries, 0)
+        for entries in ("xy", [True, 2.0], [1.0, None]):
+            with pytest.raises(RejectedInputError, match="^entries"):
+                harmonic_sum_bound_check(entries)
+
+    def test_integer_entries_still_accepted(self):
+        assert newton_ratio_check([1, 2, 3], 0)
+        assert harmonic_sum_bound_check(np.array([1, 2], dtype=np.int32))
 
 
 class TestDensityIntegral:
@@ -256,6 +271,14 @@ class TestDensityIntegral:
         with pytest.raises(RejectedInputError):
             density_integral(curve, (0.0, 0.0))
 
+    def test_rejects_malformed_points(self):
+        curve = uniform(ShapeSpec("circle", radius=1.0), 256)
+        for point in ("ab", {"x": 1}, (1 + 0j, 0.0), (True, 0.0),
+                      np.array([True, False]), ("1", "0")):
+            with pytest.raises(RejectedInputError, match="^point"):
+                density_integral(curve, point)
+        assert density_integral(curve, (1, 0)) == density_integral(curve, (1.0, 0.0))
+
     def test_requires_uniform_parametrization(self):
         curve = generate(ShapeSpec("ellipse", a=2.0, b=1.0), 256)
         with pytest.raises(NonUniformParametrizationError):
@@ -272,6 +295,24 @@ class TestDensityIntegral:
         monkeypatch.setattr(analysis, "_row_norms",
                             lambda q: np.linalg.norm(q, axis=1))
         assert [density_integral(c, c.vertices[0]) for c in curves] == values
+
+    def test_one_integrand_equals_two_cutoff_passes(self):
+        # both cutoffs sum one integrand; each pass of the reference builds
+        # its own, so equal bits mean the same values in the same order
+        from curvediffusion.cli import _corpus_spec
+
+        rng = np.random.default_rng(0)
+        for index in range(200):
+            curve = uniform(_corpus_spec(rng, index), 512)
+            v = curve.vertices
+            for point in (v[0], 0.5 * (v[7] + v[8])):
+                got = density_integral(curve, point)
+                assert got == two_pass_density(curve, point), index
+        for n in (512, 1024):
+            for spec, point in ((ShapeSpec("circle", radius=1.0), (1.0, 0.0)),
+                                (ShapeSpec("lemniscate", scale=1.0), (0.0, 0.0))):
+                curve = uniform(spec, n)
+                assert density_integral(curve, point) == two_pass_density(curve, point)
 
 
 class TestHypotheses:

@@ -32,6 +32,7 @@ from curvediffusion.geometry import (
     turning_number,
     write_curve_csv,
 )
+import references
 from references import hausdorff_distance
 
 
@@ -538,7 +539,7 @@ class TestHausdorff:
 
     @pytest.mark.parametrize("block", [7, 128])
     def test_row_blocks_match_per_point_loop(self, monkeypatch, block):
-        monkeypatch.setattr(geometry, "_DIST_ROW_BLOCK", block)
+        monkeypatch.setattr(references, "_DIST_ROW_BLOCK", block)
         a = generate(ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0), 300)
         b = generate(ShapeSpec("limacon", offset=1.3, scale=1.1), 200)
         expected = max(self.direct(a.vertices, b.vertices),

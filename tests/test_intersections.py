@@ -33,6 +33,18 @@ def _seg_dist(p: np.ndarray, starts: np.ndarray, ends: np.ndarray) -> np.ndarray
     return np.linalg.norm(p[None, :] - proj, axis=1)
 
 
+def _seg_foot(p: np.ndarray, start: np.ndarray, end: np.ndarray) -> np.ndarray:
+    d = end - start
+    denom = float(d @ d)
+    t = float((p - start) @ d) / (denom if denom != 0.0 else 1.0)
+    return start + min(max(t, 0.0), 1.0) * d
+
+
+def _orient(p: np.ndarray, q: np.ndarray, r: np.ndarray) -> float:
+    """Twice the signed area of the triangle p, q, r."""
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
 def probe_multiplicity(curve, eps: float) -> int:
     """Independent multiplicity count: probe every vertex and midpoint,
     collect the segments within eps, and count circular index runs that are
@@ -109,6 +121,28 @@ def sweep_inputs(draw):
     eps = draw(st.sampled_from((1e-12, 1e-3, 0.1, 0.125, 1.0, 5.0)))
     gap = draw(st.integers(min_value=1, max_value=n // 2 - 1))
     return pts, np.roll(pts, -1, axis=0), eps, gap
+
+
+@st.composite
+def contact_inputs(draw):
+    """Segments with endpoints on a coarse grid (exact ties between the four
+    endpoint distances, parallel and degenerate segments) or free floats,
+    and random candidate pairs among them."""
+    count = draw(st.integers(min_value=2, max_value=24))
+    if draw(st.booleans()):
+        cells = st.integers(min_value=-3, max_value=3)
+        pts = 0.5 * np.array(draw(st.lists(st.tuples(cells, cells),
+                                           min_size=2 * count,
+                                           max_size=2 * count)), dtype=float)
+    else:
+        coord = st.floats(min_value=-2.0, max_value=2.0)
+        pts = np.array(draw(st.lists(st.tuples(coord, coord),
+                                     min_size=2 * count, max_size=2 * count)))
+    index = st.integers(min_value=0, max_value=count - 1)
+    pairs = np.array(draw(st.lists(st.tuples(index, index), min_size=1,
+                                   max_size=40)), dtype=int)
+    eps = draw(st.sampled_from((1e-12, 0.1, 0.5, 1.0)))
+    return pts[:count], pts[count:], pairs, eps
 
 
 def corpus_spec(rng: np.random.Generator, index: int) -> ShapeSpec:
@@ -229,6 +263,39 @@ class TestCandidateSweep:
             assert got.shape[1] == 2
             assert (got[:, 0] < got[:, 1]).all()
             assert pair_set(got) == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(contact_inputs())
+    def test_contacts_are_the_pairs_within_eps(self, case):
+        starts, ends, pairs, eps = case
+        got_pairs, got_points = intersections._pair_contacts(starts, ends,
+                                                             pairs, eps)
+        want_pairs, want_points = [], []
+        for i, j in pairs:
+            a, b, c, d = starts[i], ends[i], starts[j], ends[j]
+            if (_orient(c, d, a) * _orient(c, d, b) < 0.0
+                    and _orient(a, b, c) * _orient(a, b, d) < 0.0):
+                want_pairs.append((i, j))
+                want_points.append(None)   # a proper crossing
+                continue
+            slots = ((a, c, d), (b, c, d), (c, a, b), (d, a, b))
+            dist = [float(_seg_dist(p, s[None, :], e[None, :])[0])
+                    for p, s, e in slots]
+            if min(dist) <= eps:
+                # the first slot at the least distance names the contact point
+                p, s, e = slots[int(np.argmin(dist))]
+                want_pairs.append((i, j))
+                want_points.append(0.5 * (p + _seg_foot(p, s, e)))
+        assert got_pairs.tolist() == [list(pair) for pair in want_pairs]
+        for (i, j), got, want in zip(want_pairs, got_points, want_points):
+            if want is None:
+                # the hit lies on both segments, up to rounding
+                scale = 1e-9 * (1.0 + float(np.abs(got).max()))
+                for s, e in ((starts[i], ends[i]), (starts[j], ends[j])):
+                    assert _seg_dist(got, s[None, :], e[None, :])[0] <= scale
+            else:
+                # the foot's rounding may differ; the slot cannot
+                assert np.abs(got - want).max() <= 1e-12
 
     @pytest.mark.parametrize("spec", [ShapeSpec("lemniscate", scale=1.0),
                                       ShapeSpec("limacon", offset=0.5)])
