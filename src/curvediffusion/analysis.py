@@ -14,8 +14,8 @@ from typing import Dict, Sequence, Tuple
 import numpy as np
 
 from .errors import RejectedInputError
-from .flow import TrajectoryRecord
-from .geometry import SampledCurve, CurveMetrics, _is_real, metrics
+from .flow import TrajectoryRecord, _record_times
+from .geometry import SampledCurve, CurveMetrics, _integer_arg, _real_arg, metrics
 from .geometry import _require_uniform, _row_norms, _shift
 
 # Decimal expansion of the oscillation smallness threshold, frozen from a
@@ -75,22 +75,24 @@ def kstar() -> float:
     return 4.0 * pi * pi / (3.0 * (2.0 * pi + 12.0 * pi * pi + 4.0 * pi * root))
 
 
-def _is_whole(value) -> bool:
-    # an integral int or float, such as a winding number; bool is refused
-    return _is_real(value) and math.isfinite(value) and int(value) == value
-
-
-def _real_array(name: str, value) -> np.ndarray:
-    """value as a float array, refused by name unless every entry is an int or
-    a float: an array by its dtype, a sequence entry by entry, since
-    np.asarray reads [True, 2.0] as floats and "12" as a number."""
-    if isinstance(value, np.ndarray):
-        ok = value.dtype.kind in "iuf"
-    else:
-        ok = all(_is_real(x) for x in np.asarray(value, dtype=object).flat)
-    if not ok:
-        raise RejectedInputError(f"{name} must hold only ints and floats, got {value!r}")
-    return np.asarray(value, dtype=float)
+def _real_array(name: str, value, positive: bool = False) -> np.ndarray:
+    """value as a float array whose every entry obeys the real rule of
+    geometry._real_arg, refused by the name and flat index of the first
+    entry that does not.  An ndarray needs an int or float dtype; a sequence
+    is read entry by entry, since np.asarray reads [True, 2.0] as floats and
+    "12" as a number."""
+    if not isinstance(value, np.ndarray):
+        for i, x in enumerate(np.asarray(value, dtype=object).flat):
+            _real_arg(f"{name}[{i}]", x, positive)
+    elif value.dtype.kind not in "iuf":
+        raise RejectedInputError(
+            f"{name} must hold only ints and floats, got a {value.dtype} array")
+    arr = np.asarray(value, dtype=float)
+    ok = np.isfinite(arr) & (arr > 0.0) if positive else np.isfinite(arr)
+    if not ok.all():
+        i = int(np.argmin(ok.ravel()))  # the first entry the rule refuses
+        _real_arg(f"{name}[{i}]", float(arr.flat[i]), positive)
+    return arr
 
 
 def general_smallness_threshold(omega: int) -> float:
@@ -100,8 +102,7 @@ def general_smallness_threshold(omega: int) -> float:
     in the same conjugate form as kstar(); equals 2 kstar() at w = 1 and
     depends on w only through w^2.
     """
-    if not _is_whole(omega):
-        raise RejectedInputError(f"winding number must be an integer, got {omega!r}")
+    omega = _integer_arg("winding number", omega)
     if omega == 0:
         raise RejectedInputError("winding number zero degenerates the threshold")
     pi = math.pi
@@ -148,10 +149,7 @@ def waiting_time_bound(L0: float, A0: float) -> float:
     isoperimetric inequality, which no plane curve can; such inputs are let
     through with a warning so callers can see the inconsistency.
     """
-    if not (_is_real(L0) and math.isfinite(L0) and L0 > 0.0):
-        raise RejectedInputError(f"need finite L0 > 0, got {L0!r}")
-    if not (_is_real(A0) and math.isfinite(A0)):
-        raise RejectedInputError(f"need finite A0, got {A0!r}")
+    L0, A0 = _real_arg("L0", L0, positive=True), _real_arg("A0", A0)
     bound = (L0 / (2.0 * math.pi)) ** 4 - (A0 / math.pi) ** 2
     if bound < 0.0:
         warnings.warn(
@@ -159,13 +157,6 @@ def waiting_time_bound(L0: float, A0: float) -> float:
             RuntimeWarning, stacklevel=2,
         )
     return bound
-
-
-def _record_times(trajectory: Sequence[TrajectoryRecord]) -> np.ndarray:
-    times = np.array([rec.time for rec in trajectory], dtype=float)
-    if times.size > 1 and np.any(np.diff(times) <= 0.0):
-        raise RejectedInputError("record times must be strictly increasing")
-    return times
 
 
 def _median_interval(times: np.ndarray) -> float:
@@ -266,11 +257,9 @@ def multiplicity_bound(m: int, omega: int) -> float:
 
     Negative values (such as m = 1, w = 1) constrain nothing.
     """
-    if not (_is_whole(m) and m >= 1):
+    if _integer_arg("multiplicity", m) < 1:
         raise RejectedInputError(f"multiplicity must be an integer >= 1, got {m!r}")
-    if not _is_whole(omega):
-        raise RejectedInputError(f"winding number must be an integer, got {omega!r}")
-    w = float(omega)
+    w = float(_integer_arg("winding number", omega))
     return 16.0 * float(m) * float(m) - 4.0 * w * w * math.pi * math.pi
 
 
@@ -305,7 +294,7 @@ def density_integral(curve: SampledCurve, point) -> float:
     """
     _require_uniform(curve, "density_integral")
     p = _real_array("point", point)
-    if p.shape != (2,) or not np.isfinite(p).all():
+    if p.shape != (2,):
         raise RejectedInputError("point must be a finite pair of coordinates")
     L = curve.length()
     epsilon = _ON_TRACE_REL * L
@@ -349,11 +338,9 @@ def _elementary_symmetric(values: np.ndarray) -> np.ndarray:
 
 
 def _positive_entries(l) -> np.ndarray:
-    arr = _real_array("entries", l)
+    arr = _real_array("entries", l, positive=True)
     if arr.ndim != 1 or arr.size == 0:
         raise RejectedInputError("need a nonempty flat list of entries")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise RejectedInputError("entries must be positive and finite")
     return arr
 
 
@@ -369,8 +356,9 @@ def newton_ratio_check(l, i: int) -> bool:
     n = arr.size
     if n < 2:
         raise RejectedInputError("need at least two entries")
-    if int(i) != i or not 0 <= i <= n - 2:
-        raise RejectedInputError(f"index must be an integer in [0, {n - 2}]")
+    if not 0 <= _integer_arg("index", i) <= n - 2:
+        raise RejectedInputError(
+            f"index must be an integer in [0, {n - 2}], got {i!r}")
     e = _elementary_symmetric(arr)
     lhs = e[i + 1] ** 2 * math.comb(n, i) * math.comb(n, i + 2)
     rhs = e[i] * e[i + 2] * math.comb(n, i + 1) ** 2
@@ -403,10 +391,7 @@ def wirtinger_check(samples, period: float) -> Report:
         raise RejectedInputError("need a flat list of samples")
     if f.size < 16:
         raise RejectedInputError("need at least 16 samples per period")
-    if not np.all(np.isfinite(f)):
-        raise RejectedInputError("samples must be finite")
-    if not (_is_real(period) and math.isfinite(period) and period > 0.0):
-        raise RejectedInputError(f"period must be a finite number > 0, got {period!r}")
+    period = _real_arg("period", period, positive=True)
 
     f = f - f.mean()
     h = period / f.size
@@ -441,8 +426,7 @@ def kss2_rate_floor(L0: float) -> float:
     """Slowest admissible decay rate for the squared curvature-second-derivative
     energy on a run of initial length L0: 4 pi^4 / L0^4.  Advisory; the true
     rate only settles after an initial transient."""
-    if not (_is_real(L0) and math.isfinite(L0) and L0 > 0.0):
-        raise RejectedInputError(f"need finite L0 > 0, got {L0!r}")
+    L0 = _real_arg("L0", L0, positive=True)
     return 4.0 * math.pi ** 4 / L0 ** 4
 
 
@@ -471,9 +455,10 @@ def decay_fit(trajectory: Sequence[TrajectoryRecord], quantity: str,
         )
     if len(trajectory) == 0:
         raise RejectedInputError("empty trajectory")
-    t0, t1 = float(window[0]), float(window[1])
-    if not (math.isfinite(t0) and math.isfinite(t1) and t1 > t0):
+    w = _real_array("window", window)
+    if w.shape != (2,) or not w[1] > w[0]:
         raise RejectedInputError("window must be a finite interval with t1 > t0")
+    t0, t1 = float(w[0]), float(w[1])
     times = _record_times(trajectory)
     if times.size > 1:
         dt = _median_interval(times)

@@ -45,7 +45,7 @@ from .geometry import (
     SPREAD_TOL,
     _chord_lengths,
     _integer_arg,
-    _is_real,
+    _real_arg,
     _resample_points,
     _shift,
     _tangents,
@@ -66,41 +66,24 @@ _MMAP_THRESHOLD_BYTES = 32 * 2 ** 20  # the ceiling of glibc's dynamic threshold
 _TRIM_THRESHOLD_BYTES = 2 * _MMAP_THRESHOLD_BYTES  # glibc's dynamic ratio
 
 
-def _number(value) -> float:
-    # a finite JSON int or float; bool is an int to Python, and is refused too
-    if (isinstance(value, bool) or not isinstance(value, (int, float))
-            or not math.isfinite(value)):
-        raise TypeError(f"{value!r} is not a finite JSON number")
-    return float(value)
-
-
-def _optional_number(value) -> Optional[float]:
-    return None if value is None else _number(value)
-
-
-def _integer(value) -> int:
-    if not _number(value).is_integer():
-        raise ValueError(f"{value!r} is not integral")
-    return int(value)
-
-
 # trajectory.jsonl schema, in file order: each key, the attribute it holds
 # (of the TrajectoryRecord, or of its CurveMetrics after "metrics."), and the
-# conversion that reads it back
+# rule that reads it back, called with a name for the message and the value
 _TRAJECTORY_SCHEMA = (
-    ("t", "time", _number),
-    ("L", "metrics.length", _number),
-    ("A", "metrics.signed_area", _number),
-    ("I", "metrics.isoperimetric_ratio", _optional_number),
-    ("omega", "metrics.winding_number", _integer),
-    ("kbar", "metrics.average_curvature", _number),
-    ("kosc", "metrics.osc_energy", _number),
-    ("ks2", "metrics.ks_norm_sq", _number),
-    ("kss2", "metrics.kss_norm_sq", _number),
-    ("kmin", "metrics.min_curvature", _number),
-    ("int_dev_ks2", "int_dev_ks2", _number),
-    ("int_dev2_ks2", "int_dev2_ks2", _number),
-    ("residual", "solver_residual", _number),
+    ("t", "time", _real_arg),
+    ("L", "metrics.length", _real_arg),
+    ("A", "metrics.signed_area", _real_arg),
+    ("I", "metrics.isoperimetric_ratio",
+     lambda name, value: None if value is None else _real_arg(name, value)),
+    ("omega", "metrics.winding_number", _integer_arg),
+    ("kbar", "metrics.average_curvature", _real_arg),
+    ("kosc", "metrics.osc_energy", _real_arg),
+    ("ks2", "metrics.ks_norm_sq", _real_arg),
+    ("kss2", "metrics.kss_norm_sq", _real_arg),
+    ("kmin", "metrics.min_curvature", _real_arg),
+    ("int_dev_ks2", "int_dev_ks2", _real_arg),
+    ("int_dev2_ks2", "int_dev2_ks2", _real_arg),
+    ("residual", "solver_residual", _real_arg),
 )
 TRAJECTORY_FIELDS = tuple(key for key, _, _ in _TRAJECTORY_SCHEMA)
 _TRAJECTORY_GETTERS = tuple((key, attrgetter(attr))
@@ -130,12 +113,8 @@ class FlowConfig:
         # max_time alone may be left unset
         for name in ("dt", "max_time", "curvature_energy_ceiling"):
             value = getattr(self, name)
-            if value is None and name == "max_time":
-                continue
-            if not (_is_real(value) and value > 0 and math.isfinite(value)):
-                raise RejectedInputError(
-                    f"{name} must be a positive finite number, got {value!r}"
-                )
+            if value is not None or name != "max_time":
+                _real_arg(name, value, positive=True)
         _integer_arg("n", self.n)
         if self.max_steps is not None:
             _integer_arg("max_steps", self.max_steps)
@@ -175,8 +154,7 @@ class TrajectoryRecord:
 
     def __post_init__(self):
         for name in ("time", "solver_residual", "int_dev_ks2", "int_dev2_ks2"):
-            if not math.isfinite(getattr(self, name)):
-                raise RejectedInputError(f"non-finite {name} in trajectory record")
+            _real_arg(name, getattr(self, name))
 
 
 @dataclass(frozen=True)
@@ -439,6 +417,13 @@ def run(initial: SampledCurve, config: FlowConfig,
             on_record(state, record)
 
 
+def _record_times(trajectory: Sequence[TrajectoryRecord]) -> np.ndarray:
+    times = np.array([rec.time for rec in trajectory], dtype=float)
+    if times.size > 1 and np.any(np.diff(times) <= 0.0):
+        raise RejectedInputError("record times must be strictly increasing")
+    return times
+
+
 def identity_residuals(trajectory: Sequence[TrajectoryRecord]) -> IdentityResiduals:
     """Centered-difference residuals of the evolution identities.
 
@@ -447,11 +432,13 @@ def identity_residuals(trajectory: Sequence[TrajectoryRecord]) -> IdentityResidu
     curvature rate matches 2 omega pi / L^2 times that norm, and the
     oscillation-energy rate balances its production and dissipation terms.
     A trajectory read back by read_trajectory_jsonl is checked the same way
-    as the records of the run that wrote it.
+    as the records of the run that wrote it.  Record times must strictly
+    increase.
     """
     records = list(trajectory)
     if len(records) < 3:
         raise RejectedInputError("need at least 3 trajectory records")
+    _record_times(records)
 
     rows = []
     for j in range(1, len(records) - 1):
@@ -530,11 +517,14 @@ def write_trajectory_jsonl(records: Sequence[TrajectoryRecord], path) -> None:
 def read_trajectory_jsonl(path) -> List[TrajectoryRecord]:
     """Rebuild records from a serialized trajectory.
 
-    Each line must hold every schema key; a number field takes a finite JSON
-    int or float (no bool, string, NaN or Infinity), ``omega`` an integral
-    value, and ``I`` also null.  The records equal those the run wrote, so
-    identity_residuals re-checks them.  Files that lack the oscillation-
-    balance integrals (the format before they were written) are rejected.
+    Each line must hold every schema key.  A number field takes a value that
+    obeys the package's real rule (geometry._is_real: a JSON int or float
+    that converts to a finite float, so no bool, string, NaN, Infinity or
+    int beyond float range), ``omega`` an int under the same rule (not 1.0,
+    which this program never writes), and ``I`` also null.  The records
+    equal those the run wrote, so identity_residuals re-checks them.  Files
+    that lack the oscillation-balance integrals (the format before they were
+    written) are rejected.
     """
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -549,7 +539,7 @@ def read_trajectory_jsonl(path) -> List[TrajectoryRecord]:
             continue
         try:
             obj = json.loads(line)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an int of > 4300 digits
             raise RejectedInputError(
                 f"malformed trajectory line {line_no}"
             ) from exc
@@ -564,15 +554,9 @@ def read_trajectory_jsonl(path) -> List[TrajectoryRecord]:
             )
         of_record: dict = {}
         of_metrics: dict = {}
-        for key, attr, convert in _TRAJECTORY_SCHEMA:
+        for key, attr, read in _TRAJECTORY_SCHEMA:
             owner, _, name = attr.rpartition(".")
-            try:
-                value = convert(obj[key])
-            except (TypeError, ValueError, OverflowError) as exc:
-                raise RejectedInputError(
-                    f"trajectory line {line_no}: field {key!r} is not a "
-                    f"finite number ({obj[key]!r})"
-                ) from exc
+            value = read(f"trajectory line {line_no}: field {key!r}", obj[key])
             (of_metrics if owner else of_record)[name] = value
         if records and not of_record["time"] > records[-1].time:
             raise RejectedInputError(

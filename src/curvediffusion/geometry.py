@@ -81,21 +81,21 @@ class SampledCurve:
         The chord lengths of vertices, when the caller has measured them.
 
     The validated chord lengths, measured here or passed as ``chords``, are
-    kept, read-only, with their sum, and every length query reads them.  The
-    curve is uniform in arclength, and ``is_uniform()`` says so, exactly when
-    their relative spread is within SPREAD_TOL.  The quantities the flow and
-    the analysis read of a curve are computed on first use and kept the same
-    way, outside the constructor and ``repr``: the frames at h = L/n
-    (``_frames_h``), the arclength derivatives k_s and k_ss of the curvature
-    (``_ks_kss``), the signed area (``_area``) and the metrics
-    (``_measured``).  Two curves are equal when their vertices are; a curve
-    is not hashable.
+    kept, read-only, with their sum and their relative spread, and every
+    length query reads them.  The curve is uniform in arclength, and
+    ``is_uniform()`` says so, exactly when that spread is within SPREAD_TOL.
+    The quantities the flow and the analysis read of a curve are computed
+    on first use and kept the same way, outside the constructor and
+    ``repr``: the frames at h = L/n (``_frames_h``), the arclength
+    derivatives k_s and k_ss of the curvature (``_ks_kss``), the signed area
+    (``_area``) and the metrics (``_measured``).  Two curves are equal when
+    their vertices are; a curve is not hashable.
     """
 
     vertices: np.ndarray
     _chords: np.ndarray = field(init=False, repr=False)
     _length: float = field(init=False, repr=False)
-    _uniform: bool = field(init=False, repr=False)
+    _spread: float = field(init=False, repr=False)
     chords: InitVar[Optional[np.ndarray]] = None
 
     def __post_init__(self, chords):
@@ -127,9 +127,8 @@ class SampledCurve:
         seg.setflags(write=False)
         object.__setattr__(self, "_chords", seg)
         object.__setattr__(self, "_length", total)
-        # the spread as chord_spread() computes it, reusing the minimum
-        spread = float((seg.max() - seg_min) / (total / len(seg)))
-        object.__setattr__(self, "_uniform", spread <= SPREAD_TOL)
+        object.__setattr__(self, "_spread",
+                           float((seg.max() - seg_min) / (total / len(seg))))
         pts = np.array(pts, order="F")
         pts.setflags(write=False)
         object.__setattr__(self, "vertices", pts)
@@ -152,12 +151,11 @@ class SampledCurve:
 
     def chord_spread(self) -> float:
         """Relative spread (max - min)/mean of the chord lengths."""
-        seg = self._chords
-        return float((seg.max() - seg.min()) / (self._length / len(seg)))
+        return self._spread
 
     def is_uniform(self) -> bool:
         """Whether the chord spread is within SPREAD_TOL."""
-        return self._uniform
+        return self._spread <= SPREAD_TOL
 
     @functools.cached_property
     def _frames_h(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -233,9 +231,7 @@ class ShapeSpec:
                 f"unknown shape kind {self.kind!r}; expected one of {SHAPE_KINDS}"
             )
         for name in ("radius", "a", "b", "r0", "offset", "scale"):
-            value = getattr(self, name)
-            if not (_is_real(value) and math.isfinite(value)):
-                raise RejectedInputError(f"{name} must be finite, got {value!r}")
+            _real_arg(name, getattr(self, name))
         if self.kind == "circle" and self.radius <= 0:
             raise RejectedInputError("circle radius must be positive")
         if self.kind == "ellipse" and (self.a <= 0 or self.b <= 0):
@@ -252,11 +248,11 @@ class ShapeSpec:
                     m, eps, phase = entry
                 except (TypeError, ValueError):
                     m = eps = phase = None  # not a triple
-                if not (all(_is_real(x) and math.isfinite(x) for x in (m, eps, phase))
-                        and int(m) == m >= 1):
+                if not (isinstance(m, numbers.Integral) and m >= 1
+                        and all(_is_real(x) for x in (m, eps, phase))):
                     raise RejectedInputError(
                         "modes: each entry is (integer frequency >= 1, finite "
-                        f"amplitude, finite phase), got {entry!r}")
+                        f"amplitude, finite phase), got {_shown(entry)}")
                 norm.append((int(m), float(eps), float(phase)))
             object.__setattr__(self, "modes", tuple(norm))
         if self.kind in ("limacon", "lemniscate") and self.scale <= 0:
@@ -266,15 +262,42 @@ class ShapeSpec:
 
 
 def _is_real(value) -> bool:
-    # bool is an int to Python, and is refused as a number
-    return isinstance(value, numbers.Real) and not isinstance(value, bool)
+    """The package's rule for a real argument: a numbers.Real that is not a
+    bool (an int to Python) and converts to a finite float, so an int beyond
+    float range is refused, not raised as OverflowError."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _shown(value) -> str:
+    """repr(value) for a message; Python refuses the repr of an int of more
+    than 4300 digits, which is shown by its type alone."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too large to print>"
+
+
+def _real_arg(name: str, value, positive: bool = False) -> float:
+    """value as a float if it obeys the real rule of :func:`_is_real`, and
+    is > 0 when ``positive`` is set; refused by name otherwise."""
+    if _is_real(value) and (float(value) > 0.0 or not positive):
+        return float(value)
+    rule = "a positive finite number" if positive else "finite"
+    raise RejectedInputError(f"{name} must be {rule}, got {_shown(value)}")
 
 
 def _integer_arg(name: str, value) -> int:
-    """value as an int; a float, a string or a bool is refused by name."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-        raise RejectedInputError(f"{name} must be an integer, got {value!r}")
-    return int(value)
+    """value as an int if it is an integer that obeys the real rule of
+    :func:`_is_real`; a float such as 2.0, a string, a bool or an int beyond
+    float range is refused by name."""
+    if isinstance(value, numbers.Integral) and _is_real(value):
+        return int(value)
+    raise RejectedInputError(f"{name} must be an integer, got {_shown(value)}")
 
 
 def generate(spec: ShapeSpec, n: int) -> SampledCurve:
@@ -499,8 +522,8 @@ def curvature_profile(curve: SampledCurve) -> np.ndarray:
 def curvature_derivatives(curve: SampledCurve, order: int) -> np.ndarray:
     """First or second arclength derivative of the curvature profile: the
     curve's kept k_s or k_ss, both read-only."""
-    if order not in (1, 2):
-        raise RejectedInputError("order must be 1 or 2")
+    if _integer_arg("order", order) not in (1, 2):
+        raise RejectedInputError(f"order must be 1 or 2, got {order!r}")
     _require_uniform(curve, "curvature_derivatives")
     return curve._ks_kss[order - 1]
 

@@ -18,7 +18,7 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .errors import RejectedInputError
-from .geometry import SampledCurve, _is_real, _row_norms, _shift
+from .geometry import SampledCurve, _real_arg, _row_norms, _shift
 
 _ROW_BLOCK = 512   # sweep positions per block; a block holds <= _ROW_BLOCK * n pairs
 
@@ -220,8 +220,7 @@ def find_crossings(curve: SampledCurve, eps: Optional[float] = None) -> Crossing
     """
     if eps is None:
         eps = 1e-6 * curve.length()
-    if not (_is_real(eps) and math.isfinite(eps) and eps > 0.0):
-        raise RejectedInputError(f"eps must be a finite number > 0, got {eps!r}")
+    _real_arg("eps", eps, positive=True)
     h = curve.length() / curve.n
     excluded_gap = max(1, int(math.ceil(4.0 * eps / h)))
     if excluded_gap >= curve.n // 2:

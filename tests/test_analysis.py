@@ -49,6 +49,12 @@ def uniform(spec: ShapeSpec, n: int):
     return resample_uniform(generate(spec, n))
 
 
+# ints beyond float range: Python refuses the repr of the second, which has
+# more than 4300 digits
+OVERSIZED = pytest.mark.parametrize("big", [10 ** 400, 10 ** 5000],
+                                    ids=["401-digits", "5001-digits"])
+
+
 class TestThresholdConstants:
     def test_kstar_against_frozen_digits(self):
         # reference value computed once at 50 digits and frozen; the
@@ -80,9 +86,28 @@ class TestThresholdConstants:
         assert all(b < a for a, b in zip(values, values[1:]))
 
     def test_general_threshold_rejects_degenerate_winding(self):
-        for omega in (0, 1.5, math.nan, math.inf, None, "1", True):
+        for omega in (0, 1.5, math.nan, math.inf, None, "1", True, 1.0):
             with pytest.raises(RejectedInputError, match="^winding number"):
                 general_smallness_threshold(omega)
+
+    @OVERSIZED
+    @pytest.mark.parametrize("call, name", [
+        (lambda big: general_smallness_threshold(big), "winding number"),
+        (lambda big: kss2_rate_floor(big), "L0"),
+        (lambda big: waiting_time_bound(big, 1.0), "L0"),
+        (lambda big: waiting_time_bound(1.0, big), "A0"),
+        (lambda big: multiplicity_bound(big, 1), "multiplicity"),
+        (lambda big: multiplicity_bound(2, big), "winding number"),
+        (lambda big: wirtinger_check([0.0] * 16, big), "period"),
+        (lambda big: newton_ratio_check([big, 1.0], 0), r"entries\[0\]"),
+        (lambda big: harmonic_sum_bound_check([1.0, big]), r"entries\[1\]"),
+    ], ids=["threshold", "kss2-floor", "waiting-L0", "waiting-A0",
+            "multiplicity", "multiplicity-winding", "wirtinger-period",
+            "newton-entry", "harmonic-entry"])
+    def test_ints_beyond_float_range_are_refused_by_name(self, call, name, big):
+        # each used to end in a bare OverflowError
+        with pytest.raises(RejectedInputError, match=f"^{name} must be"):
+            call(big)
 
     def test_isoperimetric_limit_value(self):
         assert isoperimetric_limit() == math.exp(kstar() / (8.0 * math.pi ** 2))
@@ -243,6 +268,14 @@ class TestSymmetricFunctionInequalities:
             with pytest.raises(RejectedInputError, match="^entries"):
                 harmonic_sum_bound_check(entries)
 
+    @pytest.mark.parametrize("i", [None, True, 0.0])
+    def test_index_must_be_an_integer(self, i):
+        # None used to end in a bare TypeError, True to index numpy as a
+        # mask and end in a ValueError, and 0.0 in an IndexError
+        with pytest.raises(RejectedInputError,
+                           match=f"^index must be an integer, got {i!r}$"):
+            newton_ratio_check([1.0, 2.0, 3.0], i)
+
     def test_integer_entries_still_accepted(self):
         assert newton_ratio_check([1, 2, 3], 0)
         assert harmonic_sum_bound_check(np.array([1, 2], dtype=np.int32))
@@ -278,6 +311,13 @@ class TestDensityIntegral:
             with pytest.raises(RejectedInputError, match="^point"):
                 density_integral(curve, point)
         assert density_integral(curve, (1, 0)) == density_integral(curve, (1.0, 0.0))
+
+    @OVERSIZED
+    def test_rejects_coordinates_beyond_float_range(self, big):
+        # used to end in a bare OverflowError
+        curve = uniform(ShapeSpec("circle", radius=1.0), 256)
+        with pytest.raises(RejectedInputError, match=r"^point\[0\] must be finite"):
+            density_integral(curve, (big, 0))
 
     def test_requires_uniform_parametrization(self):
         curve = generate(ShapeSpec("ellipse", a=2.0, b=1.0), 256)
@@ -379,7 +419,9 @@ class TestEmbeddednessCertificate:
         for m, omega, name in ((0, 1, "multiplicity"), (2.5, 1, "multiplicity"),
                                (None, 1, "multiplicity"), (True, 1, "multiplicity"),
                                (2, math.nan, "winding number"),
-                               (2, None, "winding number")):
+                               (2, None, "winding number"),
+                               (2.0, 1, "multiplicity"),
+                               (2, 1.0, "winding number")):
             with pytest.raises(RejectedInputError, match=f"^{name}"):
                 multiplicity_bound(m, omega)
 
@@ -491,6 +533,15 @@ class TestDecayFits:
             decay_fit(records, DECAY_KOSC, (0.0, 5e-4))
         with pytest.raises(RejectedInputError):
             decay_fit([], DECAY_KOSC, (0.0, 0.5))
+
+    @pytest.mark.parametrize("window", [
+        (0, 10 ** 400), (0, 10 ** 5000), None, ("0", "0.004"), (False, True),
+    ], ids=["401-digits", "5001-digits", "none", "strings", "bools"])
+    def test_window_bounds_are_numbers(self, perturbed_run, window):
+        # the oversized ints used to end in a bare OverflowError and None in
+        # a TypeError, while strings and bools were read as numbers
+        with pytest.raises(RejectedInputError, match=r"^window\[[01]\] must be finite"):
+            decay_fit(perturbed_run.result.records, DECAY_KOSC, window)
 
 
 def _raising(name):

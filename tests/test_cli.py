@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from curvediffusion import cli
@@ -393,7 +393,23 @@ def _main_on_bytes(command: str, name: str, data: bytes):
     return code, err.getvalue()
 
 
+# a mode frequency of 401 digits, beyond float range; the fuzz's text
+# strategy stops at 12 characters
+OVERSIZED_MODE_MANIFEST = (
+    "shape = fourier-perturbed-circle\nmax_steps = 10\n"
+    f"modes = {10 ** 400}:0.01:0\n")
+
+
 class TestMalformedInput:
+    def test_oversized_mode_frequency_exits_one(self, tmp_path, capsys):
+        # used to end in a bare OverflowError traceback
+        path = tmp_path / "m.txt"
+        path.write_text(OVERSIZED_MODE_MANIFEST, encoding="utf-8")
+        assert main(["simulate", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("curvediffusion: modes: ")
+        assert err.count("\n") == 1 and "Traceback" not in err
+
     def test_non_utf8_manifest_exits_one(self, tmp_path, capsys):
         path = tmp_path / "m.txt"
         path.write_bytes(b"shape = circle\xff\nmax_steps = 10\n")
@@ -411,6 +427,9 @@ class TestMalformedInput:
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(data=_with_bytes(_MANIFEST_LINES))
+    @example(data=OVERSIZED_MODE_MANIFEST.encode("utf-8"))
+    @example(data=OVERSIZED_MODE_MANIFEST.replace(
+        "modes = ", "modes = 2:0.01:0, ").encode("utf-8"))
     def test_simulate_fuzz_exits_one_with_message(self, data):
         # stop once the manifest is parsed: the reader is under test, and a
         # parsed manifest may ask for any output path or resolution

@@ -71,6 +71,12 @@ def uniform(spec: ShapeSpec, n: int):
     return resample_uniform(generate(spec, n))
 
 
+# ints beyond float range: Python refuses the repr of the second, which has
+# more than 4300 digits
+OVERSIZED = pytest.mark.parametrize("big", [10 ** 400, 10 ** 5000],
+                                    ids=["401-digits", "5001-digits"])
+
+
 def rk4_advance(curve, dt):
     """The RK4 reference step in the place of flow._implicit_advance; RK4
     has no linear solve, so its residual is 0."""
@@ -427,6 +433,17 @@ class TestStopConditions:
             FlowConfig(**fields)
 
 
+    @OVERSIZED
+    @pytest.mark.parametrize("name", [
+        "dt", "max_time", "curvature_energy_ceiling", "n", "max_steps"])
+    def test_ints_beyond_float_range_are_refused_by_name(self, name, big):
+        # the limits used to end in a bare OverflowError, and the sizes to
+        # pass and fail inside numpy
+        fields = {"n": 64, "dt": 1e-4, "max_steps": 10, name: big}
+        with pytest.raises(RejectedInputError, match=f"^{name} must be "):
+            FlowConfig(**fields)
+
+
 # Prints the minor page faults per step of MEASURED steps after WARM_UP steps
 # at n = 4096, in a fresh interpreter: glibc adapts its thresholds to the
 # frees a process has made, so a count taken here would depend on the tests
@@ -622,6 +639,16 @@ class TestResiduals:
         assert res.osc_energy.rel_max <= 0.05
 
 
+    @pytest.mark.parametrize("order", [(0, 0, 1), (2, 1, 0)],
+                             ids=["repeated", "backwards"])
+    def test_times_must_increase(self, order):
+        # both used to return residuals; the backwards list read rel_max 1.0
+        records = run(uniform(ShapeSpec("circle", radius=1.0), 64),
+                      FlowConfig(n=64, dt=1e-4, max_steps=3)).records
+        with pytest.raises(RejectedInputError, match="strictly increasing"):
+            identity_residuals([records[i] for i in order])
+
+
 class TestTrajectorySerialization:
     def test_jsonl_round_trip(self, perturbed_run, tmp_path):
         records = perturbed_run.result.records[:50]
@@ -734,7 +761,7 @@ class TestTrajectorySerialization:
         ("t", "abc"), ("kosc", None), ("omega", "one"), ("I", [1.0]),
         ("L", {"v": 1.0}), ("omega", 1e400),
         ("L", "6.5"), ("omega", 2.7), ("kosc", True),
-        ("L", float("nan")), ("kbar", float("inf")),
+        ("L", float("nan")), ("kbar", float("inf")), ("omega", 1.0),
     ])
     def test_non_numeric_field_names_line_and_field(self, tmp_path, field, value):
         result = run(uniform(ShapeSpec("circle", radius=1.0), 64),
@@ -747,6 +774,24 @@ class TestTrajectorySerialization:
         path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         with pytest.raises(RejectedInputError, match=f"line 2: field '{field}'"):
             read_trajectory_jsonl(path)
+
+
+    def test_int_too_long_to_parse_names_the_line(self, tmp_path):
+        # json refuses an int of more than 4300 digits with a bare ValueError
+        line = self.FIXED_LINES[1].replace('"t":0.5', '"t":1' + "0" * 5000)
+        path = tmp_path / "trajectory.jsonl"
+        path.write_text(self.FIXED_LINES[0] + "\n" + line + "\n", encoding="utf-8")
+        with pytest.raises(RejectedInputError, match="line 2"):
+            read_trajectory_jsonl(path)
+
+    @OVERSIZED
+    @pytest.mark.parametrize("name", [
+        "time", "solver_residual", "int_dev_ks2", "int_dev2_ks2"])
+    def test_record_fields_are_refused_by_name(self, name, big):
+        # each used to end in a bare OverflowError
+        record = self.fixed_records()[0]
+        with pytest.raises(RejectedInputError, match=f"^{name} must be finite"):
+            dataclasses.replace(record, **{name: big})
 
 
 class TestShortRunProperties:

@@ -608,11 +608,39 @@ class TestValidation:
 
     @pytest.mark.parametrize("mode", [
         (2, math.nan, 0.0), (2, 0.01, math.inf), (2, 0.1), (2, "0.1", 0.0),
-        (True, 0.01, 0.0), 2,
+        (True, 0.01, 0.0), 2, (2.0, 0.01, 0.0),
     ])
     def test_non_finite_mode_entries_are_named(self, mode):
         with pytest.raises(RejectedInputError, match="^modes: "):
             ShapeSpec("fourier-perturbed-circle", modes=(mode,))
+
+    @pytest.mark.parametrize("order", [1.0, True])
+    def test_derivative_order_is_an_integer(self, order):
+        # 1.0 used to end in a bare TypeError, and True to read as 1
+        curve = uniform(ShapeSpec("circle", radius=1.0), 32)
+        with pytest.raises(RejectedInputError, match="^order must be "):
+            curvature_derivatives(curve, order)
+
+    @pytest.mark.parametrize("big", [10 ** 400, 10 ** 5000],
+                             ids=["401-digits", "5001-digits"])
+    def test_ints_beyond_float_range_are_refused_by_name(self, big):
+        # the fields and the frequency used to end in a bare OverflowError,
+        # and n to pass and fail inside numpy
+        with pytest.raises(RejectedInputError, match="^radius must be finite, got "):
+            ShapeSpec("circle", radius=big)
+        with pytest.raises(RejectedInputError, match="^modes: "):
+            ShapeSpec("fourier-perturbed-circle", modes=((big, 0.1, 0.0),))
+        with pytest.raises(RejectedInputError, match="^n must be an integer, got "):
+            generate(ShapeSpec("circle", radius=1.0), big)
+
+    def test_messages_do_not_print_an_int_beyond_4300_digits(self):
+        # Python refuses that repr with a ValueError
+        with pytest.raises(RejectedInputError, match=(
+                "^scale must be finite, got <int too large to print>$")):
+            ShapeSpec("lemniscate", scale=10 ** 5000)
+        with pytest.raises(RejectedInputError,
+                           match="got <tuple too large to print>$"):
+            ShapeSpec("fourier-perturbed-circle", modes=((10 ** 5000, 0.1, 0.0),))
 
     @pytest.mark.parametrize("modes", [3, None, "abc"])
     def test_modes_must_be_a_sequence(self, modes):
@@ -708,6 +736,17 @@ class TestValidation:
         chords = curve.segment_lengths().copy()
         chords[3] *= 2.0
         assert not SampledCurve(curve.vertices, chords=chords).is_uniform()
+
+    def test_spread_is_measured_once(self):
+        # chord_spread() returns the spread the constructor measured, and
+        # is_uniform() compares that same value with SPREAD_TOL
+        for curve in (generate(ShapeSpec("ellipse", a=1.5, b=0.5), 64),
+                      uniform(ShapeSpec("ellipse", a=1.5, b=0.5), 64)):
+            seg = curve.segment_lengths()
+            spread = float((seg.max() - seg.min()) / (curve.length() / curve.n))
+            assert curve._spread == spread
+            assert curve.chord_spread() is curve._spread
+            assert curve.is_uniform() == (spread <= SPREAD_TOL)
 
     def test_equality_compares_vertices(self):
         curve = uniform(ShapeSpec("circle", radius=1.0), 32)

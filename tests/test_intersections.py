@@ -315,6 +315,15 @@ class TestValidation:
             with pytest.raises(RejectedInputError, match="^eps"):
                 find_crossings(curve, eps=eps)
 
+    @pytest.mark.parametrize("big", [10 ** 400, 10 ** 5000],
+                             ids=["401-digits", "5001-digits"])
+    def test_eps_beyond_float_range_is_refused_by_name(self, big):
+        # used to end in a bare OverflowError
+        curve = uniform(ShapeSpec("circle", radius=1.0), 128)
+        with pytest.raises(RejectedInputError,
+                           match="^eps must be a positive finite number"):
+            find_crossings(curve, eps=big)
+
     def test_oversized_eps_rejected(self):
         curve = uniform(ShapeSpec("circle", radius=1.0), 128)
         with pytest.raises(RejectedInputError):
