@@ -9,14 +9,14 @@ import json
 import math
 import warnings
 from dataclasses import asdict, dataclass
-from typing import Dict, Sequence, Tuple
+from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
 
 from .errors import RejectedInputError
 from .flow import TrajectoryRecord, _record_times
 from .geometry import SampledCurve, CurveMetrics, _integer_arg, _real_arg, metrics
-from .geometry import _require_uniform, _row_norms, _shift
+from .geometry import _real_array, _require_uniform, _row_norms, _shift
 
 # Decimal expansion of the oscillation smallness threshold, frozen from a
 # 50-digit evaluation of the defining formula before the double-precision
@@ -75,26 +75,6 @@ def kstar() -> float:
     return 4.0 * pi * pi / (3.0 * (2.0 * pi + 12.0 * pi * pi + 4.0 * pi * root))
 
 
-def _real_array(name: str, value, positive: bool = False) -> np.ndarray:
-    """value as a float array whose every entry obeys the real rule of
-    geometry._real_arg, refused by the name and flat index of the first
-    entry that does not.  An ndarray needs an int or float dtype; a sequence
-    is read entry by entry, since np.asarray reads [True, 2.0] as floats and
-    "12" as a number."""
-    if not isinstance(value, np.ndarray):
-        for i, x in enumerate(np.asarray(value, dtype=object).flat):
-            _real_arg(f"{name}[{i}]", x, positive)
-    elif value.dtype.kind not in "iuf":
-        raise RejectedInputError(
-            f"{name} must hold only ints and floats, got a {value.dtype} array")
-    arr = np.asarray(value, dtype=float)
-    ok = np.isfinite(arr) & (arr > 0.0) if positive else np.isfinite(arr)
-    if not ok.all():
-        i = int(np.argmin(ok.ravel()))  # the first entry the rule refuses
-        _real_arg(f"{name}[{i}]", float(arr.flat[i]), positive)
-    return arr
-
-
 def general_smallness_threshold(omega: int) -> float:
     """Winding-dependent ceiling under which the oscillation energy propagates.
 
@@ -142,6 +122,21 @@ def check_hypotheses(m: CurveMetrics) -> Report:
     return Report(verdicts=verdicts, values=values)
 
 
+def _in_range(name: str, value: float, formula: str,
+              evaluate: Callable[[], float]) -> float:
+    """evaluate(), the value of ``formula`` at the argument ``name``, refused
+    by that name where it leaves float range: an overflow, or a division by
+    a power that underflows."""
+    try:
+        result = evaluate()
+    except (OverflowError, ZeroDivisionError):
+        result = math.inf
+    if math.isinf(result):  # a subnormal divisor gives inf, not an error
+        raise RejectedInputError(
+            f"{name} must keep {formula} within float range, got {value!r}")
+    return result
+
+
 def waiting_time_bound(L0: float, A0: float) -> float:
     """(L0 / 2 pi)^4 - (A0 / pi)^2: a cap on how long curvature can dip nonpositive.
 
@@ -150,7 +145,8 @@ def waiting_time_bound(L0: float, A0: float) -> float:
     through with a warning so callers can see the inconsistency.
     """
     L0, A0 = _real_arg("L0", L0, positive=True), _real_arg("A0", A0)
-    bound = (L0 / (2.0 * math.pi)) ** 4 - (A0 / math.pi) ** 2
+    lead = _in_range("L0", L0, "(L0 / 2 pi)^4", lambda: (L0 / (2.0 * math.pi)) ** 4)
+    bound = lead - _in_range("A0", A0, "(A0 / pi)^2", lambda: (A0 / math.pi) ** 2)
     if bound < 0.0:
         warnings.warn(
             "negative waiting bound: inputs violate the isoperimetric inequality",
@@ -384,7 +380,8 @@ def wirtinger_check(samples, period: float) -> Report:
     The forward-difference derivative underestimates int f_x^2 by O(h^2), so
     the verdicts allow _DISCRETE_BIAS_GUARD relative slack; the reported
     ratio and gap are raw.  Equality in the first inequality picks out the
-    first harmonic.
+    first harmonic.  Neither inequality depends on the period's scale, so
+    the verdicts are decided at unit spacing.
     """
     f = _real_array("samples", samples)
     if f.ndim != 1:
@@ -394,27 +391,30 @@ def wirtinger_check(samples, period: float) -> Report:
     period = _real_arg("period", period, positive=True)
 
     f = f - f.mean()
-    h = period / f.size
-    df = (_shift(f, 1) - f) / h
-    l2 = float(np.sum(f * f)) * h
-    dl2 = float(np.sum(df * df)) * h
+    n = f.size
+    df = _shift(f, 1) - f
+    # at unit spacing; the spacing h = period / n scales l2 and l2_bound by
+    # h and dl2 by 1 / h, and leaves sup_bound as it is
+    l2 = float(np.sum(f * f))
+    dl2 = float(np.sum(df * df))
     sup2 = float(np.max(np.abs(f))) ** 2
-    l2_bound = period * period / (4.0 * math.pi * math.pi) * dl2
-    sup_bound = period / (2.0 * math.pi) * dl2
+    l2_bound = n * n / (4.0 * math.pi * math.pi) * dl2
+    sup_bound = n / (2.0 * math.pi) * dl2
     if l2_bound > 0.0:
         ratio = l2 / l2_bound
     else:
         ratio = 1.0  # identically zero input: equality holds trivially
+    h = period / n
     return Report(
         verdicts={
             "l2_holds": l2 <= l2_bound * (1.0 + _DISCRETE_BIAS_GUARD),
             "sup_holds": sup2 <= sup_bound * (1.0 + _DISCRETE_BIAS_GUARD),
         },
         values={
-            "l2": l2,
-            "l2_derivative": dl2,
+            "l2": l2 * h,
+            "l2_derivative": dl2 / h,
             "sup_sq": sup2,
-            "l2_bound": l2_bound,
+            "l2_bound": l2_bound * h,
             "sup_bound": sup_bound,
             "ratio_to_bound": ratio,
             "equality_gap": 1.0 - ratio,
@@ -427,7 +427,7 @@ def kss2_rate_floor(L0: float) -> float:
     energy on a run of initial length L0: 4 pi^4 / L0^4.  Advisory; the true
     rate only settles after an initial transient."""
     L0 = _real_arg("L0", L0, positive=True)
-    return 4.0 * math.pi ** 4 / L0 ** 4
+    return _in_range("L0", L0, "4 pi^4 / L0^4", lambda: 4.0 * math.pi ** 4 / L0 ** 4)
 
 
 _DECAY_FIELDS = {

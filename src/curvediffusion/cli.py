@@ -55,6 +55,7 @@ from .analysis import (
 )
 from .errors import CurveDiffusionError, RejectedInputError
 from .flow import (
+    LENGTH_RISE_TOL,
     FlowConfig,
     FlowState,
     RunResult,
@@ -342,7 +343,7 @@ def _summary_report(result: RunResult) -> Report:
             <= 1e-6 * max(1.0, abs(first.signed_area))
         ),
         "length_nonincreasing": all(
-            after <= before * (1.0 + 1e-12)
+            after <= before * (1.0 + LENGTH_RISE_TOL)
             for before, after in zip(lengths, lengths[1:])
         ),
     }
@@ -713,12 +714,10 @@ _IDENTITY_SCENARIOS = (
 # rel_max ceilings per scenario and identity; the circle rows use abs_max
 # because every term in its balances is numerically zero.
 _IDENTITY_LIMITS = {
-    "circle": dict(area=1e-9, length=1e-8, average_curvature=1e-6,
-                   osc_energy=1e-6, absolute=True),
-    "ellipse": dict(area=1e-9, length=0.15, average_curvature=0.15,
-                    osc_energy=0.15, absolute=False),
-    "perturbed circle": dict(area=1e-9, length=0.05, average_curvature=0.05,
-                             osc_energy=0.05, absolute=False),
+    "circle": dict(area=1e-9, length=1e-8, osc_energy=1e-6, absolute=True),
+    "ellipse": dict(area=1e-9, length=0.15, osc_energy=0.15, absolute=False),
+    "perturbed circle": dict(area=1e-9, length=0.05, osc_energy=0.05,
+                             absolute=False),
 }
 
 
@@ -731,11 +730,10 @@ def _suite_flow_identities(seed: int) -> List[Row]:
         residuals = identity_residuals(result.records)
         limits = _IDENTITY_LIMITS[name]
         absolute = limits["absolute"]
-        for field in ("area", "length", "average_curvature", "osc_energy"):
-            stat = getattr(residuals, field)
-            value = stat.abs_max if (absolute or field == "area") else stat.rel_max
-            limit = limits[field]
+        for field in ("area", "length", "osc_energy"):
             kind = "abs" if (absolute or field == "area") else "rel"
+            value = getattr(getattr(residuals, field), f"{kind}_max")
+            limit = limits[field]
             rows.append((
                 f"{name}: {field.replace('_', ' ')} balance",
                 value <= limit,

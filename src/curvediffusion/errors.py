@@ -25,12 +25,10 @@ class NonUniformParametrizationError(CurveDiffusionError, ValueError):
     """
 
 
-class SolverError(CurveDiffusionError, RuntimeError):
-    """Linear solve failed or produced a residual above the configured tolerance."""
-
-
 class BlowUpSignal(CurveDiffusionError, RuntimeError):
-    """Curvature or mesh degeneration consistent with finite-time blow-up.
+    """A step the flow cannot accept: curvature or mesh degeneration
+    consistent with finite-time blow-up, a rise in length, or a solve that
+    failed its residual check.
 
     Carries only its message: the step that raises it leaves the state it
     was given untouched, and that state is the last good one.  The run loop

@@ -99,7 +99,7 @@ class SampledCurve:
     chords: InitVar[Optional[np.ndarray]] = None
 
     def __post_init__(self, chords):
-        pts = np.asarray(self.vertices, dtype=float)
+        pts = _real_array("vertices", self.vertices)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise RejectedInputError("vertices must be an (n, 2) array")
         if pts.shape[0] < MIN_VERTICES:
@@ -110,8 +110,6 @@ class SampledCurve:
             raise RejectedInputError(
                 f"chords must have shape ({pts.shape[0]},), got {np.shape(chords)}"
             )
-        if not np.isfinite(pts).all():
-            raise RejectedInputError("vertex coordinates must be finite")
         # squared chords overflow beyond about 1e154: a wrong scale, rejected
         # before it turns into an infinite length or a NaN spread
         with np.errstate(over="ignore"):
@@ -289,6 +287,26 @@ def _real_arg(name: str, value, positive: bool = False) -> float:
         return float(value)
     rule = "a positive finite number" if positive else "finite"
     raise RejectedInputError(f"{name} must be {rule}, got {_shown(value)}")
+
+
+def _real_array(name: str, value, positive: bool = False) -> np.ndarray:
+    """value as a float array whose every entry obeys the real rule of
+    :func:`_real_arg`, refused by the name and flat index of the first
+    entry that does not.  An ndarray needs an int or float dtype; a sequence
+    is read entry by entry, since np.asarray reads [True, 2.0] as floats and
+    "12" as a number."""
+    if not isinstance(value, np.ndarray):
+        for i, x in enumerate(np.asarray(value, dtype=object).flat):
+            _real_arg(f"{name}[{i}]", x, positive)
+    elif value.dtype.kind not in "iuf":
+        raise RejectedInputError(
+            f"{name} must hold only ints and floats, got a {value.dtype} array")
+    arr = np.asarray(value, dtype=float)
+    ok = np.isfinite(arr) & (arr > 0.0) if positive else np.isfinite(arr)
+    if not ok.all():
+        i = int(np.argmin(ok.ravel()))  # the first entry the rule refuses
+        _real_arg(f"{name}[{i}]", float(arr.flat[i]), positive)
+    return arr
 
 
 def _integer_arg(name: str, value) -> int:
@@ -591,15 +609,6 @@ def _metrics(curve: SampledCurve) -> CurveMetrics:
         kss_norm_sq=kss2,
         min_curvature=float(k.min()),
     )
-
-
-def curve_integral(curve: SampledCurve, values: np.ndarray) -> float:
-    """Composite midpoint integral of per-vertex samples over arclength."""
-    _require_uniform(curve, "curve_integral")
-    values = np.asarray(values, dtype=float)
-    if values.shape != (curve.n,):
-        raise RejectedInputError("need one sample per vertex")
-    return float(values.sum()) * (curve.length() / curve.n)
 
 
 def read_curve_csv(path) -> SampledCurve:

@@ -119,6 +119,14 @@ class TestThresholdConstants:
             with pytest.raises(RejectedInputError, match="L0"):
                 kss2_rate_floor(L0)
 
+    @pytest.mark.parametrize("L0", [1e-100, 1e100])
+    def test_kss2_rate_floor_beyond_float_range_is_refused_by_name(self, L0):
+        # L0 ** 4 used to underflow into a bare ZeroDivisionError or to
+        # overflow into a bare OverflowError
+        with pytest.raises(RejectedInputError,
+                           match=r"^L0 must keep 4 pi\^4 / L0\^4 within float range"):
+            kss2_rate_floor(L0)
+
 
 class TestWaitingBound:
     def test_round_circle_bound_is_zero(self):
@@ -138,6 +146,12 @@ class TestWaitingBound:
                              (None, 1.0, "L0"), (1.0, "1", "A0")):
             with pytest.raises(RejectedInputError, match=name):
                 waiting_time_bound(L0, A0)
+
+    def test_bound_beyond_float_range_is_refused_by_name(self):
+        # (L0 / 2 pi)^4 used to raise a bare OverflowError
+        with pytest.raises(RejectedInputError,
+                           match=r"^L0 must keep \(L0 / 2 pi\)\^4 within float range"):
+            waiting_time_bound(1e100, 1.0)
 
     @given(
         length=st.floats(min_value=0.1, max_value=100.0),
@@ -192,6 +206,19 @@ class TestWirtinger:
             assert report.values["l2"] == pytest.approx(l2, rel=1e-10, abs=1e-12)
             assert report.values["l2_derivative"] == pytest.approx(dl2, rel=1e-4,
                                                                   abs=1e-12)
+
+    def test_verdict_does_not_depend_on_the_period_scale(self):
+        # a subnormal spacing used to overflow the derivative: l2_holds read
+        # False on a NaN bound, with a RuntimeWarning
+        samples = [0.0, 1.0] * 8
+        unit = wirtinger_check(samples, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            tiny = wirtinger_check(samples, 1e-320)
+        assert tiny.verdicts == unit.verdicts == {"l2_holds": True,
+                                                   "sup_holds": True}
+        assert tiny.values["ratio_to_bound"] == unit.values["ratio_to_bound"]
+        assert 0.0 < tiny.values["l2_bound"] < math.inf
 
     def test_zero_input_is_trivial_equality(self):
         report = wirtinger_check(np.zeros(64), 1.0)

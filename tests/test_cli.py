@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
-from curvediffusion import cli
+from curvediffusion import cli, flow
 from curvediffusion.cli import (
     REPORT_SECTIONS,
     RunManifest,
@@ -268,6 +268,43 @@ class TestSimulate:
         assert payload["sections"]["l1-energy"]["verdicts"]["within_bound"]
         assert (out / "trajectory.jsonl").stat().st_size > 0
 
+    def test_failed_residual_check_exits_two_with_partial_outputs(
+            self, tmp_path, monkeypatch, capsys):
+        # the tenth solve misses its system; that used to end simulate with
+        # exit 1 and an empty output directory
+        apply = flow._apply_cyclic_pentadiagonal
+        calls = []
+
+        def missed(c, x):
+            calls.append(1)
+            return apply(c, x) + (1.0 if len(calls) == 10 else 0.0)
+
+        monkeypatch.setattr(flow, "_apply_cyclic_pentadiagonal", missed)
+        out = tmp_path / "out"
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("shape = circle\nn = 64\ndt = 1e-4\nmax_steps = 20\n"
+                            f"output_dir = {out}\n")
+        assert main(["simulate", str(manifest)]) == 2
+        assert "blow-up (implicit step residual" in capsys.readouterr().out
+        assert len((out / "trajectory.jsonl").read_text().splitlines()) == 9
+        payload = json.loads((out / "run.json").read_text())
+        assert payload["run"]["reason"] == "blow-up"
+        assert payload["run"]["detail"].startswith("implicit step residual")
+
+    def test_length_rise_exits_two(self, tmp_path):
+        # past its singular time the figure-eight's length rises, first at
+        # step 874; the run used to go on to max-time and exit 0
+        out = tmp_path / "out"
+        manifest = tmp_path / "m.txt"
+        manifest.write_text("shape = lemniscate\nn = 128\ndt = 5e-5\n"
+                            f"max_time = 0.05\noutput_dir = {out}\n")
+        assert main(["simulate", str(manifest)]) == 2
+        payload = json.loads((out / "run.json").read_text())
+        assert payload["run"]["reason"] == "blow-up"
+        assert payload["run"]["detail"].startswith("length increased")
+        assert payload["run"]["records"] == 873
+        assert payload["sections"]["summary"]["verdicts"]["length_nonincreasing"]
+
     def test_missing_manifest_is_usage_error(self, tmp_path, capsys):
         assert main(["simulate", str(tmp_path / "absent.txt")]) == 1
         assert capsys.readouterr().err != ""
@@ -469,7 +506,7 @@ class TestVerify:
         assert main(["verify", "flow-identities"]) == 0
         out = capsys.readouterr().out
         assert "FAIL" not in out
-        assert out.count("PASS") == 12
+        assert out.count("PASS") == 9
 
     def test_unknown_suite_lists_options(self, capsys):
         assert main(["verify", "bogus"]) == 1

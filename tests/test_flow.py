@@ -16,11 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from curvediffusion import flow, geometry
-from curvediffusion.errors import (
-    DegenerateGeometryError,
-    RejectedInputError,
-    SolverError,
-)
+from curvediffusion.errors import DegenerateGeometryError, RejectedInputError
 from curvediffusion.flow import (
     FlowConfig,
     FlowState,
@@ -42,7 +38,6 @@ from curvediffusion.geometry import (
     SampledCurve,
     ShapeSpec,
     curvature_profile,
-    curve_integral,
     generate,
     metrics,
     resample_uniform,
@@ -182,11 +177,17 @@ class TestSingleStep:
         assert result.final_state.step_index == 4
         assert result.final_state is seen[-1]
 
-    @pytest.mark.parametrize("bad", [math.nan, math.inf])
-    def test_non_finite_step_ends_the_run_with_the_last_good_state(
-            self, monkeypatch, bad):
+    @pytest.mark.parametrize("poison, detail", [
+        (math.nan, "non-finite coordinates after the step"),
+        (math.inf, "non-finite coordinates after the step"),
+        # finite, but it misses the system by far more than rounding
+        (1e-3, "implicit step residual"),
+    ], ids=["nan", "inf", "residual"])
+    def test_failed_step_ends_the_run_with_the_last_good_state(
+            self, monkeypatch, poison, detail):
         # the finiteness check runs before the residual, which a non-finite
-        # solution makes NaN; so the run ends as a blow-up, not a SolverError
+        # solution makes NaN; a residual above RESIDUAL_TOL used to escape
+        # run() as an exception, which lost the accepted records
         solve = flow._solve_cyclic_pentadiagonal
         calls = []
 
@@ -194,7 +195,7 @@ class TestSingleStep:
             x = solve(*args)
             calls.append(1)
             if len(calls) == 3:
-                x[0, 0] = bad
+                x[0, 0] += poison
             return x
 
         monkeypatch.setattr(flow, "_solve_cyclic_pentadiagonal", poisoned)
@@ -203,7 +204,7 @@ class TestSingleStep:
                      FlowConfig(n=256, dt=1e-4, max_steps=20),
                      on_record=lambda state, record: seen.append(state))
         assert result.reason == "blow-up"
-        assert result.detail == "non-finite coordinates after the step"
+        assert result.detail.startswith(detail)
         assert len(result.records) == 2
         assert result.final_state is seen[-1]
 
@@ -373,11 +374,23 @@ class TestStopConditions:
         assert result.detail.startswith("curvature energy")
         assert abs(result.final_state.time - 0.04135) <= 0.01 * 0.04135
 
+    def test_lemniscate_stops_at_its_first_rise_in_length(self):
+        # at the default ceiling the figure-eight passes its singular time;
+        # step 3382 raised L by 48% and the run went on to max-time
+        initial = uniform(ShapeSpec("lemniscate", scale=1.0), 256)
+        result = run(initial, FlowConfig(n=256, dt=1.25e-5, max_time=0.05))
+        assert result.reason == "blow-up"
+        assert result.detail.startswith("length increased: unstable step")
+        assert len(result.records) == 3381
+        lengths = [initial.length()] + [r.metrics.length for r in result.records]
+        assert all(b <= a for a, b in zip(lengths, lengths[1:]))
+
     def test_ceiling_below_the_initial_energy_stops_before_any_record(self):
         # the first step's curve already reaches the ceiling: no step is
         # accepted and the final state is the initial curve, untouched
         initial = uniform(RIPPLE, 64)
-        energy = curve_integral(initial, curvature_profile(initial) ** 2)
+        k = curvature_profile(initial)
+        energy = float((k * k).sum()) * (initial.length() / initial.n)
         result = run(initial, FlowConfig(n=64, dt=1e-4, max_steps=10,
                                          curvature_energy_ceiling=0.5 * energy))
         assert result.reason == "blow-up"
@@ -582,12 +595,6 @@ class TestCyclicSolve:
             want = np.linalg.solve(self.dense(n, c), rhs)
             assert float(np.abs(x - want).max()) <= 1e-12 * float(np.abs(want).max())
 
-    def test_residual_above_tolerance_raises(self, monkeypatch):
-        monkeypatch.setattr(flow, "RESIDUAL_TOL", 1e-300)
-        initial = uniform(ShapeSpec("circle", radius=1.0), 64)
-        with pytest.raises(SolverError, match="residual"):
-            run(initial, FlowConfig(n=64, dt=1e-4, max_steps=1))
-
 
 class TestGaugeAndSchemes:
     def test_explicit_rk4_cross_validates_implicit(self, monkeypatch):
@@ -630,7 +637,6 @@ class TestResiduals:
         assert res.record_count == len(ellipse_run.result.records) - 2
         assert res.area.abs_max <= 1e-9
         assert res.length.rel_max <= 0.15
-        assert res.average_curvature.rel_max <= 0.15
         assert res.osc_energy.rel_max <= 0.15
 
     def test_identity_residuals_on_perturbed(self, perturbed_run):

@@ -24,7 +24,6 @@ from curvediffusion.geometry import (
     ShapeSpec,
     curvature_derivatives,
     curvature_profile,
-    curve_integral,
     generate,
     metrics,
     read_curve_csv,
@@ -548,13 +547,9 @@ class TestHausdorff:
 
 
 class TestQuadratureAndProfiles:
-    def test_integral_of_one_is_length(self):
-        curve = uniform(ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0), 256)
-        assert abs(curve_integral(curve, np.ones(curve.n)) - curve.length()) <= 1e-12
-
     def test_total_turning(self):
         curve = uniform(ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0), 512)
-        total = curve_integral(curve, curvature_profile(curve))
+        total = float(curvature_profile(curve).sum()) * (curve.length() / curve.n)
         assert abs(total - 2.0 * math.pi) / (2.0 * math.pi) <= 1e-4
 
     def test_curvature_derivative_scale(self):
@@ -674,6 +669,27 @@ class TestValidation:
         bad[3] = np.nan
         with pytest.raises(RejectedInputError):
             SampledCurve(bad)
+
+    @pytest.mark.parametrize("entry, shown", [
+        ("1.0", "'1.0'"),
+        (True, "True"),
+        (10 ** 400, "1" + "0" * 400),
+    ], ids=["string", "bool", "401-digits"])
+    def test_vertices_obey_the_number_rule(self, entry, shown):
+        # np.asarray(..., dtype=float) used to read strings and True as
+        # coordinates, and to raise a bare OverflowError on 10**400
+        pts = uniform(ShapeSpec("circle", radius=1.0), 32).vertices.tolist()
+        pts[1][1] = entry
+        with pytest.raises(RejectedInputError,
+                           match=f"^vertices\\[3\\] must be finite, got {shown}$"):
+            SampledCurve(pts)
+
+    def test_bool_vertex_array_is_refused(self):
+        # a square traced eight times used to be read as 0.0 and 1.0
+        square = np.array([[0, 0], [1, 0], [1, 1], [0, 1]] * 8, dtype=bool)
+        with pytest.raises(RejectedInputError,
+                           match="^vertices must hold only ints and floats"):
+            SampledCurve(square)
 
     def test_overflowing_chords_rejected(self):
         # squared chords of a radius-1e200 polygon overflow; the curve must
