@@ -5,10 +5,9 @@ return a :class:`Report` carry named boolean verdicts together with the
 numbers they were decided on, so callers can serialize or render either.
 """
 
-import json
 import math
 import warnings
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Callable, Dict, Sequence, Tuple
 
 import numpy as np
@@ -46,10 +45,6 @@ class Report:
     values: Dict[str, float]
 
 
-def report_to_json(report: Report) -> str:
-    return json.dumps(asdict(report), sort_keys=True, separators=(",", ":"))
-
-
 @dataclass(frozen=True)
 class DecayFit:
     """Least-squares exponential fit A exp(-rate t) to one trajectory quantity."""
@@ -81,6 +76,11 @@ def general_smallness_threshold(omega: int) -> float:
     (4 pi + 24 pi^2 w^2 - 8 pi sqrt(3 pi) sqrt(w^2 + 3 pi w^4)) / 3, evaluated
     in the same conjugate form as kstar(); equals 2 kstar() at w = 1 and
     depends on w only through w^2.
+
+    No report uses it.  On a doubly covered circle perturbed by
+    r = 1 + 0.012 cos(u/2), kosc was measured growing from 0.23 K(2) past
+    K(2) near t = 3.9 (ROADMAP item 14), so the value is not known to bound
+    the propagation of kosc for |w| >= 2.
     """
     omega = _integer_arg("winding number", omega)
     if omega == 0:

@@ -342,6 +342,9 @@ def _summary_report(result: RunResult) -> Report:
             abs(last.signed_area - first.signed_area)
             <= 1e-6 * max(1.0, abs(first.signed_area))
         ),
+        # holds by construction for a result flow.run made, whose every
+        # accepted step passed the same comparison; it re-checks records
+        # that were saved and read back or spliced together
         "length_nonincreasing": all(
             after <= before * (1.0 + LENGTH_RISE_TOL)
             for before, after in zip(lengths, lengths[1:])
@@ -737,7 +740,7 @@ def _suite_flow_identities(seed: int) -> List[Row]:
             rows.append((
                 f"{name}: {field.replace('_', ' ')} balance",
                 value <= limit,
-                f"{kind} max {value:.2e} (limit {limit:.0e})",
+                f"{kind} max {value:.2e} (limit {limit:g})",
             ))
     return rows
 

@@ -375,13 +375,12 @@ def resample_uniform(curve: SampledCurve, n: Optional[int] = None) -> SampledCur
     curve is a fixed point of the map.
 
     The iteration stops once the spread is below max(1e-12, 4 n eps), with
-    eps the float64 machine epsilon, or once it is within the
-    uniform-in-arclength tolerance and fell by less than half since the
-    previous evaluation.  Rounding in the chord lengths grows with n, and
-    4 n eps lies above the spread the iteration reaches at large n (above
-    1e-12 from n = 1126 on), so the second rule is only a backstop.  A
-    spread still above half that tolerance after the last iteration raises
-    DegenerateGeometryError.
+    eps the float64 machine epsilon, or after 10 evaluations.  Rounding in
+    the chord lengths grows with n, and 4 n eps lies above the spread the
+    iteration reaches at large n (above 1e-12 from n = 1126 on).  A curve
+    that reaches the cap is accepted when its spread is within half the
+    uniform-in-arclength tolerance; otherwise DegenerateGeometryError is
+    raised.
 
     Interpolating with a fourth-order interpolant rather than along the
     polygon keeps the chord-length deficit of the inscribed polygon
@@ -414,7 +413,6 @@ def _resample_points(pts: np.ndarray, seg: np.ndarray,
 
     u = np.arange(n) * (total / n)
     target = max(_RESAMPLE_TARGET_SPREAD, 4 * n * _FLOAT_EPS)
-    prev_spread = math.inf
     for _ in range(_RESAMPLE_MAX_ITERS):
         out = _evaluate_spline(knots, coeffs, u)
         chords = _chord_lengths(out)
@@ -422,10 +420,8 @@ def _resample_points(pts: np.ndarray, seg: np.ndarray,
         if mean <= 0 or not math.isfinite(mean):
             raise DegenerateGeometryError("resampling produced a collapsed polygon")
         spread = (chords.max() - chords.min()) / mean
-        stalled = spread > 0.5 * prev_spread and spread <= 0.5 * SPREAD_TOL
-        if spread < target or stalled:
+        if spread < target:
             break
-        prev_spread = spread
         cum = np.concatenate([[0.0], np.cumsum(chords)])
         u = np.interp(np.arange(n) * (cum[-1] / n), cum, np.concatenate((u, (period,))))
     if spread > 0.5 * SPREAD_TOL:

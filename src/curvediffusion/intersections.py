@@ -10,7 +10,6 @@ Contacts within the tolerance count as crossings even when tangential: for
 embeddedness certification a false alarm is acceptable, a missed one is not.
 """
 
-import json
 import math
 from dataclasses import asdict, dataclass
 from typing import List, Optional, Tuple
@@ -260,7 +259,3 @@ def find_crossings(curve: SampledCurve, eps: Optional[float] = None) -> Crossing
 def crossing_set_dict(cs: CrossingSet) -> dict:
     """The crossing set's fields and the resolution caveat, for json.dumps."""
     return {**asdict(cs), "caveat": _RESOLUTION_CAVEAT}
-
-
-def crossing_set_to_json(cs: CrossingSet) -> str:
-    return json.dumps(crossing_set_dict(cs), sort_keys=True, separators=(",", ":"))

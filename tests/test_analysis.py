@@ -32,7 +32,6 @@ from curvediffusion.analysis import (
     multiplicity_bound,
     newton_ratio_check,
     positivity_waiting_measure,
-    report_to_json,
     smallness_propagation_check,
     waiting_time_bound,
     wirtinger_check,
@@ -636,21 +635,3 @@ class TestPlainNumpyFits:
     ])
     def test_median_interval_is_np_median(self, times):
         assert analysis._median_interval(times) == float(np.median(np.diff(times)))
-
-
-class TestReportSerialization:
-    def test_json_is_deterministic_and_sorted(self):
-        report = Report(verdicts={"b": True, "a": False},
-                        values={"z": 1.5, "y": 2.5})
-        text = report_to_json(report)
-        assert text == report_to_json(report)
-        assert text.index('"a"') < text.index('"b"')
-        assert '"values"' in text and '"verdicts"' in text
-
-    def test_fixed_report_serializes_to_its_literal(self):
-        report = Report(verdicts={"within_bound": True, "admissible": False},
-                        values={"integral": 0.125, "bound": 2.5})
-        assert report_to_json(report) == (
-            '{"values":{"bound":2.5,"integral":0.125},'
-            '"verdicts":{"admissible":false,"within_bound":true}}'
-        )

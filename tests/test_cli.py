@@ -508,6 +508,19 @@ class TestVerify:
         assert "FAIL" not in out
         assert out.count("PASS") == 9
 
+    def test_flow_identity_rows_name_the_limits_they_apply(self, monkeypatch, capsys):
+        # five steps a scenario: the rows' text is under test, not their verdicts
+        short = tuple((name, spec, dict(options, max_steps=5))
+                      for name, spec, options in cli._IDENTITY_SCENARIOS)
+        monkeypatch.setattr(cli, "_IDENTITY_SCENARIOS", short)
+        main(["verify", "flow-identities"])
+        rows = {line[6:].split("  ")[0]: line
+                for line in capsys.readouterr().out.splitlines()
+                if line.startswith(("PASS", "FAIL"))}
+        assert rows["ellipse: length balance"].endswith("(limit 0.15)")
+        assert rows["perturbed circle: osc energy balance"].endswith("(limit 0.05)")
+        assert rows["circle: area balance"].endswith("(limit 1e-09)")
+
     def test_unknown_suite_lists_options(self, capsys):
         assert main(["verify", "bogus"]) == 1
         err = capsys.readouterr().err

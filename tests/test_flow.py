@@ -317,9 +317,9 @@ class TestCarriedValues:
                 assert after[fn.__name__] - before[fn.__name__] <= bound, fn.__name__
 
     def test_flow_resample_takes_two_spline_evaluations_at_4096(self, monkeypatch):
-        # at n = 4096 the second evaluation reaches a spread of about 1.5e-12,
-        # under the rounding-aware target 4 n eps = 3.6e-12, so no third
-        # evaluation is spent detecting the stall
+        # at n = 4096 the second evaluation reaches a spread of 2.0e-12 to
+        # 2.6e-12, under the rounding-aware target 4 n eps = 3.6e-12, so the
+        # iteration stops there
         evaluate, resample = geometry._evaluate_spline, flow._resample_points
         evals, per_call = Counter(), []
 

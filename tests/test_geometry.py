@@ -245,8 +245,9 @@ class TestResampling:
         assert float(np.max(np.abs(again.vertices - once.vertices))) <= 1e-9
 
     def test_stops_at_rounding_level_on_fine_mesh(self, monkeypatch):
-        # at n = 4096 rounding keeps the spread above the 1e-12 target, so
-        # the iteration must stop once the spread stops halving
+        # at n = 4096 rounding keeps the spread above 1e-12, so the iteration
+        # stops at the rounding-aware target 4 n eps = 3.6e-12: the spread
+        # reads 3.9e-9, then 2.5e-12
         evals = []
         evaluate = geometry._evaluate_spline
 
@@ -259,6 +260,34 @@ class TestResampling:
         curve = resample_uniform(generate(spec, 4096))
         assert len(evals) <= 3
         assert curve.chord_spread() <= 0.5 * SPREAD_TOL
+
+    @pytest.mark.parametrize("spec, n, evaluations", [
+        # target: the spread falls under 4 n eps on the second evaluation
+        (ShapeSpec("fourier-perturbed-circle", r0=1.0, modes=((2, 0.01, 0.0),)),
+         16384, 2),
+        (ShapeSpec("ellipse", a=2.0, b=1.0), 8192, 2),
+        # cap: the spread still contracts about 12x per evaluation and reads
+        # 1.04e-11 after the tenth, above the 1e-12 target
+        (ShapeSpec("limacon", offset=0.9, scale=1.0), 512, 10),
+    ], ids=["target-ripple-16384", "target-ellipse-8192", "cap-limacon-512"])
+    def test_stops_at_its_target_or_its_cap(self, monkeypatch, spec, n, evaluations):
+        evals = []
+        evaluate = geometry._evaluate_spline
+
+        def counting(*args):
+            evals.append(1)
+            return evaluate(*args)
+
+        curve = generate(spec, n)
+        monkeypatch.setattr(geometry, "_evaluate_spline", counting)
+        resampled = resample_uniform(curve)
+        target = max(1e-12, 4 * n * np.finfo(float).eps)
+        assert len(evals) == evaluations
+        if evaluations < 10:
+            assert resampled.chord_spread() < target
+        else:
+            # a capped spread within half the tolerance is accepted
+            assert target <= resampled.chord_spread() <= 0.5 * SPREAD_TOL
 
     def test_nonconverging_spread_raises(self):
         # the periodic spline through a random point cloud loops back on

@@ -1,6 +1,5 @@
 """Self-contact detection against geometric oracles and relabeling gauges."""
 
-import json
 import math
 
 import numpy as np
@@ -14,7 +13,7 @@ from curvediffusion.geometry import ShapeSpec, generate, resample_uniform
 from curvediffusion.intersections import (
     Crossing,
     CrossingSet,
-    crossing_set_to_json,
+    crossing_set_dict,
     find_crossings,
 )
 
@@ -219,8 +218,8 @@ class TestGaugeInvariance:
 
     def test_repeated_calls_are_identical(self):
         curve = uniform(ShapeSpec("lemniscate", scale=1.0), 256)
-        a = crossing_set_to_json(find_crossings(curve))
-        b = crossing_set_to_json(find_crossings(curve))
+        a = crossing_set_dict(find_crossings(curve))
+        b = crossing_set_dict(find_crossings(curve))
         assert a == b
 
 
@@ -299,13 +298,13 @@ class TestCandidateSweep:
 
     @pytest.mark.parametrize("spec", [ShapeSpec("lemniscate", scale=1.0),
                                       ShapeSpec("limacon", offset=0.5)])
-    def test_crossing_json_unchanged_at_4096(self, monkeypatch, spec):
+    def test_crossing_set_unchanged_at_4096(self, monkeypatch, spec):
         curve = uniform(spec, 4096)
-        swept = crossing_set_to_json(find_crossings(curve))
+        swept = crossing_set_dict(find_crossings(curve))
         monkeypatch.setattr(intersections, "_candidate_pairs",
                             all_pairs_candidates)
-        assert swept == crossing_set_to_json(find_crossings(curve))
-        assert json.loads(swept)["multiplicity"] == 2
+        assert swept == crossing_set_dict(find_crossings(curve))
+        assert swept["multiplicity"] == 2
 
 
 class TestValidation:
@@ -343,11 +342,10 @@ class TestValidation:
 
 
 class TestSerialization:
-    def test_json_schema_and_determinism(self):
+    def test_dict_schema_and_determinism(self):
         cs = find_crossings(uniform(ShapeSpec("lemniscate", scale=1.0), 256))
-        text = crossing_set_to_json(cs)
-        assert text == crossing_set_to_json(cs)
-        payload = json.loads(text)
+        payload = crossing_set_dict(cs)
+        assert payload == crossing_set_dict(cs)
         assert set(payload) == {"eps", "multiplicity", "crossings",
                                 "clusters", "caveat"}
         assert payload["multiplicity"] == 2
@@ -355,17 +353,18 @@ class TestSerialization:
         for entry in payload["crossings"]:
             assert set(entry) == {"point", "segments"}
 
-    def test_fixed_crossing_set_serializes_to_its_literal(self):
+    def test_fixed_crossing_set_dict_is_its_literal(self):
         cs = CrossingSet(
             crossings=(Crossing(point=(0.5, -0.25), segments=(3, 17)),
                        Crossing(point=(0.5, -0.2), segments=(4, 16))),
             clusters=((0, 1),), multiplicity=2, eps=0.001,
         )
-        assert crossing_set_to_json(cs) == (
-            '{"caveat":"contacts within eps count as crossings; touching and '
-            'crossing are indistinguishable below the sampling resolution",'
-            '"clusters":[[0,1]],'
-            '"crossings":[{"point":[0.5,-0.25],"segments":[3,17]},'
-            '{"point":[0.5,-0.2],"segments":[4,16]}],'
-            '"eps":0.001,"multiplicity":2}'
-        )
+        assert crossing_set_dict(cs) == {
+            "caveat": "contacts within eps count as crossings; touching and "
+                      "crossing are indistinguishable below the sampling resolution",
+            "clusters": ((0, 1),),
+            "crossings": ({"point": (0.5, -0.25), "segments": (3, 17)},
+                          {"point": (0.5, -0.2), "segments": (4, 16)}),
+            "eps": 0.001,
+            "multiplicity": 2,
+        }
