@@ -13,7 +13,7 @@ from typing import Callable, Dict, Sequence, Tuple
 import numpy as np
 
 from .errors import RejectedInputError
-from .flow import TrajectoryRecord, _record_times
+from .flow import _TRAJECTORY_GETTERS, TrajectoryRecord, _record_times
 from .geometry import SampledCurve, CurveMetrics, _integer_arg, _real_arg, metrics
 from .geometry import _real_array, _require_uniform, _row_norms, _shift
 
@@ -68,27 +68,6 @@ def kstar() -> float:
     pi = math.pi
     root = math.sqrt(3.0 * pi + 9.0 * pi * pi)
     return 4.0 * pi * pi / (3.0 * (2.0 * pi + 12.0 * pi * pi + 4.0 * pi * root))
-
-
-def general_smallness_threshold(omega: int) -> float:
-    """Winding-dependent ceiling under which the oscillation energy propagates.
-
-    (4 pi + 24 pi^2 w^2 - 8 pi sqrt(3 pi) sqrt(w^2 + 3 pi w^4)) / 3, evaluated
-    in the same conjugate form as kstar(); equals 2 kstar() at w = 1 and
-    depends on w only through w^2.
-
-    No report uses it.  On a doubly covered circle perturbed by
-    r = 1 + 0.012 cos(u/2), kosc was measured growing from 0.23 K(2) past
-    K(2) near t = 3.9 (ROADMAP item 14), so the value is not known to bound
-    the propagation of kosc for |w| >= 2.
-    """
-    omega = _integer_arg("winding number", omega)
-    if omega == 0:
-        raise RejectedInputError("winding number zero degenerates the threshold")
-    pi = math.pi
-    w2 = float(omega) * float(omega)
-    root = math.sqrt(3.0 * pi * w2 + 9.0 * pi * pi * w2 * w2)
-    return 16.0 * pi * pi / (3.0 * (4.0 * pi + 24.0 * pi * pi * w2 + 8.0 * pi * root))
 
 
 def isoperimetric_limit() -> float:
@@ -251,12 +230,15 @@ def smallness_propagation_check(trajectory: Sequence[TrajectoryRecord]) -> Repor
 def multiplicity_bound(m: int, omega: int) -> float:
     """Oscillation energy a curve must pay for a point of multiplicity m: 16 m^2 - 4 w^2 pi^2.
 
-    Negative values (such as m = 1, w = 1) constrain nothing.
+    Negative values (such as m = 1, w = 1) constrain nothing.  A term beyond
+    float range is refused by the name of its argument.
     """
     if _integer_arg("multiplicity", m) < 1:
         raise RejectedInputError(f"multiplicity must be an integer >= 1, got {m!r}")
     w = float(_integer_arg("winding number", omega))
-    return 16.0 * float(m) * float(m) - 4.0 * w * w * math.pi * math.pi
+    lead = _in_range("multiplicity", m, "16 m^2", lambda: 16.0 * float(m) * float(m))
+    return lead - _in_range("winding number", omega, "4 w^2 pi^2",
+                            lambda: 4.0 * w * w * math.pi * math.pi)
 
 
 def embeddedness_certificate(curve: SampledCurve) -> str:
@@ -430,13 +412,6 @@ def kss2_rate_floor(L0: float) -> float:
     return _in_range("L0", L0, "4 pi^4 / L0^4", lambda: 4.0 * math.pi ** 4 / L0 ** 4)
 
 
-_DECAY_FIELDS = {
-    DECAY_KOSC: "osc_energy",
-    DECAY_KS2: "ks_norm_sq",
-    DECAY_KSS2: "kss_norm_sq",
-}
-
-
 def decay_fit(trajectory: Sequence[TrajectoryRecord], quantity: str,
               window: Tuple[float, float]) -> DecayFit:
     """Fit A exp(-rate t) to one recorded quantity over a time window.
@@ -467,8 +442,8 @@ def decay_fit(trajectory: Sequence[TrajectoryRecord], quantity: str,
     keep = (times >= t0) & (times <= t1)
     if int(keep.sum()) < 2:
         raise RejectedInputError("window holds fewer than two records")
-    field = _DECAY_FIELDS[quantity]
-    q = np.array([getattr(rec.metrics, field) for rec in trajectory], dtype=float)[keep]
+    get = dict(_TRAJECTORY_GETTERS)[quantity]
+    q = np.array([get(rec) for rec in trajectory], dtype=float)[keep]
     if np.any(q <= 0.0):
         raise RejectedInputError("quantity must be strictly positive on the window")
     if float(q.max()) <= float(q.min()) * (1.0 + _FLAT_WINDOW_REL):

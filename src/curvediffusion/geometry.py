@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import InitVar, dataclass, field
+from dataclasses import dataclass, field
 from typing import Optional, Tuple
 
 import numpy as np
@@ -77,28 +77,25 @@ class SampledCurve:
         Vertex coordinates, traversed once; the edge from the last vertex back
         to the first closes the polygon.  Kept as a read-only column-major
         copy, each coordinate contiguous; ``tobytes()`` is still row-major.
-    chords : (n,) array, optional
-        The chord lengths of vertices, when the caller has measured them.
 
-    The validated chord lengths, measured here or passed as ``chords``, are
-    kept, read-only, with their sum and their relative spread, and every
-    length query reads them.  The curve is uniform in arclength, and
-    ``is_uniform()`` says so, exactly when that spread is within SPREAD_TOL.
-    The quantities the flow and the analysis read of a curve are computed
-    on first use and kept the same way, outside the constructor and
-    ``repr``: the frames at h = L/n (``_frames_h``), the arclength
-    derivatives k_s and k_ss of the curvature (``_ks_kss``), the signed area
-    (``_area``) and the metrics (``_measured``).  Two curves are equal when
-    their vertices are; a curve is not hashable.
+    The chord lengths, measured here, are kept, read-only, with their sum
+    and their relative spread, and every length query reads them.  The
+    curve is uniform in arclength, and ``is_uniform()`` says so, exactly
+    when that spread is within SPREAD_TOL.  The quantities the flow and the
+    analysis read of a curve are computed on first use and kept the same
+    way, outside the constructor and ``repr``: the frames at h = L/n
+    (``_frames_h``), the arclength derivatives k_s and k_ss of the curvature
+    (``_ks_kss``), the signed area (``_area``) and the metrics
+    (``_measured``).  Two curves are equal when their vertices are; a curve
+    is not hashable.
     """
 
     vertices: np.ndarray
     _chords: np.ndarray = field(init=False, repr=False)
     _length: float = field(init=False, repr=False)
     _spread: float = field(init=False, repr=False)
-    chords: InitVar[Optional[np.ndarray]] = None
 
-    def __post_init__(self, chords):
+    def __post_init__(self):
         pts = _real_array("vertices", self.vertices)
         if pts.ndim != 2 or pts.shape[1] != 2:
             raise RejectedInputError("vertices must be an (n, 2) array")
@@ -106,14 +103,10 @@ class SampledCurve:
             raise RejectedInputError(
                 f"need at least {MIN_VERTICES} vertices, got {pts.shape[0]}"
             )
-        if chords is not None and np.shape(chords) != (pts.shape[0],):
-            raise RejectedInputError(
-                f"chords must have shape ({pts.shape[0]},), got {np.shape(chords)}"
-            )
         # squared chords overflow beyond about 1e154: a wrong scale, rejected
         # before it turns into an infinite length or a NaN spread
         with np.errstate(over="ignore"):
-            seg = _chord_lengths(pts) if chords is None else chords
+            seg = _chord_lengths(pts)
             total = float(seg.sum())
         if not math.isfinite(total):
             raise RejectedInputError(
@@ -388,8 +381,8 @@ def resample_uniform(curve: SampledCurve, n: Optional[int] = None) -> SampledCur
     measured length at O(h^4), not O(h^2).
     """
     n = curve.n if n is None else _integer_arg("n", n)
-    pts, seg = _resample_points(curve.vertices, curve.segment_lengths(), n)
-    return SampledCurve(pts, chords=seg)
+    pts, _ = _resample_points(curve.vertices, curve.segment_lengths(), n)
+    return SampledCurve(pts)
 
 
 def _resample_points(pts: np.ndarray, seg: np.ndarray,
@@ -641,14 +634,13 @@ def read_curve_csv(path) -> SampledCurve:
     # squared chords underflow to 0 below about 1e-154: a wrong scale, not a
     # wrong polygon; the curve rejects chords that overflow or vanish
     with np.errstate(over="ignore"):
-        seg = _chord_lengths(pts)
-        total = float(seg.sum())
+        total = float(_chord_lengths(pts).sum())
     if total < MIN_TOTAL_LENGTH:
         raise RejectedInputError(
             f"curve CSV is collapsed: total length {total:.3e} below "
             f"{MIN_TOTAL_LENGTH:.0e}"
         )
-    return SampledCurve(pts, chords=seg)
+    return SampledCurve(pts)
 
 
 def write_curve_csv(curve: SampledCurve, path) -> None:

@@ -62,11 +62,6 @@ class CrossingSet:
             raise RejectedInputError("clusters must partition the crossing indices")
 
 
-def _segment_endpoints(curve: SampledCurve) -> Tuple[np.ndarray, np.ndarray]:
-    pts = curve.vertices
-    return pts, _shift(pts, 1)
-
-
 def _candidate_pairs(starts: np.ndarray, ends: np.ndarray, eps: float,
                      excluded_gap: int) -> np.ndarray:
     """Index pairs (i < j, circular gap > excluded_gap) whose inflated boxes overlap.
@@ -197,13 +192,6 @@ def _branch_count(segment_indices, n: int) -> int:
     return runs
 
 
-def _cluster_branches(segment_indices, n: int) -> int:
-    # A cluster exists only because arc-separated segments touched, so it
-    # holds at least two branches even when an eps-thick band of contacts
-    # fills in the index range between them and the runs merge.
-    return max(2, _branch_count(segment_indices, n))
-
-
 def find_crossings(curve: SampledCurve, eps: Optional[float] = None) -> CrossingSet:
     """Locate all self-contacts of the polygonal trace and measure multiplicity.
 
@@ -227,7 +215,8 @@ def find_crossings(curve: SampledCurve, eps: Optional[float] = None) -> Crossing
             "eps is so large that every segment pair counts as one branch; "
             "refine the curve or shrink eps"
         )
-    starts, ends = _segment_endpoints(curve)
+    starts = curve.vertices
+    ends = _shift(starts, 1)
     pairs = _candidate_pairs(starts, ends, eps, excluded_gap)
     if pairs.shape[0] == 0:
         return CrossingSet(crossings=(), clusters=(), multiplicity=1, eps=eps)
@@ -243,9 +232,12 @@ def find_crossings(curve: SampledCurve, eps: Optional[float] = None) -> Crossing
         for p, (i, j) in zip(points, pairs)
     )
     clusters = _single_linkage(points, eps)
-    n = curve.n
+    # A cluster exists only because arc-separated segments touched, so it
+    # holds at least two branches even when an eps-thick band of contacts
+    # fills in the index range between them and the runs merge.
     branches = [
-        _cluster_branches([s for idx in members for s in crossings[idx].segments], n)
+        max(2, _branch_count([s for idx in members for s in crossings[idx].segments],
+                             curve.n))
         for members in clusters
     ]
     return CrossingSet(

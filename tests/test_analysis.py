@@ -23,7 +23,6 @@ from curvediffusion.analysis import (
     decay_fit,
     density_integral,
     embeddedness_certificate,
-    general_smallness_threshold,
     harmonic_sum_bound_check,
     isoperimetric_limit,
     kss2_rate_floor,
@@ -76,22 +75,8 @@ class TestThresholdConstants:
     def test_doubled_kstar_stays_small(self):
         assert 2.0 * kstar() <= 0.106
 
-    def test_general_threshold_matches_kstar_at_one(self):
-        assert general_smallness_threshold(1) == 2.0 * kstar()
-        assert general_smallness_threshold(-1) == general_smallness_threshold(1)
-
-    def test_general_threshold_decreases_with_winding(self):
-        values = [general_smallness_threshold(w) for w in (1, 2, 3, 5)]
-        assert all(b < a for a, b in zip(values, values[1:]))
-
-    def test_general_threshold_rejects_degenerate_winding(self):
-        for omega in (0, 1.5, math.nan, math.inf, None, "1", True, 1.0):
-            with pytest.raises(RejectedInputError, match="^winding number"):
-                general_smallness_threshold(omega)
-
     @OVERSIZED
     @pytest.mark.parametrize("call, name", [
-        (lambda big: general_smallness_threshold(big), "winding number"),
         (lambda big: kss2_rate_floor(big), "L0"),
         (lambda big: waiting_time_bound(big, 1.0), "L0"),
         (lambda big: waiting_time_bound(1.0, big), "A0"),
@@ -100,13 +85,25 @@ class TestThresholdConstants:
         (lambda big: wirtinger_check([0.0] * 16, big), "period"),
         (lambda big: newton_ratio_check([big, 1.0], 0), r"entries\[0\]"),
         (lambda big: harmonic_sum_bound_check([1.0, big]), r"entries\[1\]"),
-    ], ids=["threshold", "kss2-floor", "waiting-L0", "waiting-A0",
+    ], ids=["kss2-floor", "waiting-L0", "waiting-A0",
             "multiplicity", "multiplicity-winding", "wirtinger-period",
             "newton-entry", "harmonic-entry"])
     def test_ints_beyond_float_range_are_refused_by_name(self, call, name, big):
         # each used to end in a bare OverflowError
         with pytest.raises(RejectedInputError, match=f"^{name} must be"):
             call(big)
+
+    @pytest.mark.parametrize("m, omega, name", [
+        (10 ** 200, 1, "multiplicity"),
+        (2, 10 ** 200, "winding number"),
+    ], ids=["multiplicity", "winding"])
+    def test_multiplicity_bound_beyond_float_range_is_refused_by_name(
+            self, m, omega, name):
+        # 10**200 obeys the real rule, but 16 m^2 and 4 w^2 pi^2 overflow;
+        # the bound used to come out as inf and -inf
+        with pytest.raises(RejectedInputError,
+                           match=f"^{name} must keep .* within float range"):
+            multiplicity_bound(m, omega)
 
     def test_isoperimetric_limit_value(self):
         assert isoperimetric_limit() == math.exp(kstar() / (8.0 * math.pi ** 2))

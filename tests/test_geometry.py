@@ -744,25 +744,6 @@ class TestValidation:
         assert twin == curve
         assert "_chords" not in repr(curve)
 
-    def test_handed_over_chords_are_validated(self):
-        # resample_uniform builds its curve from the chords it measured; they
-        # go through the checks that measured chords go through
-        curve = uniform(ShapeSpec("ellipse", a=1.5, b=0.5), 64)
-        seg = curve.segment_lengths()
-        for bad, match in ((0.0, "must not coincide"), (np.inf, "overflow")):
-            chords = seg.copy()
-            chords[3] = bad
-            with pytest.raises(RejectedInputError, match=match):
-                SampledCurve(curve.vertices, chords=chords)
-
-    def test_handed_over_chords_need_one_per_vertex(self):
-        # a 64-gon of length about 2 pi must not take the length and the
-        # uniformity of three unit chords
-        curve = uniform(ShapeSpec("circle", radius=1.0), 64)
-        for shape in ((3,), (65,), (64, 1), ()):
-            with pytest.raises(RejectedInputError, match="chords must have shape"):
-                SampledCurve(curve.vertices, chords=np.ones(shape))
-
     def test_uniformity_is_measured(self):
         t = 2.0 * np.pi * np.arange(64) / 64
         pts = np.column_stack([np.cos(t), np.sin(t)])
@@ -774,13 +755,10 @@ class TestValidation:
         assert moved.is_uniform()
         assert SampledCurve(np.roll(pts, 17, axis=0)).is_uniform()
         assert not generate(ShapeSpec("ellipse", a=1.5, b=0.5), 64).is_uniform()
-        # handed-over chords are taken as measured: one doubled chord is a
-        # spread of about 1, far above SPREAD_TOL
-        curve = uniform(ShapeSpec("ellipse", a=1.5, b=0.5), 64)
-        assert curve.is_uniform()
-        chords = curve.segment_lengths().copy()
-        chords[3] *= 2.0
-        assert not SampledCurve(curve.vertices, chords=chords).is_uniform()
+        # the constructor always measures; no caller can declare the chords
+        ellipse = generate(ShapeSpec("ellipse", a=2.0, b=0.5), 64)
+        with pytest.raises(TypeError):
+            SampledCurve(ellipse.vertices, chords=np.full(64, ellipse.length() / 64))
 
     def test_spread_is_measured_once(self):
         # chord_spread() returns the spread the constructor measured, and
