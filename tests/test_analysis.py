@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from curvediffusion import analysis
 from curvediffusion.analysis import (
     DECAY_KOSC,
+    DECAY_KS2,
     DECAY_KSS2,
     EMBEDDED_CERTIFIED,
     EMBEDDED_INCONCLUSIVE,
@@ -74,6 +75,22 @@ class TestThresholdConstants:
 
     def test_doubled_kstar_stays_small(self):
         assert 2.0 * kstar() <= 0.106
+
+    def test_general_threshold_matches_kstar_at_one(self, perturbed_run):
+        # the paper's winding-dependent threshold
+        # (4 pi + 24 pi^2 w^2 - 8 pi sqrt(3 pi) sqrt(w^2 + 3 pi w^4)) / 3
+        # at w = +-1 is the ceiling the smallness report applies, 2 kstar()
+        mpmath = pytest.importorskip("mpmath")
+        report = smallness_propagation_check(perturbed_run.result.records)
+        threshold = report.values["threshold"]
+        assert threshold == 2.0 * kstar()
+        with mpmath.workdps(50):
+            pi = mpmath.pi
+            for w in (1, -1):
+                general = (4 * pi + 24 * pi ** 2 * w ** 2
+                           - 8 * pi * mpmath.sqrt(3 * pi)
+                           * mpmath.sqrt(w ** 2 + 3 * pi * w ** 4)) / 3
+                assert abs(mpmath.mpf(threshold) - general) / general < mpmath.mpf("1e-15")
 
     @OVERSIZED
     @pytest.mark.parametrize("call, name", [
@@ -603,6 +620,21 @@ class TestPlainNumpyFits:
             rate, amplitude = _polyfit_rate_and_amplitude(records, "osc_energy", window)
             assert fit.rate == pytest.approx(rate, rel=1e-13, abs=0.0), window
             assert fit.amplitude == pytest.approx(amplitude, rel=1e-13, abs=0.0), window
+
+    @pytest.mark.parametrize("quantity, field", [
+        (DECAY_KOSC, "osc_energy"),
+        (DECAY_KS2, "ks_norm_sq"),
+        (DECAY_KSS2, "kss_norm_sq"),
+    ], ids=["kosc", "ks2", "kss2"])
+    def test_each_quantity_is_fitted_from_its_own_field(self, perturbed_run,
+                                                        quantity, field):
+        # decay_fit reads a quantity through the trajectory schema's getter
+        # for the key of the same name
+        records = perturbed_run.result.records
+        fit = decay_fit(records, quantity, (0.0, 0.5))
+        rate, amplitude = _polyfit_rate_and_amplitude(records, field, (0.0, 0.5))
+        assert fit.rate == pytest.approx(rate, rel=1e-13, abs=0.0)
+        assert fit.amplitude == pytest.approx(amplitude, rel=1e-13, abs=0.0)
 
     def test_fit_agrees_with_polyfit_on_a_noisy_exponential(self, perturbed_run):
         rng = np.random.default_rng(7)

@@ -744,6 +744,31 @@ class TestValidation:
         assert twin == curve
         assert "_chords" not in repr(curve)
 
+    def test_handed_over_chords_are_validated(self):
+        # resample_uniform hands the constructor its points, not its chords;
+        # the curve measures them again and keeps, bit for bit, the chords
+        # the resample measured, and they go through the usual checks
+        curve = generate(ShapeSpec("ellipse", a=1.5, b=0.5), 64)
+        pts, seg = geometry._resample_points(curve.vertices, curve.segment_lengths(), 64)
+        resampled = resample_uniform(curve)
+        assert resampled.vertices.tobytes() == pts.tobytes()
+        assert resampled.segment_lengths().tobytes() == seg.tobytes()
+        assert resampled.length() == float(seg.sum())
+        doubled = np.insert(resampled.vertices, 3, resampled.vertices[3], axis=0)
+        with pytest.raises(RejectedInputError, match="must not coincide"):
+            SampledCurve(doubled)
+
+    def test_handed_over_chords_need_one_per_vertex(self):
+        # a 64-gon of length about 2 pi must not take the length and the
+        # uniformity of three unit chords: the constructor takes no chords
+        curve = uniform(ShapeSpec("circle", radius=1.0), 64)
+        for shape in ((3,), (65,), (64, 1), ()):
+            with pytest.raises(TypeError):
+                SampledCurve(curve.vertices, chords=np.ones(shape))
+        assert curve.segment_lengths().shape == (64,)
+        # the inscribed 64-gon's perimeter, 128 sin(pi / 64)
+        assert curve.length() == pytest.approx(128.0 * math.sin(math.pi / 64), rel=1e-12)
+
     def test_uniformity_is_measured(self):
         t = 2.0 * np.pi * np.arange(64) / 64
         pts = np.column_stack([np.cos(t), np.sin(t)])
