@@ -39,6 +39,7 @@ from .geometry import (
     SampledCurve,
     SPREAD_TOL,
     _chord_lengths,
+    _cross_sum,
     _integer_arg,
     _real_arg,
     _resample_points,
@@ -193,8 +194,11 @@ def _solve_cyclic_pentadiagonal(c: float, rhs: np.ndarray) -> np.ndarray:
     is one division in Fourier space.  rhs may have several columns.
     """
     n = rhs.shape[0]
-    symbol = 1.0 + 16.0 * c * _sin4(n)
-    return np.fft.irfft(np.fft.rfft(rhs.T) / symbol, n=n).T
+    symbol = 16.0 * c * _sin4(n)
+    symbol += 1.0
+    spectrum = np.fft.rfft(rhs.T)
+    spectrum /= symbol
+    return np.fft.irfft(spectrum, n=n).T
 
 
 @functools.lru_cache(maxsize=8)
@@ -208,9 +212,17 @@ def _sin4(n: int) -> np.ndarray:
 
 def _apply_cyclic_pentadiagonal(c: float, x: np.ndarray) -> np.ndarray:
     p = np.concatenate((x[-2:], x, x[:2]))
-    return x + c * (
-        p[:-4] - 4.0 * p[1:-3] + 6.0 * x - 4.0 * p[3:-1] + p[4:]
-    )
+    # x + c (p[:-4] - 4 p[1:-3] + 6 x - 4 p[3:-1] + p[4:]), left to right
+    r = 4.0 * p[1:-3]
+    np.subtract(p[:-4], r, out=r)
+    term = 6.0 * x
+    r += term
+    np.multiply(p[3:-1], 4.0, out=term)
+    r -= term
+    r += p[4:]
+    r *= c
+    r += x
+    return r
 
 
 def _implicit_advance(curve: SampledCurve, dt: float) -> Tuple[np.ndarray, float]:
@@ -218,16 +230,23 @@ def _implicit_advance(curve: SampledCurve, dt: float) -> Tuple[np.ndarray, float
     h = curve.length() / curve.n
     tau, nu, k = curve._frames_h
     ks = curve._ks_kss[0]
-    explicit = (k ** 3)[:, None] * nu + (3.0 * k * ks)[:, None] * tau
-    b = pts - dt * explicit
+    # b = pts - dt (k^3 nu + 3 k k_s tau)
+    b = (k ** 3)[:, None] * nu
+    along = 3.0 * k
+    along *= ks
+    b += along[:, None] * tau
+    b *= dt
+    np.subtract(pts, b, out=b)
     c = dt / h ** 4
     x = _solve_cyclic_pentadiagonal(c, b)
     if not np.isfinite(x).all():
         raise BlowUpSignal("non-finite coordinates after the step")
-    gap = _apply_cyclic_pentadiagonal(c, x) - b
+    gap = _apply_cyclic_pentadiagonal(c, x)
+    gap -= b
     # backward error: residual relative to what rounding alone must produce
-    scale = float(np.abs(b).max()) + (1.0 + 16.0 * c) * float(np.abs(x).max())
-    residual = float(np.abs(gap).max()) / max(scale, 1e-30)
+    scale = (float(np.abs(b, out=b).max())
+             + (1.0 + 16.0 * c) * float(np.abs(x).max()))
+    residual = float(np.abs(gap, out=gap).max()) / max(scale, 1e-30)
     if not residual <= RESIDUAL_TOL:  # NaN included
         raise BlowUpSignal(
             f"implicit step residual {residual:.3e} exceeds tolerance "
@@ -252,13 +271,10 @@ def _project_area(pts: np.ndarray, seg: np.ndarray, target: float) -> np.ndarray
     _, nu = _tangents(p, length / len(seg))
     nxt_p = p[2:]
     nxt_n = _shift(nu, 1)
-    area = 0.5 * float((pts[:, 0] * nxt_p[:, 1] - nxt_p[:, 0] * pts[:, 1]).sum())
+    area = 0.5 * _cross_sum(pts, nxt_p)
     delta = target - area
-    lin = 0.5 * float(
-        (pts[:, 0] * nxt_n[:, 1] - nxt_n[:, 0] * pts[:, 1]).sum()
-        + (nu[:, 0] * nxt_p[:, 1] - nxt_p[:, 0] * nu[:, 1]).sum()
-    )
-    quad = 0.5 * float((nu[:, 0] * nxt_n[:, 1] - nxt_n[:, 0] * nu[:, 1]).sum())
+    lin = 0.5 * (_cross_sum(pts, nxt_n) + _cross_sum(nu, nxt_p))
+    quad = 0.5 * _cross_sum(nu, nxt_n)
     disc = lin * lin + 4.0 * quad * delta
     if abs(lin) < 1e-12 * length:
         raise DegenerateGeometryError(
@@ -276,7 +292,9 @@ def _project_area(pts: np.ndarray, seg: np.ndarray, target: float) -> np.ndarray
         raise DegenerateGeometryError(
             f"area projection: non-finite displacement {alpha!r}"
         )
-    return pts + alpha * nu
+    nu *= alpha
+    nu += pts
+    return nu
 
 
 def _redistribute(raw: np.ndarray, n: int, prev_area: float) -> SampledCurve:
@@ -365,12 +383,17 @@ def _record_for(state: FlowState, residual: float) -> TrajectoryRecord:
     m, ks = state.curve._measured, state.curve._ks_kss[0]
     h = m.length / state.curve.n
     dev = state.curve._frames_h[2] - m.average_curvature
+    dev_ks2 = dev * ks
+    dev_ks2 *= ks
+    dev *= dev
+    dev *= ks
+    dev *= ks
     return TrajectoryRecord(
         time=state.time,
         metrics=m,
         solver_residual=residual,
-        int_dev_ks2=float((dev * ks * ks).sum()) * h,
-        int_dev2_ks2=float((dev * dev * ks * ks).sum()) * h,
+        int_dev_ks2=float(dev_ks2.sum()) * h,
+        int_dev2_ks2=float(dev.sum()) * h,
     )
 
 

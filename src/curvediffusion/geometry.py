@@ -59,12 +59,24 @@ def _row_norms(v: np.ndarray) -> np.ndarray:
     The sum of squares is the one np.linalg.norm(v, axis=1) forms, so the
     result is bitwise equal to it, without its strided two-element reduction.
     """
-    return np.sqrt(v[:, 0] * v[:, 0] + v[:, 1] * v[:, 1])
+    r = v[:, 0] * v[:, 0]
+    r += v[:, 1] * v[:, 1]
+    return np.sqrt(r, out=r)
 
 
 def _chord_lengths(pts: np.ndarray) -> np.ndarray:
     """Length of edge i, from vertex i to vertex i + 1 (periodic)."""
-    return _row_norms(_shift(pts, 1) - pts)
+    edges = np.empty_like(pts)
+    np.subtract(pts[1:], pts[:-1], out=edges[:-1])
+    np.subtract(pts[:1], pts[-1:], out=edges[-1:])
+    return _row_norms(edges)
+
+
+def _cross_sum(a: np.ndarray, b: np.ndarray) -> float:
+    """Sum over the rows of the cross product a[:, 0] b[:, 1] - b[:, 0] a[:, 1]."""
+    cross = a[:, 0] * b[:, 1]
+    cross -= b[:, 0] * a[:, 1]
+    return float(cross.sum())
 
 
 @dataclass(frozen=True, eq=False)
@@ -164,8 +176,12 @@ class SampledCurve:
         k = self._frames_h[2]
         h = self.length() / self.n
         kp = np.concatenate((k[-1:], k, k[:1]))
-        ks = (kp[2:] - kp[:-2]) / (2.0 * h)
-        kss = (kp[2:] - 2.0 * k + kp[:-2]) / (h * h)
+        ks = kp[2:] - kp[:-2]
+        ks /= 2.0 * h
+        kss = 2.0 * k
+        np.subtract(kp[2:], kss, out=kss)
+        kss += kp[:-2]
+        kss /= h * h
         ks.setflags(write=False)
         kss.setflags(write=False)
         return ks, kss
@@ -317,7 +333,10 @@ def generate(spec: ShapeSpec, n: int) -> SampledCurve:
     The curve is traced once, counterclockwise for the radial graphs, so the
     circle encloses positive area. Only where the parameter is proportional
     to arclength, as on the circle, are the chords uniform; resample any
-    other shape before calling a curvature operation.
+    other shape before calling a curvature operation.  A Fourier mode of
+    frequency n/2 or more is refused, since n points would alias it, and the
+    perturbed radius must be positive on a grid of at least 4096 points and
+    16 per period of its highest mode.
     """
     n = _integer_arg("n", n)
     if n < MIN_VERTICES:
@@ -328,8 +347,15 @@ def generate(spec: ShapeSpec, n: int) -> SampledCurve:
     elif spec.kind == "ellipse":
         pts = np.column_stack([spec.a * np.cos(t), spec.b * np.sin(t)])
     elif spec.kind == "fourier-perturbed-circle":
+        top = max((m for m, _, _ in spec.modes), default=0)
+        if 2 * top >= n:
+            raise RejectedInputError(
+                f"mode frequency {top} is at or above n/2 = {n / 2:g}: "
+                f"n = {n} points would draw it as a lower mode")
         r = _fourier_radius(spec, t)
-        dense = _fourier_radius(spec, 2.0 * np.pi * np.arange(4096) / 4096)
+        # never fewer than 4096 points, and at least 16 a period of the top mode
+        dense_n = max(4096, 16 * top)
+        dense = _fourier_radius(spec, 2.0 * np.pi * np.arange(dense_n) / dense_n)
         if dense.min() <= 0:
             raise RejectedInputError(
                 "fourier perturbation drives the radial graph through zero"
@@ -397,17 +423,27 @@ def _resample_points(pts: np.ndarray, seg: np.ndarray,
             f"total length {total:.3e} below threshold {MIN_TOTAL_LENGTH:.0e}"
         )
     # knots x[-2] .. x[m + 2] of the m points, two periodic images each side
-    cum = np.cumsum(seg)
+    m = len(seg)
+    xp = np.empty(m + 5)
+    cum = np.cumsum(seg, out=xp[3:m + 3])
     period = cum[-1]
-    xp = np.concatenate((cum[-3:-1] - period, [0.0], cum, cum[:2] + period))
+    np.subtract(cum[-3:-1], period, out=xp[:2])
+    xp[2] = 0.0
+    np.add(cum[:2], period, out=xp[m + 3:])
     knots = xp[2:-2]
     yr = pts.T
     coeffs = _hermite_spline(xp, np.concatenate((yr[:, -2:], yr, yr[:, :3]), axis=1))
 
-    u = np.arange(n) * (total / n)
+    # u[:n] are the parameters of the new points, u[n] closes the period
+    grid = np.arange(n, dtype=float)
+    u = np.empty(n + 1)
+    np.multiply(grid, total / n, out=u[:n])
+    u[n] = period
+    cum = np.empty(n + 1)
+    cum[0] = 0.0
     target = max(_RESAMPLE_TARGET_SPREAD, 4 * n * _FLOAT_EPS)
     for _ in range(_RESAMPLE_MAX_ITERS):
-        out = _evaluate_spline(knots, coeffs, u)
+        out = _evaluate_spline(knots, coeffs, u[:n])
         chords = _chord_lengths(out)
         mean = chords.sum() / n
         if mean <= 0 or not math.isfinite(mean):
@@ -415,8 +451,8 @@ def _resample_points(pts: np.ndarray, seg: np.ndarray,
         spread = (chords.max() - chords.min()) / mean
         if spread < target:
             break
-        cum = np.concatenate([[0.0], np.cumsum(chords)])
-        u = np.interp(np.arange(n) * (cum[-1] / n), cum, np.concatenate((u, (period,))))
+        np.cumsum(chords, out=cum[1:])
+        u[:n] = np.interp(grid * (cum[-1] / n), cum, u)
     if spread > 0.5 * SPREAD_TOL:
         raise DegenerateGeometryError(
             f"uniform resampling did not converge (spread {spread:.3e})"
@@ -451,18 +487,33 @@ def _hermite_spline(xp: np.ndarray, yp: np.ndarray) -> np.ndarray:
     # column j of xp and yp is knot j - 2, so column j of d_k starts there
     dy = yp[:, 1:] - yp[:, :-1]
     d1 = dy / h                                            # f[j-2, j-1]
-    d2 = (d1[:, 1:] - d1[:, :-1]) / (xp[2:] - xp[:-2])     # f[j-2 .. j]
-    d3 = (d2[:, 1:] - d2[:, :-1]) / (xp[3:] - xp[:-3])     # f[j-2 .. j+1]
-    d4 = (d3[:, 1:] - d3[:, :-1]) / (xp[4:] - xp[:-4])     # f[j-2 .. j+2]
+    d2 = d1[:, 1:] - d1[:, :-1]                            # f[j-2 .. j]
+    d2 /= xp[2:] - xp[:-2]
+    d3 = d2[:, 1:] - d2[:, :-1]                            # f[j-2 .. j+1]
+    d3 /= xp[3:] - xp[:-3]
+    s = d3[:, 1:] - d3[:, :-1]                             # f[j-2 .. j+2]
+    s /= xp[4:] - xp[:-4]
     hi, hm, hp = h[2:m + 3], h[1:m + 2], h[3:m + 4]   # h[i], h[i-1], h[i+1]
-    s = d1[:, 2:m + 3] - hi * (d2[:, 1:m + 2] + hm * (d3[:, 1:m + 2] - (hi + hp) * d4))
-    t0 = s[:, :-1] * hi[:-1]                   # tangents at f = 0 and f = 1
-    t1 = s[:, 1:] * hi[:-1]
-    delta = dy[:, 2:m + 2]
+    # s = d1 - hi (d2 + hm (d3 - (hi + hp) d4)), from the inside out
+    s *= hi + hp
+    np.subtract(d3[:, 1:m + 2], s, out=s)
+    s *= hm
+    s += d2[:, 1:m + 2]
+    s *= hi
+    np.subtract(d1[:, 2:m + 3], s, out=s)
     c = np.empty((4, yp.shape[0], m))
-    c[0] = t0 + t1 - 2.0 * delta
-    c[1] = 3.0 * delta - 2.0 * t0 - t1
-    c[2], c[3] = t0, yp[:, 2:m + 2]
+    t0 = np.multiply(s[:, :-1], hi[:-1], out=c[2])   # tangents at f = 0
+    t1 = s[:, 1:]                                    # and at f = 1
+    t1 *= hi[:-1]
+    delta = dy[:, 2:m + 2]
+    twice = 2.0 * delta
+    np.add(t0, t1, out=c[0])
+    c[0] -= twice
+    np.multiply(delta, 3.0, out=c[1])
+    np.multiply(t0, 2.0, out=twice)
+    c[1] -= twice
+    c[1] -= t1
+    c[3] = yp[:, 2:m + 2]
     return c
 
 
@@ -470,15 +521,23 @@ def _evaluate_spline(x: np.ndarray, c: np.ndarray, u: np.ndarray) -> np.ndarray:
     """Values at u in [x[0], x[-1]] of the interpolant with coefficients c.
 
     The piecewise-linear map of the knots x onto the vertex index gives each
-    u its edge i and local variable f in [0, 1).  The cubic is summed on
-    coordinate rows; the result is their column-major transpose.
+    u its edge i and local variable f in [0, 1).  Horner's scheme runs in one
+    fresh (cols, len(u)) array of coordinate rows, from the four coefficient
+    rows gathered at i; the result is its column-major (len(u), cols)
+    transpose, which does not keep the gather alive.
     """
-    t = np.interp(u, x, np.arange(len(x), dtype=float))
-    i = t.astype(np.intp)
+    f = np.interp(u, x, np.arange(len(x), dtype=float))  # i + f
+    i = f.astype(np.intp)
     np.minimum(i, len(x) - 2, out=i)  # u = x[-1] is f = 1 on the last edge
-    f = t - i
+    f -= i
     c0, c1, c2, c3 = np.take(c, i, axis=2)
-    return (((c0 * f + c1) * f + c2) * f + c3).T
+    v = c0 * f
+    v += c1
+    v *= f
+    v += c2
+    v *= f
+    v += c3
+    return v.T
 
 
 def _require_uniform(curve: SampledCurve, op: str) -> None:
@@ -490,14 +549,16 @@ def _require_uniform(curve: SampledCurve, op: str) -> None:
 
 def _tangents(p: np.ndarray, h: float) -> Tuple[np.ndarray, np.ndarray]:
     """Unit tangent and normal of :func:`_frames`, from points padded by a row."""
-    d1 = (p[2:] - p[:-2]) / (2.0 * h)
-    tnorm = _row_norms(d1)
+    tau = p[2:] - p[:-2]
+    tau /= 2.0 * h
+    tnorm = _row_norms(tau)
     # a norm is never negative, so this rejects zero, NaN and inf alike
     if not (tnorm.min() > 0.0 and math.isfinite(tnorm.max())):
         raise DegenerateGeometryError("degenerate tangent (folded polygon)")
-    tau = d1 / tnorm[:, None]
+    tau /= tnorm[:, None]
     nu = np.empty_like(tau)
-    nu[:, 0], nu[:, 1] = -tau[:, 1], tau[:, 0]
+    np.negative(tau[:, 1], out=nu[:, 0])
+    nu[:, 1] = tau[:, 0]
     return tau, nu
 
 
@@ -510,8 +571,13 @@ def _frames(pts: np.ndarray, h: float):
     """
     p = np.concatenate((pts[-1:], pts, pts[:1]))
     tau, nu = _tangents(p, h)
-    d2 = (p[2:] - 2.0 * pts + p[:-2]) / (h * h)
-    k = d2[:, 0] * nu[:, 0] + d2[:, 1] * nu[:, 1]
+    d2 = 2.0 * pts
+    np.subtract(p[2:], d2, out=d2)
+    d2 += p[:-2]
+    d2 /= h * h
+    k = d2[:, 0] * nu[:, 0]
+    d2[:, 1] *= nu[:, 1]
+    k += d2[:, 1]
     return tau, nu, k
 
 
@@ -540,8 +606,10 @@ def turning_number(curve: SampledCurve) -> int:
     p = np.concatenate((curve.vertices[-1:], curve.vertices, curve.vertices[:1]))
     d = p[1:] - p[:-1]  # row i + 1 is edge i, row 0 is edge n - 1
     e, prev = d[1:], d[:-1]
-    cross = prev[:, 0] * e[:, 1] - prev[:, 1] * e[:, 0]
-    dot = prev[:, 0] * e[:, 0] + prev[:, 1] * e[:, 1]
+    cross = prev[:, 0] * e[:, 1]
+    cross -= prev[:, 1] * e[:, 0]
+    dot = prev[:, 0] * e[:, 0]
+    dot += prev[:, 1] * e[:, 1]
     total = float(np.arctan2(cross, dot).sum()) / (2.0 * np.pi)
     omega = round(total)
     if abs(total - omega) > WINDING_ABORT_TOL:
@@ -553,9 +621,7 @@ def turning_number(curve: SampledCurve) -> int:
 
 def signed_area(curve: SampledCurve) -> float:
     """Shoelace area of the vertex polygon (exact for polygons)."""
-    pts = curve.vertices
-    nxt = _shift(pts, 1)
-    return 0.5 * float((pts[:, 0] * nxt[:, 1] - nxt[:, 0] * pts[:, 1]).sum())
+    return 0.5 * _cross_sum(curve.vertices, _shift(curve.vertices, 1))
 
 
 def metrics(curve: SampledCurve) -> CurveMetrics:
@@ -580,7 +646,8 @@ def _metrics(curve: SampledCurve) -> CurveMetrics:
     h = L / curve.n
     kbar = 2.0 * omega * np.pi / L
     dev = k - kbar
-    kosc = L * float((dev * dev).sum()) * h
+    dev *= dev
+    kosc = L * float(dev.sum()) * h
     ks2 = float((ks * ks).sum()) * h
     kss2 = float((kss * kss).sum()) * h
     if abs(A) < _AREA_UNDEFINED_REL * L * L:

@@ -475,6 +475,120 @@ class TestPaddedStencils:
             assert np.array_equal(_apply_cyclic_pentadiagonal(c, x), want)
 
 
+def _same(got, want):
+    """Bitwise equality of kernel results: arrays, floats, records, tuples."""
+    if isinstance(want, tuple):
+        return len(got) == len(want) and all(map(_same, got, want))
+    if isinstance(want, np.ndarray):
+        return got.shape == want.shape and np.array_equal(got, want)
+    return got == want
+
+
+def _kernel_cases(kind, m):
+    """Each rewritten step kernel, its expression-form oracle in references
+    and the array arguments both take, on a polygon of m vertices."""
+    from curvediffusion import flow
+
+    pts = np.asfortranarray(TestPaddedStencils.polygon(kind, m))
+    seg = references.chord_lengths(pts)
+    h = float(seg.sum()) / m
+    cum = np.cumsum(seg)
+    period = cum[-1]
+    xp = np.concatenate((cum[-3:-1] - period, [0.0], cum, cum[:2] + period))
+    yr = pts.T
+    yp = np.concatenate((yr[:, -2:], yr, yr[:, :3]), axis=1)
+    u = np.sort(np.random.default_rng(m).uniform(0.0, period, m))
+    u[0], u[-1] = 0.0, period
+    rhs = np.asfortranarray(np.random.default_rng(m + 1).standard_normal((m, 2)))
+    target = references.signed_area(pts) * (1.0 + 1e-6)
+    theta = 2.0 * np.pi * np.arange(m) / m
+    if kind == "jittered":
+        theta += np.random.default_rng(m + 2).uniform(-0.45, 0.45, m) * (
+            2.0 * np.pi / m)
+    arc = np.asfortranarray(np.column_stack([np.cos(theta), np.sin(theta)]))
+    dt = 1e-3 * h ** 4
+    return {
+        "_row_norms": (geometry._row_norms, references.row_norms, (pts,)),
+        "_chord_lengths": (geometry._chord_lengths, references.chord_lengths, (pts,)),
+        "_hermite_spline": (geometry._hermite_spline, references.hermite_spline,
+                            (xp, yp)),
+        "_evaluate_spline": (geometry._evaluate_spline, references.evaluate_spline,
+                             (xp[2:-2], references.hermite_spline(xp, yp), u)),
+        # a radius jittered vertex by vertex has no uniform resample from
+        # m = 256 on; jittered angles keep the trace a circle
+        "_resample_points": (lambda p, s: geometry._resample_points(p, s, m),
+                             lambda p, s: references.resample_points(p, s, m),
+                             (arc, references.chord_lengths(arc))),
+        "_tangents": (lambda p: geometry._tangents(p, h),
+                      lambda p: references.tangents(p, h),
+                      (np.concatenate((pts[-1:], pts, pts[:1])),)),
+        "_frames": (lambda p: geometry._frames(p, h),
+                    lambda p: references.frames(p, h), (pts,)),
+        "_ks_kss": (lambda p: SampledCurve(p)._ks_kss,
+                    lambda p: references.curve_frames(p)[3:], (pts,)),
+        "signed_area": (lambda p: geometry.signed_area(SampledCurve(p)),
+                        references.signed_area, (pts,)),
+        "_metrics": (lambda p: geometry._metrics(SampledCurve(p)),
+                     references.metrics, (pts,)),
+        "_solve_cyclic_pentadiagonal": (
+            lambda x: tuple(flow._solve_cyclic_pentadiagonal(c, x)
+                            for c in (0.0, 0.3, 1e6 * m ** 4)),
+            lambda x: tuple(references.solve_cyclic_pentadiagonal(c, x)
+                            for c in (0.0, 0.3, 1e6 * m ** 4)), (rhs,)),
+        "_apply_cyclic_pentadiagonal": (
+            lambda x: tuple(flow._apply_cyclic_pentadiagonal(c, x)
+                            for c in (0.0, 0.3, 1e6 * m ** 4)),
+            lambda x: tuple(references.apply_cyclic_pentadiagonal(c, x)
+                            for c in (0.0, 0.3, 1e6 * m ** 4)), (rhs,)),
+        "_implicit_advance": (
+            lambda p: flow._implicit_advance(SampledCurve(p), dt),
+            lambda p: references.implicit_advance(p, dt), (pts,)),
+        "_project_area": (lambda p, s: flow._project_area(p, s, target),
+                          lambda p, s: references.project_area(p, s, target),
+                          (pts, seg)),
+        "_record_for": (
+            lambda p: flow._record_for(
+                flow.FlowState(SampledCurve(p), 0.5, 1), 3e-16),
+            lambda p: references.record_for(p, 0.5, 3e-16), (pts,)),
+    }
+
+
+_KERNELS = tuple(_kernel_cases("circle", 16))
+
+
+class TestInPlaceKernels:
+    """The step kernels update their temporaries in place, with the same
+    operations on every element in the same order as the expression forms
+    kept in references, so they are bitwise those forms; and they write
+    into no input."""
+
+    @pytest.mark.parametrize("kind", ["circle", "jittered"])
+    @pytest.mark.parametrize("m", [16, 17, 256, 4096])
+    @pytest.mark.parametrize("kernel", _KERNELS)
+    def test_kernel_is_bitwise_its_expression_form(self, kernel, m, kind):
+        fn, oracle, args = _kernel_cases(kind, m)[kernel]
+        assert _same(fn(*args), oracle(*args))
+
+    @pytest.mark.parametrize("kind", ["circle", "jittered"])
+    @pytest.mark.parametrize("m", [16, 17, 256, 4096])
+    @pytest.mark.parametrize("kernel", _KERNELS)
+    def test_kernel_leaves_its_inputs_untouched(self, kernel, m, kind):
+        fn, _, args = _kernel_cases(kind, m)[kernel]
+        writable = tuple(a.copy(order="K") for a in args)
+        frozen = tuple(a.copy(order="K") for a in args)
+        for a in frozen:
+            a.setflags(write=False)
+        # a write into a frozen input, or a view of one, raises ValueError
+        assert _same(fn(*frozen), fn(*writable))
+        for a, before in zip(writable + frozen, args + args):
+            assert np.array_equal(a, before)
+
+    def test_evaluation_does_not_keep_the_gather_alive(self):
+        fn, _, args = _kernel_cases("jittered", 256)["_evaluate_spline"]
+        values = fn(*args)
+        assert values.base is None or values.base.size <= values.size
+
+
 class TestCurveCache:
     """A curve computes its frames, area, metrics, k_s and k_ss on first use
     and keeps them read-only, outside the constructor, repr and ==."""
@@ -611,6 +725,27 @@ class TestValidation:
     def test_mode_frequencies_must_be_positive_integers(self):
         with pytest.raises(RejectedInputError):
             ShapeSpec("fourier-perturbed-circle", modes=((0, 0.1, 0.0),))
+
+    @pytest.mark.parametrize("m, eps", [(128, 0.01), (200, 0.01), (4096, 1.5)])
+    def test_mode_at_or_above_half_n_is_refused_by_frequency(self, m, eps):
+        # 256 points used to draw mode 200 as mode 56, and 1 + 1.5 cos 4096 t
+        # as a circle of radius 2.5
+        spec = ShapeSpec("fourier-perturbed-circle",
+                         modes=((2, 0.01, 0.0), (m, eps, 0.0)))
+        with pytest.raises(RejectedInputError,
+                           match=f"^mode frequency {m} is at or above n/2 = 128: "):
+            generate(spec, 256)
+        assert generate(ShapeSpec("fourier-perturbed-circle",
+                                  modes=((127, 0.01, 0.0),)), 256).n == 256
+
+    def test_positivity_is_checked_between_the_crests_of_the_top_mode(self):
+        # 1 + 1.5 cos 4096 t is negative on half its period, and a grid of
+        # 4096 points sees only its crests, where it is 2.5
+        with pytest.raises(RejectedInputError, match="through zero"):
+            generate(ShapeSpec("fourier-perturbed-circle",
+                               modes=((4096, 1.5, 0.0),)), 8194)
+        assert generate(ShapeSpec("fourier-perturbed-circle",
+                                  modes=((4096, 0.5, 0.0),)), 8194).n == 8194
 
     @pytest.mark.parametrize("kind, field, value", [
         ("circle", "radius", math.nan),
