@@ -78,7 +78,6 @@ from .intersections import crossing_set_dict, find_crossings
 
 _OUTPUT_ROOT_VAR = "CURVEDIFFUSION_OUTPUT_ROOT"
 
-REPORT_SECTIONS = ("hypotheses", "smallness", "l1-energy", "waiting", "decay")
 _DEFAULT_REPORTS = ("hypotheses", "smallness", "l1-energy", "waiting")
 
 @dataclass(frozen=True)
@@ -405,6 +404,7 @@ _SECTION_BUILDERS: Dict[str, Callable[[RunResult], Report]] = {
     "waiting": _waiting_section,
     "decay": _decay_section,
 }
+REPORT_SECTIONS = tuple(_SECTION_BUILDERS)
 
 
 def _simulation_report(manifest: RunManifest,
@@ -433,11 +433,11 @@ def _simulation_report(manifest: RunManifest,
 
 def cmd_simulate(manifest_path: str) -> int:
     manifest = read_manifest(manifest_path)
-    out_dir = _resolve_output(manifest.output_dir)
-    os.makedirs(out_dir, exist_ok=True)
-
     initial = resample_uniform(generate(manifest.shape, manifest.flow.n),
                                manifest.flow.n)
+    # a shape generate refuses leaves no output directory behind
+    out_dir = _resolve_output(manifest.output_dir)
+    os.makedirs(out_dir, exist_ok=True)
 
     snapshots: List[Tuple[int, float, SampledCurve]] = [(0, 0.0, initial)]
     interval = manifest.snapshot_interval

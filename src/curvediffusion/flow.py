@@ -80,8 +80,8 @@ _TRAJECTORY_SCHEMA = (
     ("ks2", "metrics.ks_norm_sq", _real_arg),
     ("kss2", "metrics.kss_norm_sq", _real_arg),
     ("kmin", "metrics.min_curvature", _real_arg),
-    ("int_dev_ks2", "int_dev_ks2", _real_arg),
-    ("int_dev2_ks2", "int_dev2_ks2", _real_arg),
+    ("int_dev_ks2", "metrics.int_dev_ks2", _real_arg),
+    ("int_dev2_ks2", "metrics.int_dev2_ks2", _real_arg),
     ("residual", "solver_residual", _real_arg),
 )
 TRAJECTORY_FIELDS = tuple(key for key, _, _ in _TRAJECTORY_SCHEMA)
@@ -136,24 +136,22 @@ class FlowState:
 
 @dataclass(frozen=True)
 class TrajectoryRecord:
-    """Diagnostics for one accepted step.
+    """Diagnostics for one accepted step: its time, its curve's metrics and
+    the solve residual.
 
-    Every field measures the step's own curve, and every field is written
-    to trajectory.jsonl, so a record read back from the file is the record
-    the run made.  ``int_dev_ks2`` and ``int_dev2_ks2`` are the arclength
-    integrals of (k - kbar) k_s^2 and (k - kbar)^2 k_s^2; they feed the
-    oscillation-energy balance in identity_residuals.
+    Every field is written to trajectory.jsonl, so a record read back from
+    the file is the record the run made.
     """
 
     time: float
     metrics: CurveMetrics
     solver_residual: float
-    int_dev_ks2: float
-    int_dev2_ks2: float
 
     def __post_init__(self):
-        for name in ("time", "solver_residual", "int_dev_ks2", "int_dev2_ks2"):
-            _real_arg(name, getattr(self, name))
+        _real_arg("time", self.time)
+        _real_arg("solver_residual", self.solver_residual)
+        _real_arg("int_dev_ks2", self.metrics.int_dev_ks2)
+        _real_arg("int_dev2_ks2", self.metrics.int_dev2_ks2)
 
 
 @dataclass(frozen=True)
@@ -378,25 +376,6 @@ def _retain_freed_heap() -> None:
     mallopt(_M_TRIM_THRESHOLD, _TRIM_THRESHOLD_BYTES)
 
 
-def _record_for(state: FlowState, residual: float) -> TrajectoryRecord:
-    """Diagnostics of state.curve, which is uniform in arclength."""
-    m, ks = state.curve._measured, state.curve._ks_kss[0]
-    h = m.length / state.curve.n
-    dev = state.curve._frames_h[2] - m.average_curvature
-    dev_ks2 = dev * ks
-    dev_ks2 *= ks
-    dev *= dev
-    dev *= ks
-    dev *= ks
-    return TrajectoryRecord(
-        time=state.time,
-        metrics=m,
-        solver_residual=residual,
-        int_dev_ks2=float(dev_ks2.sum()) * h,
-        int_dev2_ks2=float(dev.sum()) * h,
-    )
-
-
 def run(initial: SampledCurve, config: FlowConfig,
         on_record: Optional[Callable[[FlowState, TrajectoryRecord], None]] = None
         ) -> RunResult:
@@ -435,7 +414,7 @@ def run(initial: SampledCurve, config: FlowConfig,
             return done("max-time")
         try:
             state, residual = _advance(state, config)
-            record = _record_for(state, residual)
+            record = TrajectoryRecord(state.time, state.curve._measured, residual)
         except BlowUpSignal as sig:
             return done("blow-up", str(sig))
         records.append(record)
@@ -465,39 +444,23 @@ def identity_residuals(trajectory: Sequence[TrajectoryRecord]) -> IdentityResidu
         raise RejectedInputError("need at least 3 trajectory records")
     _record_times(records)
 
-    rows = []
-    for j in range(1, len(records) - 1):
-        lo, mid, hi = records[j - 1], records[j], records[j + 1]
+    # per identity, one (residual, largest term) pair for each interior record
+    area, length, osc = [], [], []
+    for lo, mid, hi in zip(records, records[1:], records[2:]):
         span = hi.time - lo.time
         m = mid.metrics
+        L, kbar = m.length, m.average_curvature
         dL = (hi.metrics.length - lo.metrics.length) / span
         dA = (hi.metrics.signed_area - lo.metrics.signed_area) / span
         dkosc = (hi.metrics.osc_energy - lo.metrics.osc_energy) / span
-
-        area_scale = max(abs(m.signed_area), 1e-12 * m.length ** 2)
-        area_abs = abs(dA) / area_scale
-
-        len_resid = abs(dL + m.ks_norm_sq)
-        len_terms = (abs(dL), m.ks_norm_sq)
-
-        L = m.length
-        kbar = m.average_curvature
-        gain = (3.0 * L * mid.int_dev2_ks2
-                + 6.0 * kbar * L * mid.int_dev_ks2
-                + 2.0 * kbar ** 2 * L * m.ks_norm_sq)
-        loss = m.osc_energy * m.ks_norm_sq / L + 2.0 * L * m.kss_norm_sq
-        osc_resid = abs(dkosc + loss - gain)
-        osc_terms = (abs(dkosc), m.osc_energy * m.ks_norm_sq / L,
-                     2.0 * L * m.kss_norm_sq,
-                     abs(3.0 * L * mid.int_dev2_ks2),
-                     abs(6.0 * kbar * L * mid.int_dev_ks2),
-                     abs(2.0 * kbar ** 2 * L * m.ks_norm_sq))
-
-        rows.append((
-            (area_abs, (1.0,)),
-            (len_resid, len_terms),
-            (osc_resid, osc_terms),
-        ))
+        area.append((abs(dA) / max(abs(m.signed_area), 1e-12 * L ** 2), 1.0))
+        length.append((abs(dL + m.ks_norm_sq), max(abs(dL), m.ks_norm_sq)))
+        # d kosc / dt = gain - loss
+        gain = (3.0 * L * m.int_dev2_ks2, 6.0 * kbar * L * m.int_dev_ks2,
+                2.0 * kbar ** 2 * L * m.ks_norm_sq)
+        loss = (m.osc_energy * m.ks_norm_sq / L, 2.0 * L * m.kss_norm_sq)
+        resid = dkosc + (loss[0] + loss[1]) - (gain[0] + gain[1] + gain[2])
+        osc.append((abs(resid), max(abs(dkosc), *loss, *map(abs, gain))))
 
     # rel residuals only make sense where the identity's terms rise above
     # time-differenced rounding noise; the unit scales set that bar
@@ -505,18 +468,17 @@ def identity_residuals(trajectory: Sequence[TrajectoryRecord]) -> IdentityResidu
     unit_len = max(r.metrics.length for r in records) / span
     unit_osc = max(max(r.metrics.osc_energy for r in records), 1.0) / span
 
-    def stat(idx: int, unit: float) -> ResidualStat:
-        abses = [row[idx][0] for row in rows]
-        scales = [max(row[idx][1]) for row in rows]
-        floor = max(1e-7 * max(scales), 1e-10 * unit, 1e-300)
-        rels = [a / s if s >= floor else 0.0 for a, s in zip(abses, scales)]
-        return ResidualStat(abs_max=float(max(abses)), rel_max=float(max(rels)))
+    def stat(pairs, unit: float) -> ResidualStat:
+        floor = max(1e-7 * max(s for _, s in pairs), 1e-10 * unit, 1e-300)
+        return ResidualStat(
+            abs_max=float(max(a for a, _ in pairs)),
+            rel_max=float(max(a / s if s >= floor else 0.0 for a, s in pairs)))
 
     return IdentityResiduals(
-        area=stat(0, 0.0),
-        length=stat(1, unit_len),
-        osc_energy=stat(2, unit_osc),
-        record_count=len(rows),
+        area=stat(area, 0.0),
+        length=stat(length, unit_len),
+        osc_energy=stat(osc, unit_osc),
+        record_count=len(area),
     )
 
 

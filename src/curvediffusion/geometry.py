@@ -197,7 +197,12 @@ class SampledCurve:
 
 @dataclass(frozen=True)
 class CurveMetrics:
-    """Scalar state of a curve: the quantities the evolution identities relate."""
+    """Scalar state of a curve: the quantities the evolution identities relate.
+
+    ``int_dev_ks2`` and ``int_dev2_ks2`` are the arclength integrals of
+    (k - kbar) k_s^2 and (k - kbar)^2 k_s^2, which enter the
+    oscillation-energy balance.
+    """
 
     length: float
     signed_area: float
@@ -208,6 +213,8 @@ class CurveMetrics:
     ks_norm_sq: float
     kss_norm_sq: float
     min_curvature: float
+    int_dev_ks2: float
+    int_dev2_ks2: float
 
 
 @dataclass(frozen=True)
@@ -646,8 +653,12 @@ def _metrics(curve: SampledCurve) -> CurveMetrics:
     h = L / curve.n
     kbar = 2.0 * omega * np.pi / L
     dev = k - kbar
+    dev_ks2 = dev * ks
+    dev_ks2 *= ks
     dev *= dev
     kosc = L * float(dev.sum()) * h
+    dev *= ks
+    dev *= ks
     ks2 = float((ks * ks).sum()) * h
     kss2 = float((kss * kss).sum()) * h
     if abs(A) < _AREA_UNDEFINED_REL * L * L:
@@ -664,6 +675,8 @@ def _metrics(curve: SampledCurve) -> CurveMetrics:
         ks_norm_sq=ks2,
         kss_norm_sq=kss2,
         min_curvature=float(k.min()),
+        int_dev_ks2=float(dev_ks2.sum()) * h,
+        int_dev2_ks2=float(dev.sum()) * h,
     )
 
 

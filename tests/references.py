@@ -206,7 +206,9 @@ def metrics(pts):
         length=L, signed_area=A, isoperimetric_ratio=iso, winding_number=omega,
         average_curvature=kbar, osc_energy=L * float((dev * dev).sum()) * h,
         ks_norm_sq=float((ks * ks).sum()) * h,
-        kss_norm_sq=float((kss * kss).sum()) * h, min_curvature=float(k.min()))
+        kss_norm_sq=float((kss * kss).sum()) * h, min_curvature=float(k.min()),
+        int_dev_ks2=float((dev * ks * ks).sum()) * h,
+        int_dev2_ks2=float((dev * dev * ks * ks).sum()) * h)
 
 
 def solve_cyclic_pentadiagonal(c, rhs):
@@ -252,14 +254,3 @@ def project_area(pts, seg, target):
     disc = lin * lin + 4.0 * quad * delta
     alpha = 2.0 * delta / (lin + math.copysign(math.sqrt(disc), lin))
     return pts + alpha * nu
-
-
-def record_for(pts, time, residual):
-    m = metrics(pts)
-    _, _, k, ks, _ = curve_frames(pts)
-    h = m.length / len(pts)
-    dev = k - m.average_curvature
-    return flow.TrajectoryRecord(
-        time=time, metrics=m, solver_residual=residual,
-        int_dev_ks2=float((dev * ks * ks).sum()) * h,
-        int_dev2_ks2=float((dev * dev * ks * ks).sum()) * h)

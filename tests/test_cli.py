@@ -336,6 +336,17 @@ class TestSimulate:
         ]
         assert not (tmp_path / "out").exists()
 
+    def test_shape_generate_refuses_leaves_no_output_dir(self, tmp_path, capsys):
+        # the manifest reads, but 256 points would alias mode 200
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(
+            "shape = fourier-perturbed-circle\nmodes = 200:0.01:0\nn = 256\n"
+            f"max_steps = 10\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["simulate", str(manifest)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("curvediffusion: mode frequency 200 is at or above")
+        assert not (tmp_path / "out").exists()
+
 
 class TestAnalyze:
     def test_report_and_table(self, tmp_path, monkeypatch, capsys):
@@ -351,6 +362,9 @@ class TestAnalyze:
         assert set(payload) == {"curve", "metrics", "hypotheses", "crossings",
                                 "embeddedness", "multiplicity_bound"}
         assert payload["crossings"]["multiplicity"] == 2
+        for key in ("int_dev_ks2", "int_dev2_ks2"):
+            assert key in payload["metrics"]
+            assert f"  {key} " in captured.out
         assert payload["metrics"]["winding_number"] == 0.0
         assert not payload["hypotheses"]["verdicts"]["admissible"]
         assert payload["multiplicity_bound"]["verdicts"]["osc_energy_at_least_bound"]

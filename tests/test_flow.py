@@ -28,7 +28,6 @@ from curvediffusion.flow import (
     _advance,
     _apply_cyclic_pentadiagonal,
     _project_area,
-    _record_for,
     _solve_cyclic_pentadiagonal,
     write_trajectory_jsonl,
 )
@@ -246,7 +245,8 @@ class TestCarriedValues:
         while state.step_index < config.max_steps:
             state, residual = _advance(cls.rebuilt(state), config)
             state = cls.rebuilt(state)
-            records.append(_record_for(state, residual))
+            records.append(TrajectoryRecord(state.time, state.curve._measured,
+                                            residual))
         return records, state
 
     @pytest.mark.parametrize("spec, config, advance", [
@@ -644,6 +644,55 @@ class TestResiduals:
         assert res.length.rel_max <= 0.05
         assert res.osc_energy.rel_max <= 0.05
 
+    # four hand-built records with round values; each row holds t, L, A,
+    # kbar, kosc, ks2, kss2, int_dev_ks2 and int_dev2_ks2
+    ORACLE_KEYS = ("t", "L", "A", "kbar", "kosc", "ks2", "kss2", "int_dev_ks2",
+                   "int_dev2_ks2")
+    ORACLE_ROWS = (
+        (0.0, 4.0 + 2.0 ** -38, 1.5, 0.5, 9.0, 1.0, 1.0, 0.0, 0.0),
+        (1.0, 4.0, 2.0, 0.5, 2.0, 2.0 ** -40, 0.5, -0.125, 0.25),
+        (2.0, 4.0, 2.0, 0.25, 1.0, 0.375, 0.25, -0.25, 0.125),
+        (3.0, 3.0, 3.0, 0.5, 0.5, 1.0, 1.0, 0.0, 0.0),
+    )
+
+    def test_identity_residuals_of_hand_built_records(self, tmp_path):
+        # the records are read from trajectory lines, so the test does not
+        # depend on which dataclass holds each field
+        lines = [json.dumps({**dict(zip(self.ORACLE_KEYS, row)), "I": None,
+                             "omega": 1, "kmin": -0.5, "residual": 0.0})
+                 for row in self.ORACLE_ROWS]
+        path = tmp_path / "trajectory.jsonl"
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        res = identity_residuals(read_trajectory_jsonl(path))
+        # interior record t = 1, differenced over t = 0 .. 2:
+        #   area    dA = (2 - 1.5) / 2 = 0.25, over |A| = 2: 0.125
+        #   length  dL = -2^-38 / 2 = -2^-39 and ks2 = 2^-40: residual 2^-40,
+        #           largest term 2^-39, below the floor 1e-7 * 0.5 set by
+        #           t = 2's largest term, so its rel residual reads 0
+        #   osc     dkosc = (1 - 9) / 2 = -4;
+        #           gain = 3*4*0.25 + 6*0.5*4*(-0.125) + 2*0.25*4*2^-40
+        #                = 3 - 1.5 + 2^-39;
+        #           loss = 2*2^-40/4 + 2*4*0.5 = 2^-41 + 4;
+        #           residual |-4 + 4 + 2^-41 - 1.5 - 2^-39| = 1.5 + 3*2^-41,
+        #           largest term 4 (|dkosc| and 2*4*0.5), rel 0.375 + ...
+        # interior record t = 2, differenced over t = 1 .. 3:
+        #   area    dA = (3 - 2) / 2 = 0.5, over |A| = 2: 0.25
+        #   length  dL = (3 - 4) / 2 = -0.5 and ks2 = 0.375: residual 0.125,
+        #           largest term 0.5, rel 0.25
+        #   osc     dkosc = (0.5 - 2) / 2 = -0.75;
+        #           gain = 3*4*0.125 + 6*0.25*4*(-0.25) + 2*0.0625*4*0.375
+        #                = 1.5 - 1.5 + 0.1875;
+        #           loss = 1*0.375/4 + 2*4*0.25 = 0.09375 + 2;
+        #           residual |-0.75 + 2.09375 - 0.1875| = 1.15625,
+        #           largest term 2 (2*4*0.25), rel 0.578125
+        # every rel residual of the area divides by 1
+        assert res == flow.IdentityResiduals(
+            area=flow.ResidualStat(abs_max=0.25, rel_max=0.25),
+            length=flow.ResidualStat(abs_max=0.125, rel_max=0.25),
+            osc_energy=flow.ResidualStat(abs_max=1.5 + 3 * 2.0 ** -41,
+                                         rel_max=0.578125),
+            record_count=2)
+
 
     @pytest.mark.parametrize("order", [(0, 0, 1), (2, 1, 0)],
                              ids=["repeated", "backwards"])
@@ -711,18 +760,16 @@ class TestTrajectorySerialization:
                     length=6.5, signed_area=3.0, isoperimetric_ratio=1.125,
                     winding_number=1, average_curvature=0.96875,
                     osc_energy=0.125, ks_norm_sq=2.5, kss_norm_sq=40.0,
-                    min_curvature=-0.5),
-                solver_residual=3e-16, int_dev_ks2=-0.75,
-                int_dev2_ks2=0.375),
+                    min_curvature=-0.5, int_dev_ks2=-0.75, int_dev2_ks2=0.375),
+                solver_residual=3e-16),
             TrajectoryRecord(
                 time=0.5,
                 metrics=CurveMetrics(
                     length=6.25, signed_area=0.0, isoperimetric_ratio=None,
                     winding_number=0, average_curvature=0.0,
                     osc_energy=7.75, ks_norm_sq=31.5, kss_norm_sq=51.5,
-                    min_curvature=-3.0),
-                solver_residual=0.0, int_dev_ks2=2.25,
-                int_dev2_ks2=12.5),
+                    min_curvature=-3.0, int_dev_ks2=2.25, int_dev2_ks2=12.5),
+                solver_residual=0.0),
         ]
 
     def test_fixed_records_serialize_to_their_literals(self):
@@ -796,8 +843,11 @@ class TestTrajectorySerialization:
     def test_record_fields_are_refused_by_name(self, name, big):
         # each used to end in a bare OverflowError
         record = self.fixed_records()[0]
+        changes = {name: big}
+        if name.startswith("int_"):  # the integrals are fields of the metrics
+            changes = {"metrics": dataclasses.replace(record.metrics, **changes)}
         with pytest.raises(RejectedInputError, match=f"^{name} must be finite"):
-            dataclasses.replace(record, **{name: big})
+            dataclasses.replace(record, **changes)
 
 
 class TestShortRunProperties:

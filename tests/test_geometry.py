@@ -546,10 +546,6 @@ def _kernel_cases(kind, m):
         "_project_area": (lambda p, s: flow._project_area(p, s, target),
                           lambda p, s: references.project_area(p, s, target),
                           (pts, seg)),
-        "_record_for": (
-            lambda p: flow._record_for(
-                flow.FlowState(SampledCurve(p), 0.5, 1), 3e-16),
-            lambda p: references.record_for(p, 0.5, 3e-16), (pts,)),
     }
 
 
