@@ -217,6 +217,111 @@ class TestRefinement:
         assert self._order(errs) >= 1.9
 
 
+def balance_integrals(d1, d2, omega):
+    """The integrals of (k - kbar) k_s^2 and (k - kbar)^2 k_s^2 over a curve
+    given by its first and second derivatives at N equispaced parameters,
+    with k_s from the spectral derivative of k: exact to rounding for N in
+    the thousands, independent of the lab's stencils."""
+    n = d1.shape[0]
+    speed = np.hypot(d1[:, 0], d1[:, 1])
+    k = (d1[:, 0] * d2[:, 1] - d1[:, 1] * d2[:, 0]) / speed**3
+    freq = np.fft.rfftfreq(n, 1.0 / n)
+    ks = np.fft.irfft(1j * freq * np.fft.rfft(k), n) / speed
+    dt = 2.0 * math.pi / n
+    dev = k - 2.0 * math.pi * omega / (float(speed.sum()) * dt)
+    return (float((dev * ks * ks * speed).sum()) * dt,
+            float((dev * dev * ks * ks * speed).sum()) * dt)
+
+
+def polar_balance_integrals(r, r1, r2, n=1 << 14):
+    """balance_integrals of the once-winding polar graph r(theta), from r
+    and its first two derivatives."""
+    t = 2.0 * math.pi * np.arange(n) / n
+    r, r1, r2, c, s = r(t), r1(t), r2(t), np.cos(t), np.sin(t)
+    return balance_integrals(
+        np.column_stack([r1 * c - r * s, r1 * s + r * c]),
+        np.column_stack([r2 * c - 2.0 * r1 * s - r * c,
+                         r2 * s + 2.0 * r1 * c - r * s]), 1)
+
+
+_BALANCE_SHAPES = {
+    "ellipse": ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0),
+    "limacon": ShapeSpec("limacon", offset=1.5, scale=1.0),
+    "fourier": ShapeSpec("fourier-perturbed-circle", r0=1.0,
+                         modes=((3, 0.08, 0.3),)),
+}
+
+
+def _exact_balance_integrals(shape):
+    if shape == "ellipse":
+        a, b = 1.5, 2.0 / 3.0
+        t = 2.0 * math.pi * np.arange(1 << 14) / (1 << 14)
+        return balance_integrals(
+            np.column_stack([-a * np.sin(t), b * np.cos(t)]),
+            np.column_stack([-a * np.cos(t), -b * np.sin(t)]), 1)
+    if shape == "limacon":
+        return polar_balance_integrals(lambda t: 1.5 + np.cos(t),
+                                       lambda t: -np.sin(t),
+                                       lambda t: -np.cos(t))
+    return polar_balance_integrals(
+        lambda t: 1.0 + 0.08 * np.cos(3.0 * t + 0.3),
+        lambda t: -0.24 * np.sin(3.0 * t + 0.3),
+        lambda t: -0.72 * np.cos(3.0 * t + 0.3))
+
+
+class TestBalanceIntegrals:
+    """The oscillation-balance integrals int_dev_ks2 and int_dev2_ks2 of
+    CurveMetrics against closed forms, their bounds and their symmetries."""
+
+    @pytest.mark.parametrize("n", [16, 17, 256, 4096])
+    def test_circle_integrals_vanish(self, n):
+        # a regular polygon's curvature is constant up to rounding
+        m = metrics(uniform(ShapeSpec("circle", radius=1.0), n))
+        assert abs(m.int_dev_ks2) <= 1e-20
+        assert 0.0 <= m.int_dev2_ks2 <= 1e-25
+
+    @pytest.mark.parametrize("n", [512, 1024])
+    @pytest.mark.parametrize("shape", ["ellipse", "limacon", "fourier"])
+    def test_integrals_converge_at_second_order(self, shape, n):
+        exact = _exact_balance_integrals(shape)
+        got = [metrics(uniform(_BALANCE_SHAPES[shape], m)) for m in (n, 2 * n)]
+        for i, name in enumerate(("int_dev_ks2", "int_dev2_ks2")):
+            errs = [abs(getattr(m, name) - exact[i]) / abs(exact[i]) for m in got]
+            assert errs[0] <= 0.06
+            assert TestRefinement._order(errs) >= 1.9
+
+    @pytest.mark.parametrize("spec", [
+        ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0),
+        ShapeSpec("limacon", offset=0.5, scale=1.0),
+        ShapeSpec("fourier-perturbed-circle", r0=1.0, modes=((4, 0.05, 0.3),)),
+        ShapeSpec("lemniscate", scale=1.0),
+    ], ids=["ellipse", "limacon-twice", "fourier", "lemniscate"])
+    def test_integrals_are_bounded_by_the_ks_norm(self, spec):
+        # |sum dev ks^2 h| <= max|dev| sum ks^2 h, and likewise with dev^2
+        curve = uniform(spec, 256)
+        m = metrics(curve)
+        dev = float(np.max(np.abs(curvature_profile(curve) - m.average_curvature)))
+        assert abs(m.int_dev_ks2) <= dev * m.ks_norm_sq * (1.0 + 1e-12)
+        assert 0.0 < m.int_dev2_ks2 <= dev * dev * m.ks_norm_sq * (1.0 + 1e-12)
+
+    @pytest.mark.parametrize("scale", [0.5, 3.0])
+    def test_scaling_covariance(self, scale):
+        # k and kbar scale as 1/scale, k_s as 1/scale^2, ds as scale
+        curve = uniform(_BALANCE_SHAPES["fourier"], 256)
+        m0, m1 = metrics(curve), metrics(SampledCurve(scale * curve.vertices))
+        assert m1.int_dev_ks2 == pytest.approx(m0.int_dev_ks2 / scale**4, rel=1e-9)
+        assert m1.int_dev2_ks2 == pytest.approx(m0.int_dev2_ks2 / scale**5, rel=1e-9)
+
+    @pytest.mark.parametrize("shape", ["ellipse", "limacon"])
+    def test_orientation_reversal(self, shape):
+        # reversing the vertices negates k - kbar and keeps k_s
+        curve = uniform(_BALANCE_SHAPES[shape], 256)
+        m = metrics(curve)
+        mr = metrics(SampledCurve(curve.vertices[::-1].copy()))
+        assert mr.int_dev_ks2 == pytest.approx(-m.int_dev_ks2, rel=1e-9)
+        assert mr.int_dev2_ks2 == pytest.approx(m.int_dev2_ks2, rel=1e-9)
+
+
 class TestResampling:
     def test_produces_uniform_chords(self):
         curve = resample_uniform(generate(ShapeSpec("ellipse", a=2.0, b=1.0), 256))
