@@ -431,6 +431,20 @@ def _simulation_report(manifest: RunManifest,
     }
 
 
+def run_with_snapshots(initial: SampledCurve, config: FlowConfig, interval: int
+                       ) -> Tuple[RunResult, List[Tuple[int, float, SampledCurve]]]:
+    """Run the flow; snapshot the initial curve, every interval-th step, the end."""
+    snapshots: List[Tuple[int, float, SampledCurve]] = [(0, 0.0, initial)]
+    def capture(state: FlowState, record: TrajectoryRecord) -> None:
+        if state.step_index % interval == 0:
+            snapshots.append((state.step_index, state.time, state.curve))
+    result = run(initial, config, on_record=capture)
+    final = result.final_state
+    if final.step_index != snapshots[-1][0]:
+        snapshots.append((final.step_index, final.time, final.curve))
+    return result, snapshots
+
+
 def cmd_simulate(manifest_path: str) -> int:
     manifest = read_manifest(manifest_path)
     initial = resample_uniform(generate(manifest.shape, manifest.flow.n),
@@ -438,18 +452,9 @@ def cmd_simulate(manifest_path: str) -> int:
     # a shape generate refuses leaves no output directory behind
     out_dir = _resolve_output(manifest.output_dir)
     os.makedirs(out_dir, exist_ok=True)
-
-    snapshots: List[Tuple[int, float, SampledCurve]] = [(0, 0.0, initial)]
-    interval = manifest.snapshot_interval
-
-    def capture(state: FlowState, record: TrajectoryRecord) -> None:
-        if state.step_index % interval == 0:
-            snapshots.append((state.step_index, state.time, state.curve))
-
-    result = run(initial, manifest.flow, on_record=capture)
+    result, snapshots = run_with_snapshots(initial, manifest.flow,
+                                           manifest.snapshot_interval)
     final = result.final_state
-    if final.step_index != snapshots[-1][0]:
-        snapshots.append((final.step_index, final.time, final.curve))
 
     _atomic_file(os.path.join(out_dir, "manifest.txt"),
                  lambda tmp: write_manifest(manifest, tmp))

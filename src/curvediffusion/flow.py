@@ -57,6 +57,7 @@ MIN_CHORD_RATIO = 1e-3  # a raw chord below this times the mean chord is a colla
 # a step that raises L by more than this, relative, stops the run; healthy runs
 # (every test fixture, limacons 1.2 and 0.3) rise by at most 2.8e-16 in a step
 LENGTH_RISE_TOL = 1e-12
+UNRESOLVED_KH = 1.0  # max|k|·h above which a length stop names the curve unresolved
 
 # glibc mallopt parameters and the values _retain_freed_heap sets
 _M_TRIM_THRESHOLD = -1
@@ -341,9 +342,12 @@ def _advance(state: FlowState, config: FlowConfig) -> Tuple[FlowState, float]:
             f"{config.curvature_energy_ceiling:.3e}"
         )
     if curve.length() > state.curve.length() * (1.0 + LENGTH_RISE_TOL):
+        old = state.curve
+        kh = float(np.abs(old._frames_h[2]).max()) * old.length() / old.n
         raise BlowUpSignal(
             f"length increased: unstable step took L from "
-            f"{state.curve.length():.9g} to {curve.length():.9g}"
+            f"{old.length():.9g} to {curve.length():.9g}"
+            + (f"; unresolved: max|k|·h = {kh:.3g}" if kh > UNRESOLVED_KH else "")
         )
 
     new_state = FlowState(
@@ -429,6 +433,15 @@ def _record_times(trajectory: Sequence[TrajectoryRecord]) -> np.ndarray:
     return times
 
 
+def osc_balance(m: CurveMetrics) -> Tuple[Tuple[float, ...], Tuple[float, ...]]:
+    """Gain and loss terms of the oscillation-energy balance of one curve,
+    d kosc / dt = sum(gain) - sum(loss)."""
+    L, kbar = m.length, m.average_curvature
+    gain = (3.0 * L * m.int_dev2_ks2, 6.0 * kbar * L * m.int_dev_ks2,
+            2.0 * kbar ** 2 * L * m.ks_norm_sq)
+    return gain, (m.osc_energy * m.ks_norm_sq / L, 2.0 * L * m.kss_norm_sq)
+
+
 def identity_residuals(trajectory: Sequence[TrajectoryRecord]) -> IdentityResiduals:
     """Centered-difference residuals of the evolution identities.
 
@@ -449,16 +462,12 @@ def identity_residuals(trajectory: Sequence[TrajectoryRecord]) -> IdentityResidu
     for lo, mid, hi in zip(records, records[1:], records[2:]):
         span = hi.time - lo.time
         m = mid.metrics
-        L, kbar = m.length, m.average_curvature
         dL = (hi.metrics.length - lo.metrics.length) / span
         dA = (hi.metrics.signed_area - lo.metrics.signed_area) / span
         dkosc = (hi.metrics.osc_energy - lo.metrics.osc_energy) / span
-        area.append((abs(dA) / max(abs(m.signed_area), 1e-12 * L ** 2), 1.0))
+        area.append((abs(dA) / max(abs(m.signed_area), 1e-12 * m.length ** 2), 1.0))
         length.append((abs(dL + m.ks_norm_sq), max(abs(dL), m.ks_norm_sq)))
-        # d kosc / dt = gain - loss
-        gain = (3.0 * L * m.int_dev2_ks2, 6.0 * kbar * L * m.int_dev_ks2,
-                2.0 * kbar ** 2 * L * m.ks_norm_sq)
-        loss = (m.osc_energy * m.ks_norm_sq / L, 2.0 * L * m.kss_norm_sq)
+        gain, loss = osc_balance(m)
         resid = dkosc + (loss[0] + loss[1]) - (gain[0] + gain[1] + gain[2])
         osc.append((abs(resid), max(abs(dkosc), *loss, *map(abs, gain))))
 

@@ -2,76 +2,38 @@
 
 Each run is computed once per session.  The heaviest scenario (the t=5
 perturbed-circle run) dominates the suite's runtime; everything downstream
-reuses its records.  The runs are defined in SCENARIOS, which
-tests/make_golden.py reads too, so a golden block is written from the run its
-test reads.
+reuses its records.  Each run is the manifest tests/scenarios/<name>.txt,
+run as `curvediffusion simulate` runs it, so a fixture is rebuilt bit for
+bit by
+
+    curvediffusion simulate tests/scenarios/<name>.txt
+
+tests/make_golden.py and tests/fixture_digest.py read the same manifests.
 """
 
+from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
-from curvediffusion.flow import FlowConfig, run
-from curvediffusion.geometry import ShapeSpec, generate, resample_uniform
+from curvediffusion.cli import read_manifest, run_with_snapshots
+from curvediffusion.geometry import generate, resample_uniform
 
-SCENARIOS = {
-    "circle": dict(
-        spec=ShapeSpec("circle", radius=1.0),
-        config=FlowConfig(n=256, dt=1e-4, max_time=1.0),
-    ),
-    "ellipse": dict(
-        spec=ShapeSpec("ellipse", a=1.5, b=2.0 / 3.0),
-        config=FlowConfig(n=256, dt=1e-4, max_time=2.0),
-    ),
-    "perturbed": dict(
-        spec=ShapeSpec("fourier-perturbed-circle", r0=1.0, modes=((2, 0.01, 0.0),)),
-        config=FlowConfig(n=256, dt=1e-4, max_time=5.0),
-        snapshot_every=5000,
-    ),
-    "wide-perturbed": dict(
-        spec=ShapeSpec("fourier-perturbed-circle", r0=3.0, modes=((2, 0.01, 0.0),)),
-        config=FlowConfig(n=256, dt=1e-3, max_time=5.0),
-    ),
-    "strong-perturbed": dict(
-        spec=ShapeSpec("fourier-perturbed-circle", r0=1.0, modes=((2, 0.05, 0.0),)),
-        config=FlowConfig(n=256, dt=1e-4, max_time=1.0),
-    ),
-    "mode3": dict(
-        spec=ShapeSpec("fourier-perturbed-circle", r0=1.0, modes=((3, 0.01, 0.0),)),
-        config=FlowConfig(n=256, dt=1e-4, max_time=0.5),
-    ),
-    "lemniscate": dict(
-        spec=ShapeSpec("lemniscate", scale=1.0),
-        config=FlowConfig(n=256, dt=1.25e-5, max_time=1.0,
-                          curvature_energy_ceiling=60.0),
-    ),
-    "wave": dict(
-        spec=ShapeSpec("fourier-perturbed-circle", r0=1.0,
-                       modes=((12, 2.0 / 143.0, 0.0),)),
-        config=FlowConfig(n=256, dt=1e-5, max_steps=30),
-    ),
-}
+SCENARIO_DIR = Path(__file__).parent / "scenarios"
+
+
+def scenario_names():
+    """The stems of the manifests in tests/scenarios, sorted."""
+    return sorted(path.stem for path in SCENARIO_DIR.glob("*.txt"))
 
 
 def scenario(name):
-    """Run SCENARIOS[name] from its resampled initial curve."""
-    return _scenario(**SCENARIOS[name])
-
-
-def _scenario(spec, config, snapshot_every=None):
-    initial = resample_uniform(generate(spec, config.n))
-    snapshots = [(0, 0.0, initial)]
-
-    hook = None
-    if snapshot_every is not None:
-        def hook(state, record):
-            if state.step_index % snapshot_every == 0:
-                snapshots.append((state.step_index, state.time, state.curve))
-
-    result = run(initial, config, on_record=hook)
-    final = result.final_state
-    if final.step_index != snapshots[-1][0]:
-        snapshots.append((final.step_index, final.time, final.curve))
+    """Run tests/scenarios/<name>.txt from its resampled initial curve."""
+    manifest = read_manifest(SCENARIO_DIR / f"{name}.txt")
+    spec, config = manifest.shape, manifest.flow
+    initial = resample_uniform(generate(spec, config.n), config.n)
+    result, snapshots = run_with_snapshots(initial, config,
+                                           manifest.snapshot_interval)
     return SimpleNamespace(
         spec=spec, config=config, initial=initial,
         result=result, snapshots=snapshots,
@@ -124,15 +86,8 @@ def wave_run():
 
 
 @pytest.fixture(scope="session")
-def all_scenarios(circle_run, ellipse_run, perturbed_run, wide_perturbed_run,
-                  strong_perturbed_run, mode3_run, lemniscate_run, wave_run):
-    return {
-        "circle": circle_run,
-        "ellipse": ellipse_run,
-        "perturbed": perturbed_run,
-        "wide-perturbed": wide_perturbed_run,
-        "strong-perturbed": strong_perturbed_run,
-        "mode3": mode3_run,
-        "lemniscate": lemniscate_run,
-        "wave": wave_run,
-    }
+def all_scenarios(request):
+    """Every scenario's session fixture, by scenario name; a manifest with no
+    fixture named <name>_run (dashes as underscores) fails here."""
+    return {name: request.getfixturevalue(name.replace("-", "_") + "_run")
+            for name in scenario_names()}

@@ -2,10 +2,10 @@
 
     PYTHONPATH=src python tests/fixture_digest.py [SCENARIO ...]
 
-For each key of conftest.SCENARIOS (all of them when none is named), run
-exactly as its session fixture runs it, one line gives the name, the record
-count, the sha256 over the record_to_json lines of its records and the
-sha256 of the final vertex bytes.  A change that claims to leave every
+For each manifest tests/scenarios/<SCENARIO>.txt (all of them when none is
+named), run exactly as its session fixture runs it, one line gives the name,
+the record count, the sha256 over the record_to_json lines of its records
+and the sha256 of the final vertex bytes.  A change that claims to leave every
 trajectory bitwise the same prints the same lines as its parent:
 
     diff <(cd parent && PYTHONPATH=src python tests/fixture_digest.py) \\
@@ -15,7 +15,7 @@ trajectory bitwise the same prints the same lines as its parent:
 import hashlib
 import sys
 
-from conftest import SCENARIOS, scenario
+from conftest import scenario, scenario_names
 from curvediffusion.flow import record_to_json
 
 
@@ -30,13 +30,14 @@ def digest(name):
 
 
 def main(argv):
-    unknown = [name for name in argv if name not in SCENARIOS]
+    names = scenario_names()
+    unknown = [name for name in argv if name not in names]
     if unknown:
         print(f"usage: fixture_digest.py [SCENARIO...]; scenarios: "
-              f"{', '.join(SCENARIOS)}; unknown: {', '.join(unknown)}",
+              f"{', '.join(names)}; unknown: {', '.join(unknown)}",
               file=sys.stderr)
         return 2
-    for name in argv or SCENARIOS:
+    for name in argv or names:
         count, records, vertices = digest(name)
         print(f"{name} records={count} records_sha256={records} "
               f"vertices_sha256={vertices}", flush=True)

@@ -2,18 +2,18 @@
 
     PYTHONPATH=src python tests/make_golden.py SCENARIO [SCENARIO ...]
 
-Each SCENARIO is a key of conftest.SCENARIOS; it is run exactly as its
-session fixture runs it, and its block is replaced by t, L, A, kosc and ks2
-at the record indices the block already has (10, 100 and 1000 for a new
-block).  Every other block is written back as it was read, so its bytes do
-not change, and the tolerances in test_golden.py are not touched.  The runs
-are deterministic: a second call rewrites the same bytes.
+Each SCENARIO names a manifest tests/scenarios/<SCENARIO>.txt; it is run
+exactly as its session fixture runs it, and its block is replaced by t, L,
+A, kosc and ks2 at the record indices the block already has (10, 100 and
+1000 for a new block).  Every other block is written back as it was read,
+so its bytes do not change, and the tolerances in test_golden.py are not
+touched.  The runs are deterministic: a second call rewrites the same bytes.
 """
 
 import json
 import sys
 
-from conftest import SCENARIOS, scenario
+from conftest import scenario, scenario_names
 from test_golden import FIELDS, GOLDEN
 
 NEW_BLOCK_INDICES = ("10", "100", "1000")
@@ -32,9 +32,10 @@ def block(name, indices):
 
 
 def main(argv):
-    unknown = [name for name in argv if name not in SCENARIOS]
+    names = scenario_names()
+    unknown = [name for name in argv if name not in names]
     if not argv or unknown:
-        print(f"usage: make_golden.py SCENARIO...; scenarios: {', '.join(SCENARIOS)}"
+        print(f"usage: make_golden.py SCENARIO...; scenarios: {', '.join(names)}"
               + (f"; unknown: {', '.join(unknown)}" if unknown else ""),
               file=sys.stderr)
         return 2

@@ -24,13 +24,17 @@ from curvediffusion.cli import (
     write_manifest,
 )
 from curvediffusion.errors import RejectedInputError
-from curvediffusion.flow import FlowConfig, run
+from curvediffusion.flow import FlowConfig, record_to_json, run
 from curvediffusion.geometry import (
     ShapeSpec,
     generate,
+    read_curve_csv,
     resample_uniform,
     write_curve_csv,
 )
+from conftest import SCENARIO_DIR
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 CIRCLE_MANIFEST = """\
 # short round run, all report sections
@@ -92,6 +96,17 @@ class TestManifest:
         assert back.snapshot_interval == manifest.snapshot_interval
         assert back.svg == manifest.svg
         assert back.reports == manifest.reports
+
+    def test_readme_manifest_is_the_perturbed_scenario(self, tmp_path):
+        # the README's simulate example rebuilds the flagship session fixture
+        block = README.read_text(encoding="utf-8").split("```ini\n")[1]
+        path = tmp_path / "readme.txt"
+        path.write_text(block.split("```")[0])
+        readme = read_manifest(path)
+        scenario = read_manifest(SCENARIO_DIR / "perturbed.txt")
+        assert readme.shape == scenario.shape
+        assert readme.flow == scenario.flow
+        assert readme.snapshot_interval == scenario.snapshot_interval
 
     def test_minimal_manifest_uses_defaults(self, tmp_path):
         path = tmp_path / "m.txt"
@@ -243,6 +258,22 @@ class TestSimulate:
         sections = json.loads(outputs[0]["run.json"])["sections"]
         assert set(sections) == {"summary"} | set(REPORT_SECTIONS)
         assert sections["decay"]["verdicts"]["fitted"]
+
+    def test_scenario_manifest_rebuilds_its_fixture(self, tmp_path, monkeypatch,
+                                                     wave_run):
+        # simulate on a scenario manifest writes the session fixture's run
+        monkeypatch.setenv("CURVEDIFFUSION_OUTPUT_ROOT", str(tmp_path))
+        assert main(["simulate", str(SCENARIO_DIR / "wave.txt")]) == 0
+        out = tmp_path / "run-output"
+        lines = (out / "trajectory.jsonl").read_text().splitlines()
+        assert lines == [record_to_json(r) for r in wave_run.result.records]
+        files = sorted(out.glob("snapshot_*.csv"))
+        assert [f.name for f in files] == [f"snapshot_{step:08d}.csv"
+                                           for step, _, _ in wave_run.snapshots]
+        for path, (_, _, curve) in zip(files, wave_run.snapshots):
+            assert np.array_equal(read_curve_csv(path).vertices, curve.vertices)
+        assert np.array_equal(read_curve_csv(files[-1]).vertices,
+                              wave_run.result.final_state.curve.vertices)
 
     def test_relative_output_honors_env_root(self, tmp_path, monkeypatch):
         monkeypatch.setenv("CURVEDIFFUSION_OUTPUT_ROOT", str(tmp_path))

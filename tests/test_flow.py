@@ -42,13 +42,14 @@ from curvediffusion.geometry import (
     resample_uniform,
     signed_area,
 )
+from conftest import scenario_names
 from references import _rk4_advance, hausdorff_distance
 
 
 RIPPLE = ShapeSpec("fourier-perturbed-circle", r0=1.0, modes=((2, 0.01, 0.0),))
 
-# how each run of conftest.SCENARIOS stops: reason, final step index and
-# the prefix of the blow-up detail
+# how each run of tests/scenarios stops: reason, final step index and the
+# prefix of the blow-up detail
 SESSION_STOPS = {
     "circle": ("max-time", 10000, ""),
     "ellipse": ("max-time", 20000, ""),
@@ -385,6 +386,33 @@ class TestStopConditions:
         lengths = [initial.length()] + [r.metrics.length for r in result.records]
         assert all(b <= a for a, b in zip(lengths, lengths[1:]))
 
+    @pytest.mark.parametrize("spec, config, records, unresolved", [
+        # 256 points do not resolve the inner dimple: the first step raises
+        # L by 12%
+        (ShapeSpec("limacon", offset=1.05),
+         FlowConfig(n=256, dt=2.5e-5, max_steps=10),
+         0, "; unresolved: max|k|·h = 1.63"),
+        # past its singular time the figure-eight is still resolved, at
+        # max|k|·h = 0.10: its step fails, so the message blames the step alone
+        (ShapeSpec("lemniscate", scale=1.0),
+         FlowConfig(n=128, dt=5e-5, max_time=0.05),
+         873, None),
+    ], ids=["limacon-1.05", "lemniscate-128"])
+    def test_length_stop_names_an_unresolved_curve(self, spec, config, records,
+                                                    unresolved):
+        result = run(uniform(spec, config.n), config)
+        assert result.reason == "blow-up"
+        assert result.detail.startswith("length increased: unstable step took L")
+        assert len(result.records) == records
+        # the final state is the curve the failed step started from
+        curve = result.final_state.curve
+        kh = float(np.abs(curvature_profile(curve)).max()) * curve.length() / curve.n
+        assert (kh > flow.UNRESOLVED_KH) == (unresolved is not None)
+        if unresolved is None:
+            assert "unresolved" not in result.detail
+        else:
+            assert result.detail.endswith(unresolved)
+
     def test_ceiling_below_the_initial_energy_stops_before_any_record(self):
         # the first step's curve already reaches the ceiling: no step is
         # accepted and the final state is the initial curve, untouched
@@ -409,6 +437,10 @@ class TestStopConditions:
         assert len(result.records) == final_step
         assert result.detail.startswith(detail)
         assert (result.detail == "") == (reason != "blow-up")
+
+    def test_every_scenario_has_its_stop_pinned(self):
+        # a new manifest in tests/scenarios cannot skip the pin above
+        assert sorted(SESSION_STOPS) == scenario_names()
 
     def test_config_requires_a_stop_condition(self):
         with pytest.raises(RejectedInputError):
