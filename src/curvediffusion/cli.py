@@ -65,6 +65,7 @@ from .flow import (
     write_trajectory_jsonl,
 )
 from .geometry import (
+    SHAPE_FIELDS,
     SampledCurve,
     ShapeSpec,
     _integer_arg,
@@ -95,6 +96,13 @@ class RunManifest:
         if not (isinstance(self.output_dir, str) and self.output_dir):
             raise RejectedInputError(
                 f"output_dir must be a nonempty string, got {self.output_dir!r}")
+        # the echo writes it as a manifest value, which read_manifest strips
+        # and cuts at '#' and at line breaks
+        if self.output_dir.strip() != self.output_dir or any(
+                c in self.output_dir for c in "#\r\n"):
+            raise RejectedInputError(
+                "output_dir must be free of '#', line breaks and surrounding "
+                f"whitespace, got {self.output_dir!r}")
         if _integer_arg("snapshot_interval", self.snapshot_interval) < 1:
             raise RejectedInputError("snapshot_interval must be >= 1")
         if not isinstance(self.svg, bool):
@@ -190,7 +198,7 @@ def read_manifest(path) -> RunManifest:
     """Parse a ``key = value`` manifest file into a RunManifest."""
     entries: Dict[str, str] = {}
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             raw_lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise RejectedInputError(f"{path}: manifest is not UTF-8 text") from exc
@@ -250,7 +258,8 @@ def write_manifest(manifest: RunManifest, path) -> None:
     """Write a manifest that read_manifest parses back to an equal value."""
     groups = [
         ("shape", [("shape", manifest.shape.kind)]
-         + [(key, getattr(manifest.shape, key)) for key in _SHAPE_PARSERS]),
+         + [(key, getattr(manifest.shape, key))
+            for key in SHAPE_FIELDS[manifest.shape.kind]]),
         ("stepping", [(key, getattr(manifest.flow, key)) for key in _FLOW_PARSERS]),
         ("outputs", [(key, getattr(manifest, key)) for key in _OUTPUT_PARSERS]),
     ]
@@ -266,17 +275,14 @@ def write_manifest(manifest: RunManifest, path) -> None:
 
 
 def _atomic_file(path: str, write: Callable[[str], None]) -> None:
-    directory = os.path.dirname(path) or "."
-    fd, tmp = tempfile.mkstemp(
-        dir=directory, prefix="." + os.path.basename(path) + "."
-    )
-    os.close(fd)
-    try:
+    # write() creates the file in a fresh private directory, so it takes the
+    # umask's mode (mkstemp would leave it 0o600); the directory goes either way
+    name = os.path.basename(path)
+    with tempfile.TemporaryDirectory(
+            dir=os.path.dirname(path) or ".", prefix=f".{name}.") as tmp_dir:
+        tmp = os.path.join(tmp_dir, name)
         write(tmp)
         os.replace(tmp, path)
-    finally:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
 
 
 def _atomic_text(path: str, text: str) -> None:

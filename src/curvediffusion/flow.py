@@ -515,7 +515,7 @@ def read_trajectory_jsonl(path) -> List[TrajectoryRecord]:
     written) are rejected.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = fh.readlines()
     except UnicodeDecodeError as exc:
         raise RejectedInputError(f"trajectory {path} is not UTF-8 text") from exc

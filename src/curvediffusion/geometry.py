@@ -18,7 +18,7 @@ from __future__ import annotations
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional, Tuple
 
 import numpy as np
@@ -39,13 +39,13 @@ _RESAMPLE_TARGET_SPREAD = 1e-12
 _FLOAT_EPS = 2.220446049250313e-16  # float64 machine epsilon, 2**-52
 _AREA_UNDEFINED_REL = 1e-10  # |A| < this * L^2 leaves the isoperimetric ratio undefined
 
-SHAPE_KINDS = (
-    "circle",
-    "ellipse",
-    "fourier-perturbed-circle",
-    "limacon",
-    "lemniscate",
-)
+SHAPE_FIELDS = {  # the ShapeSpec fields each kind reads
+    "circle": ("radius",),
+    "ellipse": ("a", "b"),
+    "fourier-perturbed-circle": ("r0", "modes"),
+    "limacon": ("offset", "scale"),
+    "lemniscate": ("scale",),
+}
 
 
 def _shift(a: np.ndarray, k: int) -> np.ndarray:
@@ -221,13 +221,13 @@ class CurveMetrics:
 class ShapeSpec:
     """Parametric initial shape.
 
-    kind-specific fields: ``radius`` (circle); ``a``, ``b`` (ellipse);
-    ``r0`` and ``modes`` as (frequency, amplitude, phase) triples
-    (fourier-perturbed-circle, r(theta) = r0 * (1 + sum eps cos(m theta + phi)));
-    ``offset`` and ``scale`` (limacon, r(theta) = scale * (offset + cos theta));
-    ``scale`` (lemniscate of Bernoulli). Every number must be finite, the
-    amplitudes and phases of ``modes`` too; unused fields are otherwise
-    ignored.
+    A circle of ``radius``; an ellipse of semi-axes ``a``, ``b``; a
+    fourier-perturbed-circle r(theta) = r0 * (1 + sum eps cos(m theta + phi))
+    of ``modes``, the (frequency, amplitude, phase) triples; a limacon
+    r(theta) = scale * (offset + cos theta); a lemniscate of Bernoulli of
+    ``scale``.  Every number must be finite, the amplitudes and phases of
+    ``modes`` too.  ``SHAPE_FIELDS[kind]`` names the fields a kind reads:
+    each number among them must be positive, and every other keeps its default.
     """
 
     kind: str
@@ -240,39 +240,36 @@ class ShapeSpec:
     scale: float = 1.0
 
     def __post_init__(self):
-        if self.kind not in SHAPE_KINDS:
-            raise RejectedInputError(
-                f"unknown shape kind {self.kind!r}; expected one of {SHAPE_KINDS}"
-            )
+        if not (isinstance(self.kind, str) and self.kind in SHAPE_FIELDS):
+            raise RejectedInputError(f"unknown shape kind {self.kind!r}; "
+                                     f"expected one of {tuple(SHAPE_FIELDS)}")
         for name in ("radius", "a", "b", "r0", "offset", "scale"):
             _real_arg(name, getattr(self, name))
-        if self.kind == "circle" and self.radius <= 0:
-            raise RejectedInputError("circle radius must be positive")
-        if self.kind == "ellipse" and (self.a <= 0 or self.b <= 0):
-            raise RejectedInputError("ellipse semi-axes must be positive")
-        if self.kind == "fourier-perturbed-circle":
-            if self.r0 <= 0:
-                raise RejectedInputError("base radius must be positive")
-            if not isinstance(self.modes, (tuple, list)):
+        if not isinstance(self.modes, (tuple, list)):
+            raise RejectedInputError(
+                f"modes must be a tuple or list of triples, got {_shown(self.modes)}")
+        norm = []
+        for entry in self.modes:
+            try:
+                m, eps, phase = entry
+            except (TypeError, ValueError):
+                m = eps = phase = None  # not a triple
+            if not (isinstance(m, numbers.Integral) and m >= 1
+                    and all(_is_real(x) for x in (m, eps, phase))):
                 raise RejectedInputError(
-                    f"modes must be a tuple or list of triples, got {self.modes!r}")
-            norm = []
-            for entry in self.modes:
-                try:
-                    m, eps, phase = entry
-                except (TypeError, ValueError):
-                    m = eps = phase = None  # not a triple
-                if not (isinstance(m, numbers.Integral) and m >= 1
-                        and all(_is_real(x) for x in (m, eps, phase))):
-                    raise RejectedInputError(
-                        "modes: each entry is (integer frequency >= 1, finite "
-                        f"amplitude, finite phase), got {_shown(entry)}")
-                norm.append((int(m), float(eps), float(phase)))
-            object.__setattr__(self, "modes", tuple(norm))
-        if self.kind in ("limacon", "lemniscate") and self.scale <= 0:
-            raise RejectedInputError("scale must be positive")
-        if self.kind == "limacon" and self.offset <= 0:
-            raise RejectedInputError("limacon offset must be positive")
+                    "modes: each entry is (integer frequency >= 1, finite "
+                    f"amplitude, finite phase), got {_shown(entry)}")
+            norm.append((int(m), float(eps), float(phase)))
+        object.__setattr__(self, "modes", tuple(norm))
+        # each value is now a finite real or a tuple of triples: != never broadcasts
+        reads = SHAPE_FIELDS[self.kind]
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name not in reads and value != f.default:
+                raise RejectedInputError(
+                    f"shape {self.kind!r} reads {', '.join(reads)}, not {f.name}")
+            if f.name in reads and f.name != "modes":
+                _real_arg(f.name, value, positive=True)
 
 
 def _is_real(value) -> bool:
@@ -688,7 +685,7 @@ def read_curve_csv(path) -> SampledCurve:
     is below MIN_TOTAL_LENGTH.  The curve is uniform when its chords are.
     """
     try:
-        with open(path, "r", encoding="utf-8") as fh:
+        with open(path, "r", encoding="utf-8-sig") as fh:
             lines = [ln.strip() for ln in fh if ln.strip()]
     except UnicodeDecodeError as exc:
         raise RejectedInputError(f"curve CSV {path} is not UTF-8 text") from exc

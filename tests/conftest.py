@@ -21,6 +21,23 @@ from curvediffusion.geometry import generate, resample_uniform
 
 SCENARIO_DIR = Path(__file__).parent / "scenarios"
 
+# the ShapeSpec fields each shape kind reads, written out here rather than
+# taken from geometry.SHAPE_FIELDS, and a value other than each field's default
+SHAPE_READS = {
+    "circle": ("radius",),
+    "ellipse": ("a", "b"),
+    "fourier-perturbed-circle": ("r0", "modes"),
+    "limacon": ("offset", "scale"),
+    "lemniscate": ("scale",),
+}
+NOT_DEFAULT = {"radius": 2.0, "a": 2.0, "b": 2.0, "r0": 2.0,
+               "modes": ((2, 0.01, 0.0),), "offset": 1.5, "scale": 2.0}
+# the 27 (kind, field) pairs a kind does not read, and the 7 numbers it does
+UNREAD_PAIRS = [(kind, field) for kind, reads in SHAPE_READS.items()
+                for field in NOT_DEFAULT if field not in reads]
+READ_NUMBERS = [(kind, field) for kind, reads in SHAPE_READS.items()
+                for field in reads if field != "modes"]
+
 
 def scenario_names():
     """The stems of the manifests in tests/scenarios, sorted."""

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import os
 import subprocess
 import sys
 import tempfile
@@ -32,7 +33,7 @@ from curvediffusion.geometry import (
     resample_uniform,
     write_curve_csv,
 )
-from conftest import SCENARIO_DIR
+from conftest import NOT_DEFAULT, SCENARIO_DIR, SHAPE_READS, UNREAD_PAIRS
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -76,6 +77,48 @@ reports = l1-energy
 """
 
 
+ELLIPSE_MANIFEST = """\
+shape = ellipse
+a = 1.5
+b = 1.0
+n = 64
+dt = 1e-4
+max_steps = 200
+output_dir = ellipse-run
+svg = true
+reports = hypotheses, smallness, l1-energy, waiting, decay
+"""
+
+# the echo of ELLIPSE_MANIFEST as versions before the shape table wrote it:
+# every shape key, the unread ones at their defaults
+SEVEN_KEY_ECHO = """\
+# flow run manifest: key = value per line, '#' starts a comment
+
+# shape
+shape = ellipse
+radius = 1.0
+a = 1.5
+b = 1.0
+r0 = 1.0
+modes =
+offset = 0.5
+scale = 1.0
+
+# stepping
+n = 64
+dt = 0.0001
+max_time =
+max_steps = 200
+curvature_energy_ceiling = 100000.0
+
+# outputs
+output_dir = ellipse-run
+snapshot_interval = 1000
+svg = true
+reports = hypotheses,smallness,l1-energy,waiting,decay
+"""
+
+
 class TestManifest:
     def test_round_trip_preserves_everything(self, tmp_path):
         manifest = RunManifest(
@@ -96,6 +139,31 @@ class TestManifest:
         assert back.snapshot_interval == manifest.snapshot_interval
         assert back.svg == manifest.svg
         assert back.reports == manifest.reports
+
+    @pytest.mark.parametrize("kind", SHAPE_READS)
+    def test_echo_holds_only_the_keys_the_kind_reads(self, kind, tmp_path):
+        # the echo used to list all seven shape keys, whatever the kind
+        path = tmp_path / "m.txt"
+        write_manifest(RunManifest(shape=ShapeSpec(kind),
+                                   flow=FlowConfig(max_steps=10)), path)
+        keys = [line.split(" =")[0] for line in path.read_text().splitlines()
+                if line and not line.startswith("#")]
+        assert keys == ["shape", *SHAPE_READS[kind], *cli._FLOW_PARSERS,
+                        *cli._OUTPUT_PARSERS]
+
+    def test_seven_key_echo_reads_as_the_short_manifest(self, tmp_path):
+        # an echo written by earlier versions still reads, and so reruns
+        short, echo = tmp_path / "short.txt", tmp_path / "echo.txt"
+        short.write_text(ELLIPSE_MANIFEST)
+        echo.write_text(SEVEN_KEY_ECHO)
+        assert read_manifest(echo) == read_manifest(short)
+
+    def test_reads_past_a_byte_order_mark(self, tmp_path):
+        # the BOM used to be read as part of the first key, '\ufeffshape'
+        path = SCENARIO_DIR / "ellipse.txt"
+        bom = tmp_path / "bom.txt"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read_manifest(bom) == read_manifest(path)
 
     def test_readme_manifest_is_the_perturbed_scenario(self, tmp_path):
         # the README's simulate example rebuilds the flagship session fixture
@@ -169,6 +237,12 @@ class TestManifest:
         ("reports", ["hypotheses"]),
         ("output_dir", 5),
         ("output_dir", ""),
+        # the echo used to read these back as 'runs/' and 'padded', and to
+        # write 'a\nb' as a line that read_manifest refuses
+        ("output_dir", "runs/#1"),
+        ("output_dir", " padded "),
+        ("output_dir", "a\nb"),
+        ("output_dir", "a\rb"),
     ])
     def test_output_fields_are_typed(self, field, value):
         # "no" used to be a truthy svg flag, "hypotheses" to be read by
@@ -258,6 +332,40 @@ class TestSimulate:
         sections = json.loads(outputs[0]["run.json"])["sections"]
         assert set(sections) == {"summary"} | set(REPORT_SECTIONS)
         assert sections["decay"]["verdicts"]["fitted"]
+
+    def test_echo_reruns_to_the_same_bytes(self, tmp_path, monkeypatch):
+        # manifest.txt is the run: simulated under another output root it
+        # writes every file again, manifest.txt included
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(ELLIPSE_MANIFEST.replace("max_steps = 200",
+                                                     "max_steps = 40"))
+        trees = []
+        for name, source in (("a", manifest),
+                             ("b", tmp_path / "a" / "ellipse-run" / "manifest.txt")):
+            monkeypatch.setenv("CURVEDIFFUSION_OUTPUT_ROOT", str(tmp_path / name))
+            assert main(["simulate", str(source)]) == 0
+            out = tmp_path / name / "ellipse-run"
+            trees.append({p.name: p.read_bytes() for p in out.iterdir()})
+        assert trees[0] == trees[1]
+        assert {"manifest.txt", "snapshot_00000040.svg"} <= set(trees[0])
+
+    def test_files_take_the_umask(self, tmp_path, monkeypatch):
+        # mkstemp used to leave every output file -rw------- under umask 022
+        monkeypatch.setenv("CURVEDIFFUSION_OUTPUT_ROOT", str(tmp_path))
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(ELLIPSE_MANIFEST.replace("max_steps = 200",
+                                                     "max_steps = 10"))
+        old = os.umask(0o022)
+        try:
+            assert main(["simulate", str(manifest)]) == 0
+            out = tmp_path / "ellipse-run"
+            assert main(["analyze", str(out / "snapshot_00000010.csv")]) == 0
+        finally:
+            os.umask(old)
+        written = [*out.iterdir(), tmp_path / "snapshot_00000010_report.json"]
+        assert len(written) == 8
+        assert {oct(p.stat().st_mode & 0o777) for p in written} == {"0o644"}
+        assert not [p for p in tmp_path.rglob(".*")]
 
     def test_scenario_manifest_rebuilds_its_fixture(self, tmp_path, monkeypatch,
                                                      wave_run):
@@ -364,6 +472,21 @@ class TestSimulate:
         err = capsys.readouterr().err
         assert err.splitlines() == [
             "curvediffusion: radius must be finite, got nan"
+        ]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kind, field", UNREAD_PAIRS)
+    def test_unread_shape_key_exits_one(self, kind, field, tmp_path, capsys):
+        # shape = ellipse with radius = 5 used to run a 1 x 1 ellipse, exit 0
+        # and echo radius = 5.0
+        manifest = tmp_path / "m.txt"
+        manifest.write_text(
+            f"shape = {kind}\n{field} = {cli._format_value(NOT_DEFAULT[field])}\n"
+            f"max_steps = 10\noutput_dir = {tmp_path / 'out'}\n")
+        assert main(["simulate", str(manifest)]) == 1
+        reads = ", ".join(SHAPE_READS[kind])
+        assert capsys.readouterr().err.splitlines() == [
+            f"curvediffusion: shape '{kind}' reads {reads}, not {field}"
         ]
         assert not (tmp_path / "out").exists()
 

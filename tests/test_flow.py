@@ -830,6 +830,14 @@ class TestTrajectorySerialization:
         with pytest.raises(RejectedInputError, match="line 3"):
             read_trajectory_jsonl(path)
 
+    def test_reads_past_a_byte_order_mark(self, circle_run, tmp_path):
+        # the BOM used to make line 1 malformed JSON
+        path = tmp_path / "trajectory.jsonl"
+        write_trajectory_jsonl(circle_run.result.records[:5], path)
+        bom = tmp_path / "bom.jsonl"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read_trajectory_jsonl(bom) == read_trajectory_jsonl(path)
+
     def test_non_utf8_file_rejected(self, tmp_path):
         path = tmp_path / "trajectory.jsonl"
         path.write_bytes(b'{"t": 1.0\xff}\n')

@@ -3,6 +3,7 @@
 import copy
 import dataclasses
 import math
+import re
 import warnings
 
 import numpy as np
@@ -32,6 +33,7 @@ from curvediffusion.geometry import (
     write_curve_csv,
 )
 import references
+from conftest import NOT_DEFAULT, READ_NUMBERS, SHAPE_READS, UNREAD_PAIRS
 from references import hausdorff_distance
 
 
@@ -823,6 +825,43 @@ class TestValidation:
         with pytest.raises(RejectedInputError):
             ShapeSpec("limacon", offset=0.0)
 
+    def test_the_pairs_are_counted(self):
+        assert (len(UNREAD_PAIRS), len(READ_NUMBERS)) == (27, 7)
+
+    @pytest.mark.parametrize("kind, field", UNREAD_PAIRS)
+    def test_a_field_the_kind_does_not_read_is_refused(self, kind, field):
+        # shape = ellipse with radius = 5 used to run a plain 1 x 1 ellipse
+        reads = ", ".join(SHAPE_READS[kind])
+        with pytest.raises(RejectedInputError,
+                           match=f"^shape '{kind}' reads {reads}, not {field}$"):
+            ShapeSpec(kind, **{field: NOT_DEFAULT[field]})
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("radius", np.float64(2.0), "shape 'ellipse' reads a, b, not radius"),
+        ("offset", 2, "shape 'ellipse' reads a, b, not offset"),
+        ("modes", [(3, 0.1, 0.0)], "shape 'ellipse' reads a, b, not modes"),
+        ("modes", np.zeros((1, 3)), "modes must be a tuple or list of triples"),
+        ("radius", np.ones(2), "radius must be finite"),
+    ])
+    def test_unread_values_of_any_type_are_refused_by_name(self, field, value,
+                                                           message):
+        # compared after validation, so no value reaches a numpy broadcast
+        with pytest.raises(RejectedInputError, match=f"^{re.escape(message)}"):
+            ShapeSpec("ellipse", **{field: value})
+
+    def test_unread_fields_at_their_defaults_are_accepted(self):
+        # echoes written before the refusal hold every unread key at its default
+        defaults = {f.name: f.default for f in dataclasses.fields(ShapeSpec)[1:]}
+        for kind in SHAPE_READS:
+            assert ShapeSpec(kind, **defaults) == ShapeSpec(kind)
+        assert ShapeSpec("circle", radius=1, modes=[]) == ShapeSpec("circle")
+
+    @pytest.mark.parametrize("kind, field", READ_NUMBERS)
+    def test_each_read_number_is_refused_at_zero(self, kind, field):
+        with pytest.raises(RejectedInputError, match=(
+                f"^{field} must be a positive finite number, got 0.0$")):
+            ShapeSpec(kind, **{field: 0.0})
+
     def test_mode_frequencies_must_be_positive_integers(self):
         with pytest.raises(RejectedInputError):
             ShapeSpec("fourier-perturbed-circle", modes=((0, 0.1, 0.0),))
@@ -901,6 +940,10 @@ class TestValidation:
         with pytest.raises(RejectedInputError,
                            match="got <tuple too large to print>$"):
             ShapeSpec("fourier-perturbed-circle", modes=((10 ** 5000, 0.1, 0.0),))
+        with pytest.raises(RejectedInputError, match=(
+                "^modes must be a tuple or list of triples, "
+                "got <int too large to print>$")):
+            ShapeSpec("circle", modes=10 ** 5000)
 
     @pytest.mark.parametrize("modes", [3, None, "abc"])
     def test_modes_must_be_a_sequence(self, modes):
@@ -1052,6 +1095,14 @@ class TestSerialization:
         back = read_curve_csv(path)
         assert back == curve
         assert back.is_uniform() and curve.is_uniform()
+
+    def test_csv_reads_past_a_byte_order_mark(self, tmp_path):
+        # the BOM used to be read as part of the header 'x,y'
+        path = tmp_path / "curve.csv"
+        write_curve_csv(uniform(ShapeSpec("ellipse", a=1.5, b=1.0), 64), path)
+        bom = tmp_path / "bom.csv"
+        bom.write_bytes(b"\xef\xbb\xbf" + path.read_bytes())
+        assert read_curve_csv(bom) == read_curve_csv(path)
 
     def test_csv_rejects_malformed_rows(self, tmp_path):
         path = tmp_path / "bad.csv"
