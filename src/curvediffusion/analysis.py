@@ -34,6 +34,7 @@ _EXACT_INEQUALITY_GUARD = 1e-12   # rounding slack for exact algebraic inequalit
 _DISCRETE_BIAS_GUARD = 1e-2       # slack for O(h^2) finite-difference bias in verdicts
 _FLAT_WINDOW_REL = 1e-6           # below this relative variation there is no decay to fit
 _LYAPUNOV_SLACK = 1e-9            # rounding slack for an order-one Lyapunov value
+_MULTIPLICITY_SLACK = 1e-9        # multiplicity-bound rounding slack, times max(1, |bound|)
 _ON_TRACE_REL = 1e-6              # on-trace tolerance for a point, relative to L
 
 
@@ -151,13 +152,11 @@ def positivity_waiting_measure(trajectory: Sequence[TrajectoryRecord]) -> float:
     measure is the step size times the number of nonpositive-minimum records.
     A single record carries no interval and contributes zero.
     """
-    if len(trajectory) == 0:
-        raise RejectedInputError("empty trajectory")
-    if len(trajectory) == 1:
+    times = _record_times(trajectory)
+    if times.size == 1:
         return 0.0
-    dt = _median_interval(_record_times(trajectory))
     hits = sum(1 for rec in trajectory if rec.metrics.min_curvature <= 0.0)
-    return dt * hits
+    return _median_interval(times) * hits
 
 
 def l1_energy_check(trajectory: Sequence[TrajectoryRecord]) -> Report:
@@ -167,8 +166,6 @@ def l1_energy_check(trajectory: Sequence[TrajectoryRecord]) -> Report:
     decreases along the flow, so this is the conservative side.  Holds for
     any initial data, including runs cut short by a blow-up signal.
     """
-    if len(trajectory) == 0:
-        raise RejectedInputError("empty trajectory")
     times = _record_times(trajectory)
     kosc = np.array([rec.metrics.osc_energy for rec in trajectory], dtype=float)
     if times.size == 1:
@@ -193,13 +190,11 @@ def smallness_propagation_check(trajectory: Sequence[TrajectoryRecord]) -> Repor
     Lyapunov value is order one while staying far below any real violation.
     Inadmissible first records are rejected.
     """
-    if len(trajectory) == 0:
-        raise RejectedInputError("empty trajectory")
+    times = _record_times(trajectory)
     if not check_hypotheses(trajectory[0].metrics).verdicts["admissible"]:
         raise RejectedInputError(
             "first record is not admissible; the propagation bound does not apply"
         )
-    times = _record_times(trajectory)
     kosc = np.array([rec.metrics.osc_energy for rec in trajectory], dtype=float)
     length = np.array([rec.metrics.length for rec in trajectory], dtype=float)
     threshold = 2.0 * kstar()
@@ -239,6 +234,19 @@ def multiplicity_bound(m: int, omega: int) -> float:
     lead = _in_range("multiplicity", m, "16 m^2", lambda: 16.0 * float(m) * float(m))
     return lead - _in_range("winding number", omega, "4 w^2 pi^2",
                             lambda: 4.0 * w * w * math.pi * math.pi)
+
+
+def multiplicity_check(m: CurveMetrics, multiplicity: int) -> Report:
+    """Whether metrics m pay the oscillation energy a point of the given
+    multiplicity costs, kosc >= multiplicity_bound(multiplicity, omega); a
+    shortfall within _MULTIPLICITY_SLACK times max(1, |bound|) is rounding."""
+    bound = multiplicity_bound(multiplicity, m.winding_number)
+    slack = _MULTIPLICITY_SLACK * max(1.0, abs(bound))
+    return Report(
+        verdicts={"osc_energy_at_least_bound": m.osc_energy - bound >= -slack},
+        values={"bound": bound, "osc_energy": m.osc_energy,
+                "multiplicity": float(multiplicity)},
+    )
 
 
 def embeddedness_certificate(curve: SampledCurve) -> str:
@@ -424,17 +432,15 @@ def decay_fit(trajectory: Sequence[TrajectoryRecord], quantity: str,
     less than one part in 1e6 across the window (a resolution-limited
     plateau has no decay to fit).
     """
+    times = _record_times(trajectory)
     if quantity not in DECAY_QUANTITIES:
         raise RejectedInputError(
             f"unknown decay quantity {quantity!r}; expected one of {DECAY_QUANTITIES}"
         )
-    if len(trajectory) == 0:
-        raise RejectedInputError("empty trajectory")
     w = _real_array("window", window)
     if w.shape != (2,) or not w[1] > w[0]:
         raise RejectedInputError("window must be a finite interval with t1 > t0")
     t0, t1 = float(w[0]), float(w[1])
-    times = _record_times(trajectory)
     if times.size > 1:
         dt = _median_interval(times)
         if t1 - t0 <= 10.0 * dt:

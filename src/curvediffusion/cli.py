@@ -28,6 +28,7 @@ import argparse
 import itertools
 import json
 import math
+import numbers
 import os
 import sys
 import tempfile
@@ -40,6 +41,7 @@ from . import analysis
 from .analysis import (
     DECAY_KOSC,
     DECAY_KSS2,
+    EMBEDDED_CERTIFIED,
     Report,
     check_hypotheses,
     decay_fit,
@@ -47,7 +49,7 @@ from .analysis import (
     embeddedness_certificate,
     kss2_rate_floor,
     l1_energy_check,
-    multiplicity_bound,
+    multiplicity_check,
     positivity_waiting_measure,
     smallness_propagation_check,
     waiting_time_bound,
@@ -69,6 +71,7 @@ from .geometry import (
     SampledCurve,
     ShapeSpec,
     _integer_arg,
+    _text_lines,
     generate,
     metrics,
     read_curve_csv,
@@ -197,12 +200,7 @@ _MANIFEST_KEYS = ("shape", *_SHAPE_PARSERS, *_FLOW_PARSERS, *_OUTPUT_PARSERS)
 def read_manifest(path) -> RunManifest:
     """Parse a ``key = value`` manifest file into a RunManifest."""
     entries: Dict[str, str] = {}
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            raw_lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise RejectedInputError(f"{path}: manifest is not UTF-8 text") from exc
-    for lineno, raw in enumerate(raw_lines, start=1):
+    for lineno, raw in enumerate(_text_lines(path, "manifest"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -240,8 +238,8 @@ def _format_value(value) -> str:
         return ""
     if isinstance(value, bool):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
+    if isinstance(value, numbers.Real) and not isinstance(value, numbers.Integral):
+        return repr(float(value))  # numpy >= 2 would write np.float64(...)
     if isinstance(value, tuple):  # report names or mode triples
         return ",".join(
             _format_mode(*item) if isinstance(item, tuple) else item
@@ -506,12 +504,7 @@ def cmd_analyze(curve_path: str) -> int:
     hypotheses = check_hypotheses(met)
     crossings = find_crossings(work)
     certificate = embeddedness_certificate(work)
-    bound = multiplicity_bound(crossings.multiplicity, met.winding_number)
-    bound_report = Report(
-        verdicts={"osc_energy_at_least_bound": met.osc_energy >= bound},
-        values={"bound": bound, "osc_energy": met.osc_energy,
-                "multiplicity": float(crossings.multiplicity)},
-    )
+    bound_report = multiplicity_check(met, crossings.multiplicity)
 
     metric_values = {key: float(value) for key, value in asdict(met).items()
                      if value is not None}
@@ -682,25 +675,19 @@ def _corpus_spec(rng: np.random.Generator, index: int) -> ShapeSpec:
 
 def _suite_multiplicity(seed: int) -> List[Row]:
     rng = np.random.default_rng(seed)
-    violations = 0
-    consistency_ok = True
-    crossed = 0
+    violations = crossed = certified_crossed = 0
     min_margin = math.inf
     total = 500
     for index in range(total):
         curve = resample_uniform(generate(_corpus_spec(rng, index), 512))
         met = metrics(curve)
         crossings = find_crossings(curve)
-        consistency_ok = consistency_ok and (
-            (crossings.multiplicity == 1) == (not crossings.crossings)
-        )
         if crossings.crossings:
             crossed += 1
-        bound = multiplicity_bound(crossings.multiplicity, met.winding_number)
-        margin = met.osc_energy - bound
-        min_margin = min(min_margin, margin)
-        if margin < -1e-9 * max(1.0, abs(bound)):
-            violations += 1
+            certified_crossed += embeddedness_certificate(curve) == EMBEDDED_CERTIFIED
+        check = multiplicity_check(met, crossings.multiplicity)
+        min_margin = min(min_margin, met.osc_energy - check.values["bound"])
+        violations += not check.verdicts["osc_energy_at_least_bound"]
     return [
         (
             f"oscillation energy pays for every measured multiplicity "
@@ -709,43 +696,37 @@ def _suite_multiplicity(seed: int) -> List[Row]:
             f"min margin {min_margin:.3f}, {crossed} self-intersecting",
         ),
         (
-            "multiplicity 1 coincides with an empty crossing list",
-            consistency_ok, "",
+            "no curve the energy certificate certifies crosses itself",
+            certified_crossed == 0, "",
         ),
     ]
 
 
+# (name, shape, config, ceilings): rel_max ceilings per identity, except
+# that the area rows and every circle row (absolute) use abs_max, because
+# every term in the circle's balances is numerically zero
 _IDENTITY_SCENARIOS = (
     ("circle", ShapeSpec("circle", radius=1.0),
-     dict(n=128, dt=1e-4, max_steps=300)),
+     FlowConfig(n=128, dt=1e-4, max_steps=300),
+     dict(area=1e-9, length=1e-8, osc_energy=1e-6, absolute=True)),
     ("ellipse", ShapeSpec("ellipse", a=2.0, b=1.0),
-     dict(n=256, dt=1e-4, max_steps=2000)),
+     FlowConfig(n=256, dt=1e-4, max_steps=2000),
+     dict(area=1e-9, length=0.15, osc_energy=0.15, absolute=False)),
     ("perturbed circle", ShapeSpec("fourier-perturbed-circle", r0=1.0,
                                    modes=((2, 0.01, 0.0),)),
-     dict(n=256, dt=1e-4, max_steps=2000)),
+     FlowConfig(n=256, dt=1e-4, max_steps=2000),
+     dict(area=1e-9, length=0.05, osc_energy=0.05, absolute=False)),
 )
-
-# rel_max ceilings per scenario and identity; the circle rows use abs_max
-# because every term in its balances is numerically zero.
-_IDENTITY_LIMITS = {
-    "circle": dict(area=1e-9, length=1e-8, osc_energy=1e-6, absolute=True),
-    "ellipse": dict(area=1e-9, length=0.15, osc_energy=0.15, absolute=False),
-    "perturbed circle": dict(area=1e-9, length=0.05, osc_energy=0.05,
-                             absolute=False),
-}
 
 
 def _suite_flow_identities(seed: int) -> List[Row]:
     del seed  # reference scenarios are deterministic
     rows: List[Row] = []
-    for name, spec, options in _IDENTITY_SCENARIOS:
-        config = FlowConfig(**options)
+    for name, spec, config, limits in _IDENTITY_SCENARIOS:
         result = run(generate(spec, config.n), config)
         residuals = identity_residuals(result.records)
-        limits = _IDENTITY_LIMITS[name]
-        absolute = limits["absolute"]
         for field in ("area", "length", "osc_energy"):
-            kind = "abs" if (absolute or field == "area") else "rel"
+            kind = "abs" if (limits["absolute"] or field == "area") else "rel"
             value = getattr(getattr(residuals, field), f"{kind}_max")
             limit = limits[field]
             rows.append((
@@ -869,10 +850,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         if args.command == "analyze":
             return cmd_analyze(args.curve)
         return cmd_verify(args.suite, args.seed)
-    except CurveDiffusionError as exc:
-        print(f"curvediffusion: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (CurveDiffusionError, OSError) as exc:
         print(f"curvediffusion: {exc}", file=sys.stderr)
         return 1
 

@@ -45,6 +45,7 @@ from .geometry import (
     _resample_points,
     _shift,
     _tangents,
+    _text_lines,
     metrics,
     resample_uniform,
 )
@@ -427,6 +428,9 @@ def run(initial: SampledCurve, config: FlowConfig,
 
 
 def _record_times(trajectory: Sequence[TrajectoryRecord]) -> np.ndarray:
+    """Record times, refused when there are none or they do not strictly increase."""
+    if len(trajectory) == 0:
+        raise RejectedInputError("empty trajectory")
     times = np.array([rec.time for rec in trajectory], dtype=float)
     if times.size > 1 and np.any(np.diff(times) <= 0.0):
         raise RejectedInputError("record times must be strictly increasing")
@@ -514,14 +518,9 @@ def read_trajectory_jsonl(path) -> List[TrajectoryRecord]:
     that lack the oscillation-balance integrals (the format before they were
     written) are rejected.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = fh.readlines()
-    except UnicodeDecodeError as exc:
-        raise RejectedInputError(f"trajectory {path} is not UTF-8 text") from exc
     records: List[TrajectoryRecord] = []
     prev_line_no = 0
-    for line_no, line in enumerate(lines, start=1):
+    for line_no, line in enumerate(_text_lines(path, "trajectory"), start=1):
         line = line.strip()
         if not line:
             continue

@@ -19,7 +19,7 @@ import functools
 import math
 import numbers
 from dataclasses import dataclass, field, fields
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -368,13 +368,11 @@ def generate(spec: ShapeSpec, n: int) -> SampledCurve:
     elif spec.kind == "limacon":
         r = spec.scale * (spec.offset + np.cos(t))
         pts = np.column_stack([r * np.cos(t), r * np.sin(t)])
-    elif spec.kind == "lemniscate":
+    else:  # lemniscate, the last kind ShapeSpec admits
         denom = 1.0 + np.sin(t) ** 2
         pts = spec.scale * np.column_stack(
             [np.cos(t) / denom, np.sin(t) * np.cos(t) / denom]
         )
-    else:  # pragma: no cover - kinds validated by ShapeSpec
-        raise RejectedInputError(f"unknown shape kind {spec.kind!r}")
     return SampledCurve(pts)
 
 
@@ -677,6 +675,16 @@ def _metrics(curve: SampledCurve) -> CurveMetrics:
     )
 
 
+def _text_lines(path, kind: str) -> List[str]:
+    """The lines of a UTF-8 text file, past a byte-order mark if it has one;
+    any other file is refused as ``<kind> <path> is not UTF-8 text``."""
+    try:
+        with open(path, "r", encoding="utf-8-sig") as fh:
+            return fh.readlines()
+    except UnicodeDecodeError as exc:
+        raise RejectedInputError(f"{kind} {path} is not UTF-8 text") from exc
+
+
 def read_curve_csv(path) -> SampledCurve:
     """Read a curve from CSV with header ``x,y``, one vertex per row.
 
@@ -684,11 +692,7 @@ def read_curve_csv(path) -> SampledCurve:
     and so is a polygon whose chord lengths overflow or whose total length
     is below MIN_TOTAL_LENGTH.  The curve is uniform when its chords are.
     """
-    try:
-        with open(path, "r", encoding="utf-8-sig") as fh:
-            lines = [ln.strip() for ln in fh if ln.strip()]
-    except UnicodeDecodeError as exc:
-        raise RejectedInputError(f"curve CSV {path} is not UTF-8 text") from exc
+    lines = [ln.strip() for ln in _text_lines(path, "curve CSV") if ln.strip()]
     if not lines or lines[0].replace(" ", "") != "x,y":
         raise RejectedInputError("curve CSV must start with header 'x,y'")
     rows = []

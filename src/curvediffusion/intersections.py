@@ -180,8 +180,6 @@ def _single_linkage(points: np.ndarray, eps: float) -> List[List[int]]:
 def _branch_count(segment_indices, n: int) -> int:
     """Distinct local branches: maximal runs of circularly consecutive segments."""
     segs = sorted(set(segment_indices))
-    if not segs:
-        return 0
     runs = 1
     for prev, cur in zip(segs, segs[1:]):
         if cur - prev > 1:

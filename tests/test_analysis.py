@@ -30,6 +30,7 @@ from curvediffusion.analysis import (
     kstar,
     l1_energy_check,
     multiplicity_bound,
+    multiplicity_check,
     newton_ratio_check,
     positivity_waiting_measure,
     smallness_propagation_check,
@@ -466,6 +467,24 @@ class TestEmbeddednessCertificate:
                 multiplicity_bound(m, omega)
 
 
+class TestMultiplicityCheck:
+    @pytest.mark.parametrize("shortfall, holds", [
+        (0.0, True), (0.5e-9, True), (2e-9, False),
+    ])
+    def test_verdict_at_its_rounding_slack(self, shortfall, holds):
+        # a double point on a curve of winding one: a bound of 64 - 4 pi^2,
+        # above 1, so the slack is relative to it
+        bound = multiplicity_bound(2, 1)
+        assert bound > 1.0
+        m = dataclasses.replace(
+            metrics(uniform(ShapeSpec("circle"), 64)),
+            osc_energy=bound - shortfall * bound)
+        report = multiplicity_check(m, 2)
+        assert report.verdicts == {"osc_energy_at_least_bound": holds}
+        assert report.values == {"bound": bound, "osc_energy": m.osc_energy,
+                                 "multiplicity": 2.0}
+
+
 class TestOneComputationPerCurve:
     def test_corpus_curve_runs_frames_and_turning_number_once(self, monkeypatch):
         # the per-curve work of verify multiplicity-corpus and of the
@@ -529,6 +548,14 @@ class TestTrajectoryChecks:
         assert positivity_waiting_measure(circle_run.result.records[:1]) == 0.0
         with pytest.raises(RejectedInputError):
             positivity_waiting_measure([])
+
+    @pytest.mark.parametrize("report", [
+        positivity_waiting_measure, l1_energy_check, smallness_propagation_check,
+        lambda records: decay_fit(records, DECAY_KOSC, (0.0, 0.5)),
+    ], ids=["waiting", "l1-energy", "smallness", "decay"])
+    def test_empty_trajectory_refused(self, report):
+        with pytest.raises(RejectedInputError, match="^empty trajectory$"):
+            report([])
 
 
 class TestDecayFits:

@@ -151,6 +151,18 @@ class TestManifest:
         assert keys == ["shape", *SHAPE_READS[kind], *cli._FLOW_PARSERS,
                         *cli._OUTPUT_PARSERS]
 
+    def test_numpy_scalars_echo_as_plain_numbers(self, tmp_path):
+        # numpy >= 2 writes repr(np.float64(2.0)) as "np.float64(2.0)", which
+        # the echo used to write and the reader then refused
+        manifest = RunManifest(
+            ShapeSpec("circle", radius=np.float64(2.0)),
+            FlowConfig(n=np.int64(64), dt=np.float64(1e-4),
+                       max_steps=np.int64(5)))
+        path = tmp_path / "m.txt"
+        write_manifest(manifest, path)
+        assert "radius = 2.0\n" in path.read_text()
+        assert read_manifest(path) == manifest
+
     def test_seven_key_echo_reads_as_the_short_manifest(self, tmp_path):
         # an echo written by earlier versions still reads, and so reruns
         short, echo = tmp_path / "short.txt", tmp_path / "echo.txt"
@@ -629,6 +641,18 @@ class TestMalformedInput:
         err = capsys.readouterr().err
         assert "not UTF-8" in err and str(path) in err
 
+    @pytest.mark.parametrize("read, kind, data", [
+        (read_manifest, "manifest", b"shape = circle\xff\n"),
+        (read_curve_csv, "curve CSV", b"x,y\n1.0,0.0\xff\n"),
+        (flow.read_trajectory_jsonl, "trajectory", b'{"t": 1.0\xff}\n'),
+    ], ids=["manifest", "curve", "trajectory"])
+    def test_readers_refuse_non_utf8_alike(self, read, kind, data, tmp_path):
+        path = tmp_path / "input"
+        path.write_bytes(data)
+        with pytest.raises(RejectedInputError) as info:
+            read(path)
+        assert str(info.value) == f"{kind} {path} is not UTF-8 text"
+
     @settings(max_examples=150, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(data=_with_bytes(_MANIFEST_LINES))
@@ -678,8 +702,8 @@ class TestVerify:
 
     def test_flow_identity_rows_name_the_limits_they_apply(self, monkeypatch, capsys):
         # five steps a scenario: the rows' text is under test, not their verdicts
-        short = tuple((name, spec, dict(options, max_steps=5))
-                      for name, spec, options in cli._IDENTITY_SCENARIOS)
+        short = tuple((name, spec, dataclasses.replace(config, max_steps=5), limits)
+                      for name, spec, config, limits in cli._IDENTITY_SCENARIOS)
         monkeypatch.setattr(cli, "_IDENTITY_SCENARIOS", short)
         main(["verify", "flow-identities"])
         rows = {line[6:].split("  ")[0]: line
@@ -688,6 +712,15 @@ class TestVerify:
         assert rows["ellipse: length balance"].endswith("(limit 0.15)")
         assert rows["perturbed circle: osc energy balance"].endswith("(limit 0.05)")
         assert rows["circle: area balance"].endswith("(limit 1e-09)")
+
+    def test_certificate_row_fails_when_a_crossed_curve_is_certified(
+            self, monkeypatch, capsys):
+        monkeypatch.setattr(cli, "embeddedness_certificate",
+                            lambda curve: cli.EMBEDDED_CERTIFIED)
+        assert main(["verify", "multiplicity-corpus"]) == 1
+        out = capsys.readouterr().out
+        assert "FAIL  no curve the energy certificate certifies crosses itself" in out
+        assert "multiplicity-corpus: 1/2 checks passed" in out
 
     def test_unknown_suite_lists_options(self, capsys):
         assert main(["verify", "bogus"]) == 1
