@@ -677,7 +677,7 @@ def _metrics(curve: SampledCurve) -> CurveMetrics:
 
 def _text_lines(path, kind: str) -> List[str]:
     """The lines of a UTF-8 text file, past a byte-order mark if it has one;
-    any other file is refused as ``<kind> <path> is not UTF-8 text``."""
+    a file that is not UTF-8 is refused, named by its kind and path."""
     try:
         with open(path, "r", encoding="utf-8-sig") as fh:
             return fh.readlines()
